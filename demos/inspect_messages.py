@@ -9,6 +9,7 @@ report, and what the policy engine does with a hit.
 import numpy as np
 
 from ricguard import (
+    AhoCorasickMatcher,
     Blocklist,
     E2Message,
     E2MessageKind,
@@ -16,7 +17,6 @@ from ricguard import (
     MitigationPolicy,
     NaiveMatcher,
     Verdict,
-    build_automaton,
     decode_frame,
     encode_frame,
     scan_naive,
@@ -53,7 +53,7 @@ received = decode_frame(frame, clock=lambda: 1_000)
 
 # Scan ahead of any payload decoding. Both matchers agree, always.
 naive = scan_naive(received.payload, rulebook)
-automaton = build_automaton(rulebook).scan(received.payload)
+automaton = AhoCorasickMatcher(rulebook).scan(received.payload)
 print(f"naive scan:     hits {naive.hits} after {naive.comparisons} byte comparisons")
 print(f"automaton scan: hits {automaton.hits} after {automaton.comparisons} transitions")
 assert naive.hits == automaton.hits

@@ -70,10 +70,8 @@ from .signatures import (
     NaiveMatcher,
     Signature,
     SignatureSet,
-    build_automaton,
     load_rulebook,
     save_rulebook,
-    scan_automaton,
     scan_naive,
     synthetic_rulebook,
 )

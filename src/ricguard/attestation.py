@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .timing import CostModel, wall_ns
+from .timing import wall_ns
 
 NONCE_BYTES = 32
 DEFAULT_CHALLENGE_TTL_NS = 1_000_000_000  # one simulated second
@@ -150,7 +150,6 @@ class AttestationEngine:
         clock: Callable[[], int] = time.monotonic_ns,
         rng=None,
         challenge_ttl_ns: int = DEFAULT_CHALLENGE_TTL_NS,
-        sink: list | None = None,
     ) -> None:
         self._clock = clock
         self._randbytes = rng.randbytes if rng is not None else secrets.token_bytes
@@ -160,7 +159,6 @@ class AttestationEngine:
         self._outstanding: dict[str, AttestationChallenge] = {}
         self._recent_nonces: dict[str, deque[bytes]] = {}
         self._round_counts: dict[str, int] = {}
-        self.sink = sink
 
     def register(self, xapp_id: str, reference_path: str | Path) -> None:
         """Bind an xApp id to its on-disk reference image (loaded lazily, so
@@ -219,40 +217,24 @@ class AttestationEngine:
             return VerificationResult.VALID
         return VerificationResult.DIGEST_MISMATCH
 
-    def run_round(self, image: XappImage,
-                  cost_model: CostModel | None = None) -> RoundResult:
+    def run_round(self, image: XappImage) -> RoundResult:
         """One full attestation round: challenge, response, verification.
 
-        Latency spans the whole exchange; the first round for an xApp
-        additionally pays the reference-image load from storage.
+        Wall-clock latency spans the whole exchange; the first round for an
+        xApp additionally pays the reference-image load from storage.
         """
         cold = not self.reference_loaded(image.xapp_id)
-        started = wall_ns() if cost_model is None else 0
+        started = wall_ns()
         challenge = self.issue_challenge(image.xapp_id)
         response = attest(image, challenge, clock=self._clock)
         outcome = self.verify(challenge, response)
-        if cost_model is None:
-            latency_ns = wall_ns() - started
-        else:
-            latency_ns = cost_model.attestation_round_ns(len(image.live_bytes), cold_start=cold)
         round_index = self._round_counts.get(image.xapp_id, 0) + 1
         self._round_counts[image.xapp_id] = round_index
-        result = RoundResult(
+        return RoundResult(
             xapp_id=image.xapp_id,
             round_index=round_index,
             outcome=outcome,
-            latency_ms=latency_ns / 1e6,
+            latency_ms=(wall_ns() - started) / 1e6,
             image_mb=len(image.live_bytes) / (1024 * 1024),
             cold_start=cold,
         )
-        if self.sink is not None:
-            self.sink.append(
-                {
-                    "round": result.round_index,
-                    "xapp_id": result.xapp_id,
-                    "image_mb": result.image_mb,
-                    "latency_ms": result.latency_ms,
-                    "outcome": result.outcome,
-                }
-            )
-        return result

@@ -59,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ricguard",
         description="Desk-scale benchmarks for the near-RT RIC runtime safeguards",
     )
+    parser.set_defaults(trained_bundle=None)  # not a flag: one invocation's detector
     sub = parser.add_subparsers(dest="command", required=True)
     for name, descr in (
         ("inspect-bench", "E2 message inspection latency and exactness"),
@@ -91,6 +92,13 @@ def _cost_model(args):
     return DEFAULT_COST_MODEL if args.deterministic_timing else None
 
 
+def _trained_bundle(args):
+    """Train on first use, so run-all's detect-bench and use-case share it."""
+    if args.trained_bundle is None:
+        args.trained_bundle = train_detector_bundle(_scenario(args, detector_preset))
+    return args.trained_bundle
+
+
 def cmd_inspect_bench(args) -> None:
     config = _scenario(args, inspector_preset, ues_per_cell=args.ues_per_cell)
     result = run_inspector_experiment(
@@ -114,7 +122,7 @@ def cmd_detect_bench(args) -> None:
     config = _scenario(args, detector_preset)
     af_grid = tuple(float(v) for v in args.af.split(","))
     result = run_detector_experiment(
-        config, af_grid=af_grid, runs=args.runs,
+        config, af_grid=af_grid, runs=args.runs, bundle=_trained_bundle(args),
         cost_model=_cost_model(args), out_dir=args.out,
     )
     print(f"{'AF':<6}{'ADR (%)':>10}{'FPR (%)':>10}{'latency (ms)':>14}")
@@ -140,7 +148,7 @@ def cmd_attest_bench(args) -> None:
 def cmd_use_case(args) -> None:
     rulebook = _rulebook(args)
     loads = tuple(int(v) for v in args.ues_total.split(","))
-    bundle = train_detector_bundle(detector_preset(seed=args.seed))
+    bundle = _trained_bundle(args)
     labels = {
         "inspector_ms": "E2 message inspection",
         "detector_ms": "KPM poisoning detection",

@@ -35,7 +35,7 @@ import numpy as np
 from .kpm import FEATURE_COUNT, FeatureScaler, KpmRecord, records_to_matrix
 from .mitigation import Magnitude
 from .recurrent import SequenceModel, predict
-from .timing import CostModel, wall_ns
+from .timing import wall_ns
 
 BUNDLE_MAGIC = b"KPMD"
 BUNDLE_VERSION = 1
@@ -215,13 +215,12 @@ class StreamingDetector:
 
     Records are scored against the UE's last ``sequence_length`` verified
     records; all UEs of one tick are scored in a single forward pass.
-    Anomalous records are excluded from future history.
+    Anomalous records are excluded from future history. Each scored record
+    carries an equal share of the tick's wall-clock scoring time.
     """
 
-    def __init__(self, bundle: DetectorBundle, cost_model: CostModel | None = None) -> None:
+    def __init__(self, bundle: DetectorBundle) -> None:
         self.bundle = bundle
-        self.cost_model = cost_model
-        self._history: dict[int, deque[KpmRecord]] = {}
         self._normalized: dict[int, deque[np.ndarray]] = {}
 
     def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
@@ -229,7 +228,7 @@ class StreamingDetector:
         scaler = self.bundle.scaler
         seq_len = model.sequence_length
 
-        started = wall_ns() if self.cost_model is None else 0
+        started = wall_ns()
         scorable: list[int] = []
         inputs: list[np.ndarray] = []
         targets: list[np.ndarray] = []
@@ -253,19 +252,12 @@ class StreamingDetector:
             if idx in score_by_idx:
                 verdict = make_verdict(rec, score_by_idx[idx], self.bundle.threshold)
             if verdict is None or not verdict.is_anomalous:
-                hist = self._history.setdefault(rec.ue_id, deque(maxlen=seq_len))
-                hist.append(rec)
                 norm_hist = self._normalized.setdefault(rec.ue_id, deque(maxlen=seq_len))
                 norm_hist.append(normalized[idx])
             results.append(ScoredRecord(record=rec, verdict=verdict))
 
-        scored_count = len(scorable)
-        if scored_count:
-            if self.cost_model is not None:
-                total_ns = self.cost_model.scoring_ns(scored_count)
-            else:
-                total_ns = wall_ns() - started
-            per_record = total_ns // scored_count
+        if scorable:
+            per_record = (wall_ns() - started) // len(scorable)
             for res in results:
                 if res.verdict is not None:
                     res.latency_ns = per_record

@@ -5,10 +5,12 @@ detection across amplification factors, attestation latency/completeness,
 and the end-to-end use case measuring the data-availability shift that the
 safeguards impose on a consumer xApp.
 
-Every experiment repeats over ``runs`` seeds and reports min/max/avg. Wall
-latencies are hardware-dependent, so pass a :class:`CostModel` for
-deterministic (byte-identical) CSV output; the near-RT loop budget is
-always checked against real wall time.
+Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
+safeguards time themselves by wall clock, which is hardware-dependent. Pass
+a :class:`CostModel` and the runners here charge it for the work counts the
+safeguards report instead (scan comparisons, scored records, attested
+bytes, decoded and stored data), for deterministic (byte-identical) CSV
+output. The near-RT loop budget is always checked against real wall time.
 
 CSV schemas (exact headers)::
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import gc
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,6 +34,7 @@ import numpy as np
 from .attestation import (
     DEFAULT_ATTESTATION_PERIOD_S,
     AttestationEngine,
+    RoundResult,
     VerificationResult,
     XappImage,
     inject_code,
@@ -42,8 +45,9 @@ from .detector import (
     ScoredRecord,
     StreamingDetector,
     calibrate_threshold,
+    evaluate,
 )
-from .e2 import E2MessageKind, decode_frame, decode_kpm_payload
+from .e2 import E2CodecError, E2Message, E2MessageKind, decode_frame, decode_kpm_payload
 from .emulator import (
     GroundTruthLabel,
     RanEmulator,
@@ -51,7 +55,13 @@ from .emulator import (
     TICK_MS,
     write_ground_truth_csv,
 )
-from .inspector import IngressInspector, LatencySummary, Verdict, latency_summary
+from .inspector import (
+    IngressInspector,
+    InspectionOutcome,
+    LatencySummary,
+    Verdict,
+    latency_summary,
+)
 from .kpm import KpmRecord, build_windows, fit_scaler
 from .mitigation import (
     Blocklist,
@@ -67,7 +77,7 @@ from .mitigation import (
     resolve_kpm_event,
 )
 from .recurrent import TrainConfig, train_model
-from .signatures import AhoCorasickMatcher, NaiveMatcher, SignatureSet
+from .signatures import AhoCorasickMatcher, MatchResult, NaiveMatcher, SignatureSet
 from .timing import CostModel, SimClock, wall_ns
 
 LOOP_BUDGET_MS = 1000.0
@@ -235,6 +245,53 @@ class TelemetryStore:
 
 
 # ---------------------------------------------------------------------------
+# safeguard stages, charged to the cost model in deterministic mode
+
+
+def _hit_ids(match: MatchResult | None) -> str:
+    return ";".join(str(sig_id) for sig_id, _ in match.hits) if match is not None else ""
+
+
+def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
+             policy: MitigationPolicy, mitigation: MitigationState, now_ms: int,
+             cost_model: CostModel | None) -> InspectionOutcome:
+    """Inspect one message and apply the policy to a signature hit."""
+    outcome = inspector.inspect(msg, loop=loop)
+    if cost_model is not None and outcome.match is not None:
+        automaton = isinstance(inspector.matcher, AhoCorasickMatcher)
+        outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(
+            outcome.match.comparisons, automaton=automaton))
+    if outcome.verdict is Verdict.MALICIOUS:
+        event = DetectionEvent(detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
+                               timestamp_ms=now_ms, node_id=msg.source_node_id)
+        apply_actions(mitigation, event, resolve_inspector_event(outcome.match, policy))
+    return outcome
+
+
+def _observe_tick(detector: StreamingDetector, records: Sequence[KpmRecord],
+                  cost_model: CostModel | None) -> list[ScoredRecord]:
+    """Score one tick; a deterministic run charges each scored record an
+    equal share of the cost model's scoring time for the tick."""
+    scored = detector.observe_tick(records)
+    verdicts = [item for item in scored if item.verdict is not None]
+    if cost_model is not None and verdicts:
+        share = cost_model.scoring_ns(len(verdicts)) // len(verdicts)
+        for item in verdicts:
+            item.latency_ns = share
+    return scored
+
+
+def _attestation_round(engine: AttestationEngine, image: XappImage,
+                       cost_model: CostModel | None) -> RoundResult:
+    result = engine.run_round(image)
+    if cost_model is None:
+        return result
+    latency_ns = cost_model.attestation_round_ns(len(image.live_bytes),
+                                                 cold_start=result.cold_start)
+    return replace(result, latency_ms=latency_ns / 1e6)
+
+
+# ---------------------------------------------------------------------------
 # inspector experiment
 
 
@@ -251,6 +308,11 @@ class InspectorExperimentResult:
 
     def summary(self, kind: E2MessageKind) -> LatencySummary | None:
         return self.aggregate_kind.get(kind)
+
+
+def _kind_summaries(outcomes: Sequence[InspectionOutcome]) -> dict[E2MessageKind, LatencySummary]:
+    summaries = {kind: latency_summary(outcomes, kind) for kind in E2MessageKind}
+    return {kind: summary for kind, summary in summaries.items() if summary is not None}
 
 
 def run_inspector_experiment(
@@ -275,63 +337,41 @@ def run_inspector_experiment(
 
     injected_total = detected_injected = benign_total = false_positives = 0
     per_run_kind: dict[tuple[int, E2MessageKind], LatencySummary] = {}
-    all_outcomes_by_kind: dict[E2MessageKind, list] = {k: [] for k in E2MessageKind}
+    all_outcomes: list[InspectionOutcome] = []
     csv_rows: list[str] = []
 
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
-        sink: list[dict] = []
-        # one inspector per E2 connection; matcher and blocklist are shared
-        blocklist = Blocklist()
-        inspectors = {
-            node: IngressInspector(matcher, blocklist, cost_model=cost_model, sink=sink)
-            for node in range(config.node_count)
-        }
+        # the inspector's blocklist stays apart from the mitigation state, so
+        # every message of the run is scanned
+        inspector = IngressInspector(matcher, Blocklist())
         mitigation = MitigationState()
         clock = SimClock()
-        outcomes = []
+        outcomes: list[InspectionOutcome] = []
         for t in range(config.loops):
             clock.advance_to_ns(t * 1_000_000_000)
             for emitted in emulator.step(t):
                 clock.advance_ns(1_000)
                 msg = decode_frame(emitted.frame, clock=clock.now_ns)
-                outcome = inspectors[msg.source_node_id].inspect(msg, loop=t)
+                outcome = _inspect(inspector, msg, t, policy, mitigation, clock.now_ms(),
+                                   cost_model)
                 outcomes.append(outcome)
+                diverted = outcome.verdict is Verdict.MALICIOUS
                 if emitted.injected is not None:
                     injected_total += 1
-                    if outcome.verdict is Verdict.MALICIOUS:
-                        detected_injected += 1
+                    detected_injected += diverted
                 else:
                     benign_total += 1
-                    if outcome.verdict is Verdict.MALICIOUS:
-                        false_positives += 1
-                if outcome.verdict is Verdict.MALICIOUS:
-                    actions = resolve_inspector_event(outcome.match, policy)
-                    event = DetectionEvent(
-                        detector="inspector",
-                        evidence="sig:" + ";".join(str(s) for s, _ in outcome.match.hits),
-                        timestamp_ms=clock.now_ms(),
-                        node_id=msg.source_node_id,
-                    )
-                    apply_actions(mitigation, event, actions)
-        for kind in E2MessageKind:
-            summary = latency_summary(outcomes, kind)
-            if summary is not None:
-                per_run_kind[(run, kind)] = summary
-            all_outcomes_by_kind[kind].extend(
-                o for o in outcomes if o.message.kind is kind
-            )
-        csv_rows.extend(
-            f"{run},{r['loop']},{r['msg_kind']},{r['node_id']},{r['verdict']},"
-            f"{r['inspect_ns']},{r['hits']}"
-            for r in sink
+                    false_positives += diverted
+        per_run_kind.update(
+            ((run, kind), summary) for kind, summary in _kind_summaries(outcomes).items()
         )
-
-    aggregate = {}
-    for kind, outcomes in all_outcomes_by_kind.items():
-        summary = latency_summary(outcomes, kind)
-        if summary is not None:
-            aggregate[kind] = summary
+        all_outcomes.extend(outcomes)
+        csv_rows.extend(
+            f"{run},{o.loop},{o.message.kind.name},{o.message.source_node_id},"
+            f"{o.verdict.value},{o.inspect_latency_ns},{_hit_ids(o.match)}"
+            for o in outcomes
+        )
 
     detection_rate = 100.0 * detected_injected / injected_total if injected_total else 0.0
     result = InspectorExperimentResult(
@@ -341,7 +381,7 @@ def run_inspector_experiment(
         detected_injected=detected_injected,
         benign_total=benign_total,
         per_run_kind=per_run_kind,
-        aggregate_kind=aggregate,
+        aggregate_kind=_kind_summaries(all_outcomes),
         csv_rows=csv_rows,
     )
     if out_dir is not None:
@@ -410,10 +450,9 @@ class DetectorExperimentResult:
 
 def run_detector_experiment(
     config: ScenarioConfig,
+    bundle: DetectorBundle,
     af_grid: Sequence[float] = (1.2, 1.3, 1.4, 1.5),
     runs: int = 10,
-    bundle: DetectorBundle | None = None,
-    train_config: TrainConfig = DEFAULT_TRAIN_CONFIG,
     cost_model: CostModel | None = None,
     out_dir=None,
 ) -> DetectorExperimentResult:
@@ -421,8 +460,6 @@ def run_detector_experiment(
     detector and pool ADR/FPR/latency over ``runs`` seeds."""
     if config.poison_target_fraction <= 0:
         raise ConfigError("the detector experiment needs poisoning targets")
-    if bundle is None:
-        bundle = train_detector_bundle(config, train_config)
 
     per_af: dict[float, DetectorMetrics] = {}
     per_af_runs: dict[float, list[DetectorMetrics]] = {}
@@ -432,7 +469,7 @@ def run_detector_experiment(
         for run in range(runs):
             scenario = replace(config, amplification_factor=af)
             emulator = RanEmulator(scenario, run_seed=config.rng_seed + 100 + run)
-            detector = StreamingDetector(bundle, cost_model=cost_model)
+            detector = StreamingDetector(bundle)
             labels: dict[tuple[int, int], bool] = {}
             all_labels: list[GroundTruthLabel] = []
             scored: list[ScoredRecord] = []
@@ -441,13 +478,13 @@ def run_detector_experiment(
                 for lab in tick_labels:
                     labels[(lab.ue_id, lab.timestamp)] = lab.poisoned
                 all_labels.extend(tick_labels)
-                scored.extend(detector.observe_tick(records))
+                scored.extend(_observe_tick(detector, records, cost_model))
             if run == 0 and out_dir is not None:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
                 write_ground_truth_csv(
                     all_labels, Path(out_dir) / f"ground_truth_af{af}.csv"
                 )
-            run_metrics.append(_evaluate_run(scored, labels))
+            run_metrics.append(evaluate(scored, labels))
         pooled = _pool_metrics(run_metrics)
         if pooled.adr_pct is None:
             raise ConfigError(f"AF {af}: scenario produced no scored poisoned records")
@@ -459,13 +496,6 @@ def run_detector_experiment(
     if out_dir is not None:
         write_csv(Path(out_dir) / "detector.csv", DETECTOR_CSV_HEADER, csv_rows)
     return DetectorExperimentResult(per_af=per_af, per_af_runs=per_af_runs, csv_rows=csv_rows)
-
-
-def _evaluate_run(scored: Sequence[ScoredRecord],
-                  labels: dict[tuple[int, int], bool]) -> DetectorMetrics:
-    from .detector import evaluate
-
-    return evaluate(scored, labels)
 
 
 def _pool_metrics(metrics: Sequence[DetectorMetrics]) -> DetectorMetrics:
@@ -567,7 +597,7 @@ def run_attestation_experiment(
             series: list[float] = []
             for round_index in range(rounds):
                 clock.advance_ns(period_s * 1_000_000_000)
-                result = engine.run_round(image, cost_model=cost_model)
+                result = _attestation_round(engine, image, cost_model)
                 series.append(result.latency_ms)
                 if result.outcome != VerificationResult.VALID:
                     clean_violations += 1
@@ -597,7 +627,7 @@ def run_attestation_experiment(
         offset = trial_rng.randint(0, len(image.live_bytes))
         inject_code(image, offset, payload)
         clock.advance_ns(period_s * 1_000_000_000)
-        result = engine.run_round(image, cost_model=cost_model)
+        result = _attestation_round(engine, image, cost_model)
         if result.outcome == VerificationResult.DIGEST_MISMATCH:
             detected += 1
             mitigation = MitigationState()
@@ -643,19 +673,16 @@ class ConsumerDecision:
     decision_timestamp_ms: float
 
 
-def consumer_xapp_loop(store: TelemetryStore, t: int, availability_ms: float,
-                       cost_model: CostModel | None = None) -> ConsumerDecision:
+def consumer_xapp_loop(store: TelemetryStore, t: int,
+                       availability_ms: float) -> ConsumerDecision:
     """Stub consumer control loop: read the tick's verified records and run
     a fixed-cost pass standing in for the out-of-scope classifier."""
     records = store.records_at(t * TICK_MS)
-    started = wall_ns() if cost_model is None else 0
+    started = wall_ns()
     if records:
         matrix = np.stack([r.features() for r in records])
         float(matrix.mean())  # fixed-cost decision stub
-    if cost_model is None:
-        busy_ms = (wall_ns() - started) / 1e6
-    else:
-        busy_ms = cost_model.consumer_pass_ns / 1e6
+    busy_ms = (wall_ns() - started) / 1e6
     return ConsumerDecision(
         loop=t,
         records_seen=len(records),
@@ -666,172 +693,152 @@ def consumer_xapp_loop(store: TelemetryStore, t: int, availability_ms: float,
 
 @dataclass
 class UseCaseArm:
-    inspector_ms: list[float]
-    detector_ms: list[float]
-    availability_ms: list[float]
-    loop_wall_ms: list[float]
-    real_wall_ms: list[float]
-    decisions: list[ConsumerDecision]
-    store: TelemetryStore
-    mitigation: MitigationState
-    emitted_labels: list[GroundTruthLabel]
-    flagged_keys: set[tuple[int, int]]
-    consumer_total_ms: float
-    attestation_outcomes: list[str]
+    """Per-tick series and end state of one arm of a run: its guarded or
+    its baseline passes."""
+
+    inspector_ms: list[float] = field(default_factory=list)
+    detector_ms: list[float] = field(default_factory=list)
+    availability_ms: list[float] = field(default_factory=list)
+    loop_wall_ms: list[float] = field(default_factory=list)
+    real_wall_ms: list[float] = field(default_factory=list)
+    decisions: list[ConsumerDecision] = field(default_factory=list)
+    store: TelemetryStore = field(default_factory=TelemetryStore)
+    mitigation: MitigationState = field(default_factory=MitigationState)
+    emitted_labels: list[GroundTruthLabel] = field(default_factory=list)
+    flagged_keys: set[tuple[int, int]] = field(default_factory=set)
+    consumer_total_ms: float = 0.0
+    attestation_outcomes: list[str] = field(default_factory=list)
+    #: frames and KPM payloads dropped because they failed to decode
+    codec_errors: int = 0
 
 
-def _run_use_case_arm(
-    config: ScenarioConfig,
-    run_seed: int,
-    safeguards: bool,
-    bundle: DetectorBundle | None,
-    rulebook: SignatureSet | None,
-    cost_model: CostModel | None,
-    attest_reference: Path | None,
-    attest_period_s: int = DEFAULT_ATTESTATION_PERIOD_S,
-) -> UseCaseArm:
-    emulator = RanEmulator(config, rulebook, run_seed=run_seed)
-    store = TelemetryStore()
-    clock = SimClock()
-    mitigation = MitigationState()
-    policy = experiment_policy(rulebook)
+class _UseCaseRun:
+    """One use-case run: each tick, one emulator's frames feed the guarded
+    pass and then the baseline pass, and attestation runs between ticks.
 
-    inspectors = None
-    detector = None
-    engine = None
-    image = None
-    attestation_outcomes: list[str] = []
-    if safeguards:
-        if rulebook is None or bundle is None:
-            raise ConfigError("safeguarded runs need a rulebook and a trained bundle")
-        matcher = NaiveMatcher(rulebook)
-        inspectors = {
-            node: IngressInspector(matcher, mitigation.blocklist, cost_model=cost_model)
-            for node in range(config.node_count)
-        }
-        detector = StreamingDetector(bundle, cost_model=cost_model)
+    The guarded pass decodes, inspects and mitigates each frame, then scores
+    the benign indications' KPM records and mitigates or stores each one; the
+    baseline pass decodes and stores. Both end in the consumer xApp. Frames
+    and KPM payloads that fail to decode are dropped and counted.
+    """
+
+    def __init__(self, config: ScenarioConfig, run_seed: int, bundle: DetectorBundle,
+                 rulebook: SignatureSet, cost_model: CostModel | None = None,
+                 attest_reference: Path | None = None) -> None:
+        self.emulator = RanEmulator(config, rulebook, run_seed=run_seed)
+        self.guarded, self.baseline = UseCaseArm(), UseCaseArm()
+        self.clock = SimClock()
+        self.policy = experiment_policy(rulebook)
+        # one inspector for every E2 connection, on the guarded arm's blocklist
+        self.inspector = IngressInspector(NaiveMatcher(rulebook),
+                                          self.guarded.mitigation.blocklist)
+        self.detector = StreamingDetector(bundle)
+        self.cost_model = cost_model
+        self.engine = self.image = None
         if attest_reference is not None:
-            engine = AttestationEngine(clock=clock.now_ns,
-                                       rng=random.Random(config.rng_seed))
-            engine.register("consumer-xapp", attest_reference)
-            image = XappImage(
-                xapp_id="consumer-xapp",
-                live_bytes=bytearray(attest_reference.read_bytes()),
-                declared_size=attest_reference.stat().st_size,
-            )
+            self.engine = AttestationEngine(clock=self.clock.now_ns,
+                                            rng=random.Random(config.rng_seed))
+            self.engine.register("consumer-xapp", attest_reference)
+            reference = attest_reference.read_bytes()
+            self.image = XappImage("consumer-xapp", bytearray(reference), len(reference))
 
-    arm = UseCaseArm(
-        inspector_ms=[], detector_ms=[], availability_ms=[], loop_wall_ms=[],
-        real_wall_ms=[], decisions=[], store=store, mitigation=mitigation,
-        emitted_labels=[], flagged_keys=set(), consumer_total_ms=0.0,
-        attestation_outcomes=attestation_outcomes,
-    )
+    def tick(self, t: int) -> None:
+        self.clock.advance_to_ns(t * 1_000_000_000)
+        emitted = self.emulator.step(t)
+        frames = [em.frame for em in emitted]
+        labels = [label for em in emitted for label in em.labels]
+        self.guarded.emitted_labels.extend(labels)
+        self.baseline.emitted_labels.extend(labels)
+        self.guarded_pass(t, frames)
+        self.baseline_pass(t, frames)
+        # Attestation runs outside the control loop, between ticks.
+        if self.engine is not None and t % DEFAULT_ATTESTATION_PERIOD_S == 0:
+            result = _attestation_round(self.engine, self.image, self.cost_model)
+            self.guarded.attestation_outcomes.append(result.outcome)
 
-    for t in range(config.loops):
-        clock.advance_to_ns(t * 1_000_000_000)
-        emitted = emulator.step(t)
-        real_start = wall_ns()
-        decode_cost_ns = 0
+    def guarded_pass(self, t: int, frames: Sequence[bytes]) -> None:
+        arm, started = self.guarded, wall_ns()
         inspect_ns = 0
-        detect_ns = 0
-        store_cost_ns = 0
-        tick_records: list[KpmRecord] = []
+        records: list[KpmRecord] = []
+        sources: list[int] = []  # the sending node of each record
+        for msg in self._decoded(arm, frames):
+            outcome = _inspect(self.inspector, msg, t, self.policy, arm.mitigation,
+                               self.clock.now_ms(), self.cost_model)
+            inspect_ns += outcome.inspect_latency_ns
+            if outcome.verdict is not Verdict.BENIGN:
+                continue  # diverted or blocked: never reaches dispatch
+            decoded = self._kpm_records(arm, msg)
+            records.extend(decoded)
+            sources.extend([msg.source_node_id] * len(decoded))
 
-        for em in emitted:
-            arm.emitted_labels.extend(em.labels)
-            msg = decode_frame(em.frame, clock=clock.now_ns)
-            if cost_model is not None:
-                decode_cost_ns += cost_model.decode_ns(len(em.frame))
-            if safeguards:
-                outcome = inspectors[msg.source_node_id].inspect(msg, loop=t)
-                inspect_ns += outcome.inspect_latency_ns
-                if outcome.verdict is not Verdict.BENIGN:
-                    if outcome.verdict is Verdict.MALICIOUS:
-                        actions = resolve_inspector_event(outcome.match, policy)
-                        apply_actions(
-                            mitigation,
-                            DetectionEvent(
-                                detector="inspector",
-                                evidence="sig:" + ";".join(
-                                    str(s) for s, _ in outcome.match.hits
-                                ),
-                                timestamp_ms=clock.now_ms(),
-                                node_id=msg.source_node_id,
-                            ),
-                            actions,
-                        )
-                    continue  # diverted or blocked: never reaches dispatch
-            if msg.kind is E2MessageKind.INDICATION and not config.size_calibrated:
-                tick_records.extend(decode_kpm_payload(msg.payload))
+        scored = _observe_tick(self.detector, records, self.cost_model)
+        stored = 0
+        for item, node_id in zip(scored, sources):
+            verdict = item.verdict
+            if verdict is not None and verdict.is_anomalous:
+                arm.flagged_keys.add((verdict.ue_id, verdict.timestamp))
+                event = DetectionEvent(
+                    detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
+                    timestamp_ms=self.clock.now_ms(), node_id=node_id, ue_id=verdict.ue_id,
+                )
+                apply_actions(arm.mitigation, event,
+                              resolve_kpm_event(verdict, node_id, self.policy))
+            else:
+                arm.store.append(item.record)
+                stored += 1
+        self._end_tick(arm, t, frames, started, stored, inspect_ns,
+                       sum(item.latency_ns for item in scored))
 
-        stored_count = 0
-        if safeguards:
-            scored = detector.observe_tick(tick_records)
-            detect_ns += sum(s.latency_ns for s in scored)
-            for item in scored:
-                verdict = item.verdict
-                if verdict is not None and verdict.is_anomalous:
-                    arm.flagged_keys.add((item.record.ue_id, item.record.timestamp))
-                    node_id = emulator.profile_by_ue[item.record.ue_id].node_id
-                    actions = resolve_kpm_event(verdict, node_id, policy)
-                    apply_actions(
-                        mitigation,
-                        DetectionEvent(
-                            detector="kpm",
-                            evidence=f"magnitude:{verdict.magnitude.value}",
-                            timestamp_ms=clock.now_ms(),
-                            node_id=node_id,
-                            ue_id=item.record.ue_id,
-                        ),
-                        actions,
-                    )
-                else:
-                    store.append(item.record)
-                    stored_count += 1
+    def baseline_pass(self, t: int, frames: Sequence[bytes]) -> None:
+        arm, started = self.baseline, wall_ns()
+        stored = 0
+        for msg in self._decoded(arm, frames):
+            for record in self._kpm_records(arm, msg):
+                arm.store.append(record)
+                stored += 1
+        self._end_tick(arm, t, frames, started, stored)
+
+    def _decoded(self, arm: UseCaseArm, frames: Sequence[bytes]) -> Iterable[E2Message]:
+        for frame in frames:
+            try:
+                yield decode_frame(frame, clock=self.clock.now_ns)
+            except E2CodecError:
+                arm.codec_errors += 1
+
+    def _kpm_records(self, arm: UseCaseArm, msg: E2Message) -> Sequence[KpmRecord]:
+        # size-calibrated indications carry stand-in bytes, not a KPM report
+        if msg.kind is not E2MessageKind.INDICATION or self.emulator.config.size_calibrated:
+            return ()
+        try:
+            return decode_kpm_payload(msg.payload)
+        except E2CodecError:
+            arm.codec_errors += 1
+            return ()
+
+    def _end_tick(self, arm: UseCaseArm, t: int, frames: Sequence[bytes], started_ns: int,
+                  stored: int, inspect_ns: int = 0, detect_ns: int = 0) -> None:
+        """Time the data availability, run the consumer, record the tick."""
+        cost = self.cost_model
+        if cost is None:
+            availability_ms = (wall_ns() - started_ns) / 1e6
         else:
-            for rec in tick_records:
-                store.append(rec)
-                stored_count += 1
-
-        if cost_model is not None:
-            store_cost_ns += cost_model.store_ns(stored_count)
-            availability_ms = (decode_cost_ns + inspect_ns + detect_ns + store_cost_ns) / 1e6
-        else:
-            availability_ms = (wall_ns() - real_start) / 1e6
-
-        decision = consumer_xapp_loop(store, t, availability_ms, cost_model=cost_model)
+            decode_ns = sum(cost.decode_ns(len(frame)) for frame in frames)
+            availability_ms = (decode_ns + inspect_ns + detect_ns + cost.store_ns(stored)) / 1e6
+        decision = consumer_xapp_loop(arm.store, t, availability_ms)
+        if cost is not None:
+            busy_ms = cost.consumer_pass_ns / 1e6
+            decision = replace(decision, busy_ms=busy_ms,
+                               decision_timestamp_ms=t * TICK_MS + availability_ms + busy_ms)
+        real_wall_ms = (wall_ns() - started_ns) / 1e6
         arm.decisions.append(decision)
         arm.consumer_total_ms += decision.busy_ms
-
-        real_elapsed_ms = (wall_ns() - real_start) / 1e6
-        if cost_model is not None:
-            loop_wall_ms = availability_ms + decision.busy_ms
-        else:
-            loop_wall_ms = real_elapsed_ms
-
         arm.inspector_ms.append(inspect_ns / 1e6)
         arm.detector_ms.append(detect_ns / 1e6)
         arm.availability_ms.append(availability_ms)
-        arm.loop_wall_ms.append(loop_wall_ms)
-        arm.real_wall_ms.append(real_elapsed_ms)
-
-        # Attestation runs outside the control loop, between ticks.
-        if engine is not None and t % attest_period_s == 0:
-            round_result = engine.run_round(image, cost_model=cost_model)
-            attestation_outcomes.append(round_result.outcome)
-
-    return arm
-
-
-@dataclass(frozen=True)
-class LoopMetrics:
-    """Per-loop timing record of a safeguarded run."""
-
-    loop: int
-    inspector_latency_ms: float
-    detector_latency_ms: float
-    data_availability_shift_ms: float
-    loop_wall_ms: float
+        arm.loop_wall_ms.append(
+            real_wall_ms if cost is None else availability_ms + decision.busy_ms
+        )
+        arm.real_wall_ms.append(real_wall_ms)
 
 
 @dataclass
@@ -845,7 +852,6 @@ class UseCaseResult:
     consumer_totals: list[tuple[float, float]]  # (safeguarded, baseline) per run
     arms: list[tuple[UseCaseArm, UseCaseArm]]
     csv_rows: list[str]
-    loops_per_run: int = 0
 
     @property
     def avg_shift_ms(self) -> float:
@@ -858,18 +864,6 @@ class UseCaseResult:
     @property
     def min_shift_ms(self) -> float:
         return min(self.shift_ms)
-
-    def loop_metrics(self) -> list[LoopMetrics]:
-        return [
-            LoopMetrics(
-                loop=i % self.loops_per_run if self.loops_per_run else i,
-                inspector_latency_ms=self.inspector_ms[i],
-                detector_latency_ms=self.detector_ms[i],
-                data_availability_shift_ms=self.shift_ms[i],
-                loop_wall_ms=self.loop_wall_ms[i],
-            )
-            for i in range(len(self.shift_ms))
-        ]
 
     def summary_table(self) -> dict[str, tuple[float, float, float]]:
         """min/max/avg of the three measured times, over all runs and loops."""
@@ -893,40 +887,28 @@ def run_use_case(
     out_dir=None,
     strict: bool = True,
 ) -> UseCaseResult:
-    """Paired safeguarded/baseline runs measuring the data-availability
-    shift imposed on the consumer xApp; same seed feeds both arms."""
-    shift_ms: list[float] = []
-    inspector_ms: list[float] = []
-    detector_ms: list[float] = []
-    loop_wall_ms: list[float] = []
-    real_wall_ms: list[float] = []
-    consumer_totals: list[tuple[float, float]] = []
+    """Paired safeguarded/baseline passes over the same frames, measuring the
+    data-availability shift imposed on the consumer xApp."""
     arms: list[tuple[UseCaseArm, UseCaseArm]] = []
-    csv_rows: list[str] = []
-
     for run in range(runs):
-        run_seed = config.rng_seed + 1 + run
+        use_case = _UseCaseRun(config, config.rng_seed + 1 + run, bundle, rulebook,
+                               cost_model, attest_reference)
         with _gc_paused():
-            safeguarded = _run_use_case_arm(
-                config, run_seed, True, bundle, rulebook, cost_model, attest_reference
-            )
-            baseline = _run_use_case_arm(
-                config, run_seed, False, None, rulebook, cost_model, None
-            )
-        arms.append((safeguarded, baseline))
-        consumer_totals.append((safeguarded.consumer_total_ms, baseline.consumer_total_ms))
-        for t in range(config.loops):
-            shift = safeguarded.availability_ms[t] - baseline.availability_ms[t]
-            shift_ms.append(shift)
-            inspector_ms.append(safeguarded.inspector_ms[t])
-            detector_ms.append(safeguarded.detector_ms[t])
-            loop_wall_ms.append(safeguarded.loop_wall_ms[t])
-            real_wall_ms.append(safeguarded.real_wall_ms[t])
-            csv_rows.append(
-                f"{run},{t},{safeguarded.inspector_ms[t]:.6f},"
-                f"{safeguarded.detector_ms[t]:.6f},{shift:.6f},"
-                f"{safeguarded.loop_wall_ms[t]:.6f}"
-            )
+            for t in range(config.loops):
+                use_case.tick(t)
+        arms.append((use_case.guarded, use_case.baseline))
+    guarded_arms = [guarded for guarded, _ in arms]
+    shift_ms = [g - b for guarded, baseline in arms
+                for g, b in zip(guarded.availability_ms, baseline.availability_ms)]
+    inspector_ms = [v for arm in guarded_arms for v in arm.inspector_ms]
+    detector_ms = [v for arm in guarded_arms for v in arm.detector_ms]
+    loop_wall_ms = [v for arm in guarded_arms for v in arm.loop_wall_ms]
+    real_wall_ms = [v for arm in guarded_arms for v in arm.real_wall_ms]
+    csv_rows = [
+        f"{i // config.loops},{i % config.loops},{ins:.6f},{det:.6f},{shift:.6f},{wall:.6f}"
+        for i, (ins, det, shift, wall) in enumerate(
+            zip(inspector_ms, detector_ms, shift_ms, loop_wall_ms))
+    ]
 
     ue_label = config.total_ues if config.total_ues is not None else (
         config.ues_per_cell * config.node_count * config.cells_per_node
@@ -938,10 +920,9 @@ def run_use_case(
         detector_ms=detector_ms,
         loop_wall_ms=loop_wall_ms,
         real_wall_ms=real_wall_ms,
-        consumer_totals=consumer_totals,
+        consumer_totals=[(g.consumer_total_ms, b.consumer_total_ms) for g, b in arms],
         arms=arms,
         csv_rows=csv_rows,
-        loops_per_run=config.loops,
     )
     if out_dir is not None:
         write_csv(Path(out_dir) / f"use_case_{ue_label}ues.csv",

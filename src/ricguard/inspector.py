@@ -5,7 +5,7 @@ each inbound frame's raw payload against the rulebook, forwards benign
 messages to the dispatch path, and diverts malicious ones to mitigation.
 Sources already on the blocklist are short-circuited before any scan.
 
-Latency is measured around the scan call only; mitigation and reporting
+Latency is the matcher's wall-clock scan time; mitigation and reporting
 happen after the measurement window.
 """
 
@@ -18,7 +18,6 @@ from typing import Iterable
 from .e2 import E2Message, E2MessageKind
 from .mitigation import Blocklist
 from .signatures import MatchResult
-from .timing import CostModel
 
 
 class Verdict(Enum):
@@ -33,13 +32,15 @@ class InspectionOutcome:
 
     ``match`` is present whenever a scan ran (benign outcomes keep their
     zero-hit result for latency accounting); a blocked outcome means no scan
-    was performed at all.
+    was performed at all. ``loop`` is the control-loop tick the message
+    arrived in.
     """
 
     message: E2Message
     verdict: Verdict
     inspect_latency_ns: int
     match: MatchResult | None = None
+    loop: int = 0
 
     def __post_init__(self) -> None:
         if self.verdict is Verdict.BLOCKED:
@@ -57,53 +58,26 @@ class InspectionOutcome:
 
 
 class IngressInspector:
-    """Per-connection inspection stage bound to a shared matcher.
+    """Inspection stage bound to a shared matcher and blocklist; one
+    instance serves every E2 connection."""
 
-    ``sink``, when provided, receives one metrics row (dict) per message:
-    loop, msg_kind, node_id, verdict, inspect_ns, hits.
-    """
-
-    def __init__(
-        self,
-        matcher,
-        blocklist: Blocklist,
-        cost_model: CostModel | None = None,
-        sink: list | None = None,
-    ) -> None:
+    def __init__(self, matcher, blocklist: Blocklist) -> None:
         self.matcher = matcher
         self.blocklist = blocklist
-        self.cost_model = cost_model
-        self.sink = sink
 
     def inspect(self, msg: E2Message, loop: int = 0) -> InspectionOutcome:
         if self.blocklist.is_node_blocked(msg.source_node_id):
-            outcome = InspectionOutcome(
-                message=msg, verdict=Verdict.BLOCKED, inspect_latency_ns=0
+            return InspectionOutcome(
+                message=msg, verdict=Verdict.BLOCKED, inspect_latency_ns=0, loop=loop
             )
-        else:
-            match = self.matcher.scan(msg.payload, self.cost_model)
-            verdict = Verdict.MALICIOUS if match.matched else Verdict.BENIGN
-            outcome = InspectionOutcome(
-                message=msg,
-                verdict=verdict,
-                inspect_latency_ns=match.scan_latency_ns,
-                match=match,
-            )
-        if self.sink is not None:
-            hits = ""
-            if outcome.match is not None and outcome.match.hits:
-                hits = ";".join(str(sig_id) for sig_id, _ in outcome.match.hits)
-            self.sink.append(
-                {
-                    "loop": loop,
-                    "msg_kind": msg.kind.name,
-                    "node_id": msg.source_node_id,
-                    "verdict": outcome.verdict.value,
-                    "inspect_ns": outcome.inspect_latency_ns,
-                    "hits": hits,
-                }
-            )
-        return outcome
+        match = self.matcher.scan(msg.payload)
+        return InspectionOutcome(
+            message=msg,
+            verdict=Verdict.MALICIOUS if match.matched else Verdict.BENIGN,
+            inspect_latency_ns=match.scan_latency_ns,
+            match=match,
+            loop=loop,
+        )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .mitigation import MitigationAction, format_action_codes, parse_action_codes
-from .timing import CostModel, wall_ns
+from .timing import wall_ns
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,8 @@ class MatchResult:
 
     ``hits`` holds (signature_id, first_offset) pairs sorted by signature
     id. ``comparisons`` counts byte comparisons for the naive matcher and
-    state transitions for the automaton; it also drives deterministic
-    latency accounting.
+    state transitions for the automaton; the harness charges its
+    deterministic cost model from it.
     """
 
     hits: tuple[tuple[int, int], ...]
@@ -138,10 +138,9 @@ def _naive_single(payload: bytes, pattern: bytes,
     return None, comparisons
 
 
-def scan_naive(payload: bytes, signatures: SignatureSet,
-               cost_model: CostModel | None = None) -> MatchResult:
+def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
     """Scan with the naive per-signature search; empty payloads allowed."""
-    started = wall_ns() if cost_model is None else 0
+    started = wall_ns()
     order, boundaries = (None, None)
     if payload:
         order, boundaries = _first_byte_positions(payload)
@@ -165,10 +164,8 @@ def scan_naive(payload: bytes, signatures: SignatureSet,
             hits.append((sig.sig_id, offset))
 
     hits.sort()
-    latency = (
-        cost_model.scan_ns(comparisons) if cost_model is not None else wall_ns() - started
-    )
-    return MatchResult(hits=tuple(hits), scan_latency_ns=latency, comparisons=comparisons)
+    return MatchResult(hits=tuple(hits), scan_latency_ns=wall_ns() - started,
+                       comparisons=comparisons)
 
 
 class NaiveMatcher:
@@ -179,8 +176,8 @@ class NaiveMatcher:
             raise ValueError("inspection requires a non-empty rulebook")
         self.signatures = signatures
 
-    def scan(self, payload: bytes, cost_model: CostModel | None = None) -> MatchResult:
-        return scan_naive(payload, self.signatures, cost_model)
+    def scan(self, payload: bytes) -> MatchResult:
+        return scan_naive(payload, self.signatures)
 
 
 @dataclass
@@ -232,8 +229,8 @@ class AhoCorasickMatcher:
                 child.outputs = child.outputs + child.fail.outputs
                 queue.append(child)
 
-    def scan(self, payload: bytes, cost_model: CostModel | None = None) -> MatchResult:
-        started = wall_ns() if cost_model is None else 0
+    def scan(self, payload: bytes) -> MatchResult:
+        started = wall_ns()
         root = self._root
         state = root
         steps = 0
@@ -249,23 +246,7 @@ class AhoCorasickMatcher:
                     if sig_id not in first_offset:
                         first_offset[sig_id] = i - length + 1
         hits = tuple(sorted(first_offset.items()))
-        latency = (
-            cost_model.scan_ns(steps, automaton=True)
-            if cost_model is not None
-            else wall_ns() - started
-        )
-        return MatchResult(hits=hits, scan_latency_ns=latency, comparisons=steps)
-
-
-def build_automaton(signatures: SignatureSet) -> AhoCorasickMatcher:
-    """One-time automaton construction for a rulebook version."""
-    return AhoCorasickMatcher(signatures)
-
-
-def scan_automaton(payload: bytes, matcher: AhoCorasickMatcher,
-                   cost_model: CostModel | None = None) -> MatchResult:
-    """Automaton scan; contract identical to :func:`scan_naive`."""
-    return matcher.scan(payload, cost_model)
+        return MatchResult(hits=hits, scan_latency_ns=wall_ns() - started, comparisons=steps)
 
 
 def load_rulebook(path) -> SignatureSet:

@@ -1,11 +1,13 @@
 """Timing support: wall-clock measurement and a deterministic cost model.
 
-Latency-measuring components accept an optional :class:`CostModel`. When it
-is ``None`` they time real work with ``time.perf_counter_ns``; when it is
-set, latencies are derived from work counts (byte comparisons, scored
-records, hashed bytes) instead. Cost-model runs are bit-reproducible, which
-is what makes CSV outputs byte-identical across executions with the same
-seed.
+The safeguards time their own work by wall clock only
+(``time.perf_counter_ns``) and report the work counts behind it: byte
+comparisons or automaton steps per scan, scored records per tick, image
+length and cold start per attestation round. In deterministic mode the
+experiment runners in :mod:`ricguard.harness` replace those wall latencies
+with a :class:`CostModel` charge for the same counts. Cost-model runs are
+bit-reproducible, which is what makes CSV outputs byte-identical across
+executions with the same seed.
 
 The default constants are calibration units, not measurements: they were
 picked so that a cost-model run lands in the same shape as real hardware

@@ -39,10 +39,10 @@ from ricguard.recurrent import (
     numerical_gradients,
 )
 from ricguard.signatures import (
+    AhoCorasickMatcher,
     MatchResult,
     Signature,
     SignatureSet,
-    build_automaton,
     scan_naive,
 )
 from ricguard.timing import DEFAULT_COST_MODEL, SimClock
@@ -141,7 +141,7 @@ def test_criterion_3_matcher_oracle_equivalence():
         payload = bytes(payload)
 
         naive = scan_naive(payload, book)
-        automaton = build_automaton(book).scan(payload)
+        automaton = AhoCorasickMatcher(book).scan(payload)
         brute = tuple(sorted(
             (sig.sig_id, payload.find(sig.pattern))
             for sig in book.signatures

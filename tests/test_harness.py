@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from ricguard.cli import main as cli_main
-from ricguard.e2 import E2MessageKind
-from ricguard.emulator import ScenarioConfig
+from ricguard.e2 import (
+    FRAME_HEADER_SIZE,
+    E2Message,
+    E2MessageKind,
+    KpmReportPayload,
+    encode_frame,
+    encode_kpm_payload,
+)
+from ricguard.emulator import RanEmulator, ScenarioConfig
 from ricguard.harness import (
     ATTESTATION_CSV_HEADER,
     ConfigError,
@@ -12,6 +19,7 @@ from ricguard.harness import (
     INSPECTOR_CSV_HEADER,
     TelemetryStore,
     USE_CASE_CSV_HEADER,
+    _UseCaseRun,
     detector_preset,
     experiment_policy,
     inspector_preset,
@@ -23,7 +31,7 @@ from ricguard.harness import (
     use_case_preset,
 )
 from ricguard.kpm import KpmRecord
-from ricguard.mitigation import Magnitude, MitigationAction
+from ricguard.mitigation import Magnitude, MitigationAction, MitigationPolicy
 from ricguard.timing import DEFAULT_COST_MODEL
 
 
@@ -108,6 +116,23 @@ class TestInspectorExperiment:
         assert lines[0] == INSPECTOR_CSV_HEADER
         first = lines[1].split(",")
         assert first[0] == "0" and first[2] in {k.name for k in E2MessageKind}
+
+    def test_malicious_csv_row_carries_hit_ids(self, rulebook, tmp_path):
+        config = inspector_preset(seed=3, loops=5)
+        run_inspector_experiment(config, rulebook, runs=1, out_dir=tmp_path)
+        rows = [line.split(",")
+                for line in (tmp_path / "inspector.csv").read_text().splitlines()[1:]]
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+        emitted = [(t, em) for t in range(config.loops) for em in emulator.step(t)]
+        assert len(rows) == len(emitted)
+        assert any(em.injected is not None for _, em in emitted)
+        for (run, loop, kind, node, verdict, _, hits), (t, em) in zip(rows, emitted):
+            assert (run, int(loop), kind, int(node)) == ("0", t, em.kind.name, em.node_id)
+            if em.injected is None:
+                assert (verdict, hits) == ("benign", "")
+            else:
+                assert verdict == "malicious"
+                assert str(em.injected.sig_id) in hits.split(";")
 
     def test_no_malicious_nodes_is_config_error(self, rulebook):
         config = ScenarioConfig(node_count=2, cells_per_node=1, ues_per_cell=2,
@@ -242,6 +267,15 @@ class TestUseCase:
                               cost_model=DEFAULT_COST_MODEL)
         assert first.csv_rows == second.csv_rows
 
+    def test_deterministic_consumer_busy_is_cost_model_pass(self, quick_bundle, rulebook):
+        config = use_case_preset(seed=2, total_ues=20, loops=10)
+        result = run_use_case(config, quick_bundle, rulebook, runs=1,
+                              cost_model=DEFAULT_COST_MODEL)
+        busy_ms = DEFAULT_COST_MODEL.consumer_pass_ns / 1e6
+        for arm in result.arms[0]:
+            assert [d.busy_ms for d in arm.decisions] == [busy_ms] * config.loops
+            assert arm.loop_wall_ms == [a + busy_ms for a in arm.availability_ms]
+
     def test_aggregate_runtime_unchanged_by_safeguards(self, quick_bundle, rulebook):
         # idle time absorbs the shifts: consumer busy totals match across arms
         config = use_case_preset(seed=2, total_ues=20, loops=30)
@@ -256,10 +290,42 @@ class TestConsumerLoop:
         from ricguard.harness import consumer_xapp_loop
 
         store = TelemetryStore()
-        decision = consumer_xapp_loop(store, 7, availability_ms=2.0,
-                                      cost_model=DEFAULT_COST_MODEL)
+        decision = consumer_xapp_loop(store, 7, availability_ms=2.0)
         assert decision.records_seen == 0
         assert decision.decision_timestamp_ms >= 7 * 1000 + 2.0
+
+
+class TestGuardedPass:
+    def test_forged_frames_fail_closed(self, quick_bundle, rulebook):
+        """Forged frames from node 7: a UE the emulator never created warms
+        up and then spikes, next to a truncated frame and a truncated KPM
+        payload. None of them ends the run."""
+        run = _UseCaseRun(use_case_preset(seed=2, total_ues=20, loops=20), 3,
+                          quick_bundle, rulebook)
+        run.policy = MitigationPolicy.default()  # a significant spike blocks its node
+        scaler = quick_bundle.scaler
+
+        def frame(t, values, node=7, ue=999_999):
+            record = KpmRecord.from_features(t * 1000, ue, values)
+            payload = encode_kpm_payload(KpmReportPayload(node, 0, (record,)))
+            return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
+
+        for t in range(10):
+            run.guarded_pass(t, [frame(t, scaler.mean)])
+        spike = frame(10, scaler.mean + 1000 * scaler.std)
+        cut_kpm = encode_frame(E2Message(E2MessageKind.INDICATION, 7,
+                                         spike[FRAME_HEADER_SIZE:-5]))
+        run.guarded_pass(10, [spike, spike[:-5], cut_kpm])
+
+        guarded = run.guarded
+        assert guarded.codec_errors == 2
+        assert guarded.flagged_keys == {(999_999, 10_000)}
+        (incident,) = guarded.mitigation.log.reports
+        assert (incident.detector, incident.subject) == ("kpm", "ue:999999")
+        # the block lands on the node that sent the spike
+        assert guarded.mitigation.blocklist.is_node_blocked(7)
+        assert not any(guarded.mitigation.blocklist.is_node_blocked(n) for n in range(3))
+        assert len(guarded.store) == 10
 
 
 class TestCli:
@@ -286,6 +352,16 @@ class TestCli:
             "--matcher", "automaton", "--deterministic-timing",
         ])
         assert code == 0
+
+    def test_detector_bundle_trained_once_per_invocation(self, monkeypatch):
+        import ricguard.cli as cli
+
+        trained = []
+        monkeypatch.setattr(cli, "train_detector_bundle",
+                            lambda config: trained.append(config) or object())
+        args = cli.build_parser().parse_args(["run-all", "--seed", "4"])
+        assert cli._trained_bundle(args) is cli._trained_bundle(args)
+        assert trained == [detector_preset(seed=4)]
 
     def test_exit_codes_for_failures(self, tmp_path, monkeypatch):
         import ricguard.cli as cli

@@ -1,9 +1,17 @@
 import pytest
 
-from ricguard.e2 import E2Message, E2MessageKind
+from ricguard.e2 import E2Message, E2MessageKind, decode_frame
+from ricguard.emulator import RanEmulator
+from ricguard.harness import inspector_preset, run_inspector_experiment
 from ricguard.inspector import IngressInspector, InspectionOutcome, Verdict, latency_summary
 from ricguard.mitigation import Blocklist, parse_action_codes
-from ricguard.signatures import MatchResult, NaiveMatcher, Signature, SignatureSet
+from ricguard.signatures import (
+    AhoCorasickMatcher,
+    MatchResult,
+    NaiveMatcher,
+    Signature,
+    SignatureSet,
+)
 from ricguard.timing import DEFAULT_COST_MODEL
 
 
@@ -45,24 +53,38 @@ class TestInspect:
         assert outcome.inspect_latency_ns == 0
 
     def test_sink_rows_emitted(self):
-        sink = []
-        inspector = IngressInspector(make_matcher(b"EVIL44"), Blocklist(), sink=sink)
-        inspector.inspect(msg(), loop=3)
-        inspector.inspect(msg(b"xx EVIL44", node=2), loop=4)
-        assert sink[0] == {
-            "loop": 3, "msg_kind": "INDICATION", "node_id": 1,
-            "verdict": "benign", "inspect_ns": sink[0]["inspect_ns"], "hits": "",
-        }
-        assert sink[1]["verdict"] == "malicious"
-        assert sink[1]["hits"] == "0"
+        # the per-message row fields come from the kept outcome
+        inspector = IngressInspector(make_matcher(b"EVIL44"), Blocklist())
+        benign = inspector.inspect(msg(), loop=3)
+        malicious = inspector.inspect(msg(b"xx EVIL44", node=2), loop=4)
+        assert (benign.loop, benign.message.kind.name, benign.message.source_node_id,
+                benign.verdict.value, benign.match.hits) == (3, "INDICATION", 1, "benign", ())
+        assert (malicious.loop, malicious.message.source_node_id,
+                malicious.verdict.value) == (4, 2, "malicious")
+        assert [sig_id for sig_id, _ in malicious.match.hits] == [0]
 
-    def test_deterministic_latency_from_cost_model(self):
-        inspector = IngressInspector(
-            make_matcher(b"EVIL44"), Blocklist(), cost_model=DEFAULT_COST_MODEL
-        )
-        first = inspector.inspect(msg())
-        second = inspector.inspect(msg())
-        assert first.inspect_latency_ns == second.inspect_latency_ns > 0
+    def test_outcome_tagged_with_loop(self):
+        inspector = IngressInspector(make_matcher(b"EVIL44"), Blocklist())
+        assert inspector.inspect(msg(), loop=3).loop == 3
+        assert inspector.inspect(msg()).loop == 0
+
+    def test_deterministic_latency_from_cost_model(self, rulebook, tmp_path):
+        # the inspector times scans by wall clock; a deterministic run charges
+        # the cost model for the comparisons each scan reports
+        config = inspector_preset(seed=3, loops=3)
+        for kind, matcher in (("naive", NaiveMatcher(rulebook)),
+                              ("automaton", AhoCorasickMatcher(rulebook))):
+            run_inspector_experiment(config, rulebook, runs=1, matcher_kind=kind,
+                                     cost_model=DEFAULT_COST_MODEL, out_dir=tmp_path)
+            rows = (tmp_path / "inspector.csv").read_text().splitlines()[1:]
+            emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+            payloads = [decode_frame(em.frame).payload
+                        for t in range(config.loops) for em in emulator.step(t)]
+            assert len(rows) == len(payloads)
+            for row, payload in zip(rows, payloads):
+                comparisons = matcher.scan(payload).comparisons
+                expected = DEFAULT_COST_MODEL.scan_ns(comparisons, automaton=kind == "automaton")
+                assert int(row.split(",")[5]) == expected
 
     def test_outcome_invariants_enforced(self):
         clean = MatchResult(hits=(), scan_latency_ns=5)

@@ -10,10 +10,8 @@ from ricguard.signatures import (
     NaiveMatcher,
     Signature,
     SignatureSet,
-    build_automaton,
     load_rulebook,
     save_rulebook,
-    scan_automaton,
     scan_naive,
     synthetic_rulebook,
 )
@@ -116,7 +114,7 @@ class TestAutomaton:
     def test_equivalent_to_naive_on_random_cases(self):
         rng = np.random.default_rng(2)
         book = synthetic_rulebook(count=100, seed=9)
-        matcher = build_automaton(book)
+        matcher = AhoCorasickMatcher(book)
         for _ in range(200):
             payload = bytearray(rng.bytes(int(rng.integers(0, 300))))
             if rng.random() < 0.6 and payload:
@@ -124,11 +122,11 @@ class TestAutomaton:
                 at = int(rng.integers(0, len(payload) + 1))
                 payload[at:at] = chosen.pattern
             naive = scan_naive(bytes(payload), book)
-            auto = scan_automaton(bytes(payload), matcher)
+            auto = matcher.scan(bytes(payload))
             assert naive.hits == auto.hits
 
     def test_single_pattern_set(self):
-        matcher = build_automaton(sigset(sig(4, b"HELLO")))
+        matcher = AhoCorasickMatcher(sigset(sig(4, b"HELLO")))
         assert matcher.scan(b"..HELLO..").hits == ((4, 2),)
 
     def test_nested_suffix_pattern_reported_with_container(self):
@@ -136,23 +134,23 @@ class TestAutomaton:
         book = sigset(sig(1, b"ABCDE"), sig(2, b"BCDE"))
         payload = b"xxABCDExx"
         expected = brute_force_hits(payload, book)
-        assert build_automaton(book).scan(payload).hits == expected
+        assert AhoCorasickMatcher(book).scan(payload).hits == expected
         assert scan_naive(payload, book).hits == expected
         assert expected == ((1, 2), (2, 3))
 
     def test_overlapping_occurrences(self):
         book = sigset(sig(1, b"AAAA"))
-        assert build_automaton(book).scan(b"AAAAAA").hits == ((1, 0),)
+        assert AhoCorasickMatcher(book).scan(b"AAAAAA").hits == ((1, 0),)
 
     def test_duplicate_patterns_warn_and_both_report(self, caplog):
         with caplog.at_level(logging.WARNING):
-            matcher = build_automaton(sigset(sig(1, b"SAME"), sig(2, b"SAME")))
+            matcher = AhoCorasickMatcher(sigset(sig(1, b"SAME"), sig(2, b"SAME")))
         assert any("identical pattern" in r.message for r in caplog.records)
         assert matcher.scan(b"..SAME..").hits == ((1, 2), (2, 2))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            build_automaton(SignatureSet(signatures=(), version="empty"))
+            AhoCorasickMatcher(SignatureSet(signatures=(), version="empty"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -165,7 +163,7 @@ def test_completeness_prefix_pattern_suffix(prefix, suffix, pattern):
     book = sigset(sig(7, pattern))
     payload = prefix + pattern + suffix
     naive = scan_naive(payload, book)
-    auto = build_automaton(book).scan(payload)
+    auto = AhoCorasickMatcher(book).scan(payload)
     assert naive.hits, "constructed occurrence must always be found"
     assert naive.hits[0][0] == 7
     assert naive.hits == auto.hits
@@ -182,7 +180,7 @@ def test_soundness_and_equivalence_property(payload, data):
     )
     book = sigset(*(sig(i, p) for i, p in enumerate(dict.fromkeys(patterns))))
     naive = scan_naive(payload, book)
-    auto = build_automaton(book).scan(payload)
+    auto = AhoCorasickMatcher(book).scan(payload)
     expected = brute_force_hits(payload, book)
     assert naive.hits == expected
     assert auto.hits == expected
