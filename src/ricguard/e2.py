@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kpm import FEATURE_COUNT, KpmRecord
+from .kpm import KpmRecord
 
 FRAME_MAGIC = 0xE2
 FRAME_VERSION = 0x01
@@ -62,6 +62,14 @@ class TruncationError(E2CodecError):
 
 class UnknownKindError(E2CodecError):
     """Kind byte outside the four observed message kinds."""
+
+
+class FramingError(E2CodecError):
+    """Declared payload length over the cap, or bytes after the declared payload."""
+
+
+class FeatureValueError(E2CodecError):
+    """KPM record with a negative or non-finite measurement feature."""
 
 
 class E2MessageKind(IntEnum):
@@ -113,9 +121,15 @@ def decode_frame(data: bytes, clock: Callable[[], int] = time.monotonic_ns) -> E
         raise ProtocolError(f"bad magic/version bytes 0x{magic:02X}/0x{version:02X}")
     if kind_byte > max(E2MessageKind):
         raise UnknownKindError(f"unknown message kind byte {kind_byte}")
-    payload = data[FRAME_HEADER_SIZE : FRAME_HEADER_SIZE + length]
-    if len(payload) != length:
-        raise TruncationError(f"frame declares {length} payload bytes but carries {len(payload)}")
+    if length > MAX_PAYLOAD_BYTES:
+        raise FramingError(f"frame declares {length} payload bytes, over the "
+                           f"{MAX_PAYLOAD_BYTES}-byte cap")
+    carried = len(data) - FRAME_HEADER_SIZE
+    if carried < length:
+        raise TruncationError(f"frame declares {length} payload bytes but carries {carried}")
+    if carried > length:
+        raise FramingError(f"{carried - length} bytes after the declared {length}-byte payload")
+    payload = data[FRAME_HEADER_SIZE:]
     return E2Message(
         kind=E2MessageKind(kind_byte),
         source_node_id=node_id,
@@ -166,7 +180,10 @@ def encode_kpm_payload(report: KpmReportPayload) -> bytes:
 
 
 def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
-    """Inverse of :func:`encode_kpm_payload`; reproduces records bit-exactly."""
+    """Inverse of :func:`encode_kpm_payload`; reproduces records bit-exactly.
+
+    A negative or non-finite feature raises :class:`FeatureValueError`.
+    """
     if len(payload) < _KPM_COUNT.size:
         raise TruncationError("KPM payload shorter than its count field")
     (count,) = _KPM_COUNT.unpack_from(payload)
@@ -174,10 +191,12 @@ def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
     if len(payload) != expected:
         raise TruncationError(f"KPM payload of {len(payload)} bytes, expected {expected}")
     records = []
-    for i in range(count):
-        fields = _KPM_RECORD.unpack_from(payload, _KPM_COUNT.size + i * _KPM_RECORD.size)
-        ue_id, timestamp = fields[0], fields[1]
-        records.append(KpmRecord.from_features(timestamp, ue_id, fields[2 : 2 + FEATURE_COUNT]))
+    body = memoryview(payload)[_KPM_COUNT.size:]
+    for ue_id, timestamp, *features in _KPM_RECORD.iter_unpack(body):
+        try:
+            records.append(KpmRecord(timestamp, ue_id, *features))
+        except ValueError as exc:
+            raise FeatureValueError(str(exc)) from None
     return tuple(records)
 
 

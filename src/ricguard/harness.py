@@ -710,6 +710,9 @@ class UseCaseArm:
     attestation_outcomes: list[str] = field(default_factory=list)
     #: frames and KPM payloads dropped because they failed to decode
     codec_errors: int = 0
+    #: KPM records dropped as replays: their (ue_id, timestamp) was already
+    #: stored, flagged, or received earlier in the same tick
+    replays: int = 0
 
 
 class _UseCaseRun:
@@ -719,7 +722,8 @@ class _UseCaseRun:
     The guarded pass decodes, inspects and mitigates each frame, then scores
     the benign indications' KPM records and mitigates or stores each one; the
     baseline pass decodes and stores. Both end in the consumer xApp. Frames
-    and KPM payloads that fail to decode are dropped and counted.
+    and KPM payloads that fail to decode, and replayed KPM records, are
+    dropped and counted.
     """
 
     def __init__(self, config: ScenarioConfig, run_seed: int, bundle: DetectorBundle,
@@ -761,13 +765,14 @@ class _UseCaseRun:
         inspect_ns = 0
         records: list[KpmRecord] = []
         sources: list[int] = []  # the sending node of each record
+        seen: set[tuple[int, int]] = set()
         for msg in self._decoded(arm, frames):
             outcome = _inspect(self.inspector, msg, t, self.policy, arm.mitigation,
                                self.clock.now_ms(), self.cost_model)
             inspect_ns += outcome.inspect_latency_ns
             if outcome.verdict is not Verdict.BENIGN:
                 continue  # diverted or blocked: never reaches dispatch
-            decoded = self._kpm_records(arm, msg)
+            decoded = self._kpm_records(arm, msg, seen)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
@@ -791,9 +796,9 @@ class _UseCaseRun:
 
     def baseline_pass(self, t: int, frames: Sequence[bytes]) -> None:
         arm, started = self.baseline, wall_ns()
-        stored = 0
+        stored, seen = 0, set()
         for msg in self._decoded(arm, frames):
-            for record in self._kpm_records(arm, msg):
+            for record in self._kpm_records(arm, msg, seen):
                 arm.store.append(record)
                 stored += 1
         self._end_tick(arm, t, frames, started, stored)
@@ -805,15 +810,28 @@ class _UseCaseRun:
             except E2CodecError:
                 arm.codec_errors += 1
 
-    def _kpm_records(self, arm: UseCaseArm, msg: E2Message) -> Sequence[KpmRecord]:
+    def _kpm_records(self, arm: UseCaseArm, msg: E2Message,
+                     seen: set[tuple[int, int]]) -> Sequence[KpmRecord]:
+        """The message's KPM records, less replays; ``seen`` holds the keys
+        of the tick's records so far and gains the ones returned."""
         # size-calibrated indications carry stand-in bytes, not a KPM report
         if msg.kind is not E2MessageKind.INDICATION or self.emulator.config.size_calibrated:
             return ()
         try:
-            return decode_kpm_payload(msg.payload)
+            decoded = decode_kpm_payload(msg.payload)
         except E2CodecError:
             arm.codec_errors += 1
             return ()
+        fresh = []
+        for record in decoded:
+            key = (record.ue_id, record.timestamp)
+            # a flagged record is not stored, but must not be scored again
+            if key in seen or key in arm.store or key in arm.flagged_keys:
+                arm.replays += 1
+            else:
+                seen.add(key)
+                fresh.append(record)
+        return fresh
 
     def _end_tick(self, arm: UseCaseArm, t: int, frames: Sequence[bytes], started_ns: int,
                   stored: int, inspect_ns: int = 0, detect_ns: int = 0) -> None:

@@ -14,6 +14,7 @@ Timestamp and UEid).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,7 +41,8 @@ class KpmRecord:
     """One UE's KPM row for one reporting second.
 
     ``timestamp`` is milliseconds since scenario start (simulated clock).
-    Measurement features are stored as floats; all must be non-negative.
+    Measurement features are stored as floats; all must be finite and
+    non-negative.
     """
 
     timestamp: int
@@ -53,8 +55,10 @@ class KpmRecord:
     tot_nbr_dl_per_sec: float
 
     def __post_init__(self) -> None:
-        if min(self.feature_values()) < 0:
-            raise ValueError(f"negative KPM feature in record (ue={self.ue_id}, t={self.timestamp})")
+        # chained comparison: NaN fails both sides, so it is rejected too
+        if not all(0.0 <= v < math.inf for v in self.feature_values()):
+            raise ValueError(f"negative or non-finite KPM feature in record "
+                             f"(ue={self.ue_id}, t={self.timestamp})")
 
     def feature_values(self) -> tuple[float, ...]:
         return (

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,8 @@ from ricguard.e2 import (
     E2Message,
     E2MessageKind,
     EncodeError,
+    FeatureValueError,
+    FramingError,
     KpmReportPayload,
     MAX_PAYLOAD_BYTES,
     ProtocolError,
@@ -88,6 +92,18 @@ class TestFraming:
         with pytest.raises(EncodeError):
             E2Message(E2MessageKind.SETUP_REQUEST, 1, b"\x00" * (MAX_PAYLOAD_BYTES + 1))
 
+    def test_trailing_bytes_rejected(self):
+        frame = encode_frame(E2Message(E2MessageKind.INDICATION, 1, b"abcd"))
+        with pytest.raises(FramingError):
+            decode_frame(frame + b"\x00", clock=fixed_clock)
+
+    @pytest.mark.parametrize("carried", [0, MAX_PAYLOAD_BYTES + 1])
+    def test_declared_length_over_cap_rejected_on_decode(self, carried):
+        header = encode_frame(E2Message(E2MessageKind.SETUP_REQUEST, 1, b""))[:7]
+        frame = header + (MAX_PAYLOAD_BYTES + 1).to_bytes(4, "big") + b"\x00" * carried
+        with pytest.raises(FramingError):
+            decode_frame(frame, clock=fixed_clock)
+
     @given(
         kind=st.sampled_from(list(E2MessageKind)),
         node=st.integers(min_value=0, max_value=0xFFFFFFFF),
@@ -157,3 +173,10 @@ class TestKpmPayload:
         payload = encode_kpm_payload(KpmReportPayload(1, 2, (_record(),)))
         with pytest.raises(TruncationError):
             decode_kpm_payload(payload[:-1])
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_feature_is_codec_error(self, bad):
+        payload = bytearray(encode_kpm_payload(KpmReportPayload(1, 2, (_record(),))))
+        payload[-16:-8] = struct.pack(">d", bad)  # the fifth feature
+        with pytest.raises(FeatureValueError):
+            decode_kpm_payload(bytes(payload))

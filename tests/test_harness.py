@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -326,6 +329,48 @@ class TestGuardedPass:
         assert guarded.mitigation.blocklist.is_node_blocked(7)
         assert not any(guarded.mitigation.blocklist.is_node_blocked(n) for n in range(3))
         assert len(guarded.store) == 10
+
+    @staticmethod
+    def _raw_kpm_frame(t, values, node=7, ue=999_999):
+        """An indication encoded field by field, so any float can be sent."""
+        payload = struct.pack(">H", 1) + struct.pack(">IQ6d", ue, t * 1000, *values)
+        return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
+
+    def test_negative_and_non_finite_features_are_dropped(self, quick_bundle, rulebook):
+        run = _UseCaseRun(use_case_preset(seed=2, total_ues=20, loops=20), 3,
+                          quick_bundle, rulebook)
+        forged = [self._raw_kpm_frame(0, (1, 2, bad, 4, 5, 6), ue=ue)
+                  for ue, bad in enumerate((-1.0, math.nan, math.inf, -math.inf))]
+        good = self._raw_kpm_frame(0, (1, 2, 3, 4, 5, 6), ue=10)
+        run.guarded_pass(0, [*forged, good])
+        run.baseline_pass(0, [*forged, good])
+        for arm in (run.guarded, run.baseline):
+            assert arm.codec_errors == 4
+            (row,) = arm.store.records_at(0)
+            assert row.ue_id == 10 and np.isfinite(row.features()).all()
+
+    def test_replayed_records_are_dropped(self, quick_bundle, rulebook):
+        """The same report twice in one tick, again one tick later, and a
+        flagged spike sent again: each replay is dropped and counted."""
+        run = _UseCaseRun(use_case_preset(seed=2, total_ues=20, loops=20), 3,
+                          quick_bundle, rulebook)
+        scaler = quick_bundle.scaler
+        first = self._raw_kpm_frame(0, scaler.mean)
+        for arm_pass in (run.guarded_pass, run.baseline_pass):
+            arm_pass(0, [first, first])
+            arm_pass(1, [first, self._raw_kpm_frame(1, scaler.mean)])
+        for arm in (run.guarded, run.baseline):
+            assert arm.replays == 2
+            assert len(arm.store) == 2
+
+        for t in range(2, 10):
+            run.guarded_pass(t, [self._raw_kpm_frame(t, scaler.mean)])
+        spike = self._raw_kpm_frame(10, scaler.mean + 1000 * scaler.std)
+        run.guarded_pass(10, [spike])
+        assert run.guarded.flagged_keys == {(999_999, 10_000)}
+        run.guarded_pass(11, [spike])
+        assert run.guarded.replays == 3
+        assert (999_999, 10_000) not in run.guarded.store
 
 
 class TestCli:

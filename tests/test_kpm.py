@@ -36,6 +36,12 @@ class TestKpmRecord:
         with pytest.raises(ValueError):
             KpmRecord.from_features(0, 1, (1, 2, -3, 4, 5, 6))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_rejected(self, bad):
+        # not first: min() skips a NaN anywhere but at the front
+        with pytest.raises(ValueError):
+            KpmRecord.from_features(0, 1, (1, 2, bad, 4, 5, 6))
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             KpmRecord.from_features(0, 1, (1, 2, 3))

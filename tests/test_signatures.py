@@ -1,9 +1,11 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ricguard import signatures
 from ricguard.mitigation import parse_action_codes
 from ricguard.signatures import (
     AhoCorasickMatcher,
@@ -109,6 +111,18 @@ class TestNaiveScan:
         large = scan_naive(rng.bytes(1000), book)
         assert large.comparisons > small.comparisons
 
+    def test_comparison_count_runs_only_when_read(self, monkeypatch):
+        calls = []
+        count = signatures._canonical_comparisons
+        monkeypatch.setattr(signatures, "_canonical_comparisons",
+                            lambda *args: calls.append(args) or count(*args))
+        payload = b"..ABCD..ABCE.."
+        result = scan_naive(payload, sigset(sig(1, b"ABCD"), sig(2, b"ABCE")))
+        assert result.hits == ((1, 2), (2, 8)) and calls == []
+        expected = canonical_comparisons(payload, b"ABCD") + canonical_comparisons(payload, b"ABCE")
+        assert result.comparisons == expected
+        assert result.comparisons == expected and len(calls) == 1
+
 
 class TestAutomaton:
     def test_equivalent_to_naive_on_random_cases(self):
@@ -184,6 +198,37 @@ def test_soundness_and_equivalence_property(payload, data):
     expected = brute_force_hits(payload, book)
     assert naive.hits == expected
     assert auto.hits == expected
+
+
+# Every 5- and 6-byte string over "ab": 96 signatures sharing 16 prefixes,
+# more than the longest payload below, so scans take the prefix-index path.
+_AB_PATTERNS = [bytes(word) for m in (5, 6) for word in itertools.product(b"ab", repeat=m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=st.one_of(st.binary(max_size=64),
+                      st.lists(st.sampled_from(b"ab\x00"), max_size=64).map(bytes)),
+    data=st.data(),
+)
+def test_prefix_index_scan_matches_oracles(payload, data):
+    """Patterns cut from the payload (a match at its end included) and
+    patterns sharing its first 4 bytes, among many overlapping "ab" patterns."""
+    cuts = data.draw(st.lists(st.tuples(st.integers(0, 64), st.integers(4, 12)), max_size=5))
+    patterns = [payload[at:at + m] for at, m in cuts if at + m <= len(payload)]
+    tails = data.draw(st.lists(st.binary(max_size=4), max_size=3))
+    patterns += [payload[:4].ljust(4, b"a") + tail for tail in tails]
+    if len(payload) >= 4:
+        patterns.append(payload[-data.draw(st.integers(4, len(payload))):])
+    book = sigset(*(sig(i, p) for i, p in enumerate(dict.fromkeys(patterns + _AB_PATTERNS))))
+    assert len(book) > len(payload)
+
+    naive = scan_naive(payload, book)
+    expected = brute_force_hits(payload, book)
+    assert naive.hits == expected
+    assert AhoCorasickMatcher(book).scan(payload).hits == expected
+    assert naive.comparisons == sum(canonical_comparisons(payload, s.pattern)
+                                    for s in book.signatures)
 
 
 class TestValidation:
