@@ -21,7 +21,6 @@ from .attestation import (
     AttestationChallenge,
     AttestationEngine,
     AttestationResponse,
-    ReferenceImage,
     VerificationResult,
     XappImage,
     attest,

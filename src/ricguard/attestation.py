@@ -27,7 +27,7 @@ from typing import Callable
 from .timing import wall_ns
 
 NONCE_BYTES = 32
-DEFAULT_CHALLENGE_TTL_NS = 1_000_000_000  # one simulated second
+CHALLENGE_TTL_NS = 1_000_000_000  # one simulated second
 NONCE_HISTORY = 32
 #: Operator default between attestation rounds (seconds, simulated).
 DEFAULT_ATTESTATION_PERIOD_S = 5
@@ -48,15 +48,6 @@ class XappImage:
     def __post_init__(self) -> None:
         if len(self.live_bytes) < self.declared_size:
             raise ValueError("live image shorter than its declared size")
-
-
-@dataclass(frozen=True)
-class ReferenceImage:
-    """Trusted deployment-time snapshot; immutable once loaded."""
-
-    xapp_id: str
-    trusted_bytes: bytes
-    source_path: str
 
 
 @dataclass(frozen=True)
@@ -145,17 +136,12 @@ class AttestationEngine:
     defaults to the system CSPRNG.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], int] = time.monotonic_ns,
-        rng=None,
-        challenge_ttl_ns: int = DEFAULT_CHALLENGE_TTL_NS,
-    ) -> None:
+    def __init__(self, clock: Callable[[], int] = time.monotonic_ns, rng=None) -> None:
         self._clock = clock
         self._randbytes = rng.randbytes if rng is not None else secrets.token_bytes
-        self._ttl_ns = challenge_ttl_ns
         self._paths: dict[str, str] = {}
-        self._references: dict[str, ReferenceImage] = {}
+        #: trusted deployment-time image bytes, loaded on first use
+        self._references: dict[str, bytes] = {}
         self._outstanding: dict[str, AttestationChallenge] = {}
         self._recent_nonces: dict[str, deque[bytes]] = {}
         self._round_counts: dict[str, int] = {}
@@ -168,18 +154,13 @@ class AttestationEngine:
     def reference_loaded(self, xapp_id: str) -> bool:
         return xapp_id in self._references
 
-    def _load_reference(self, xapp_id: str) -> ReferenceImage:
+    def _load_reference(self, xapp_id: str) -> bytes:
         ref = self._references.get(xapp_id)
         if ref is None:
             path = self._paths.get(xapp_id)
             if path is None:
                 raise RegistryError(f"no reference image registered for {xapp_id!r}")
-            ref = ReferenceImage(
-                xapp_id=xapp_id,
-                trusted_bytes=Path(path).read_bytes(),
-                source_path=path,
-            )
-            self._references[xapp_id] = ref
+            ref = self._references[xapp_id] = Path(path).read_bytes()
         return ref
 
     def issue_challenge(self, xapp_id: str) -> AttestationChallenge:
@@ -199,7 +180,9 @@ class AttestationEngine:
 
         Responses bound to consumed, expired, or never-issued nonces are
         replay violations; a live nonce with a digest mismatch is an
-        integrity violation. Either way the challenge is consumed.
+        integrity violation. Either way the challenge is consumed. Freshness
+        is measured from the engine's own record of the issue time, never
+        from the caller's copy of the challenge.
         """
         if challenge.xapp_id not in self._paths:
             raise RegistryError(f"no reference image registered for {challenge.xapp_id!r}")
@@ -209,10 +192,9 @@ class AttestationEngine:
         if response.xapp_id != challenge.xapp_id:
             return VerificationResult.REPLAY
         del self._outstanding[challenge.xapp_id]
-        if self._clock() - challenge.issued_at > self._ttl_ns:
+        if self._clock() - outstanding.issued_at > CHALLENGE_TTL_NS:
             return VerificationResult.REPLAY
-        reference = self._load_reference(challenge.xapp_id)
-        expected = seeded_digest(challenge.nonce, reference.trusted_bytes)
+        expected = seeded_digest(challenge.nonce, self._load_reference(challenge.xapp_id))
         if expected == response.digest:
             return VerificationResult.VALID
         return VerificationResult.DIGEST_MISMATCH

@@ -1,13 +1,15 @@
 """Benchmark CLI for the safeguard experiments.
 
 Subcommands: inspect-bench, detect-bench, attest-bench, use-case, run-all.
-Exit codes: 0 all assertions passed, 1 detection failure, 2 near-RT budget
-violation, 3 configuration error.
+Each subcommand accepts only the flags its experiment reads; run-all takes
+them all. Exit codes: 0 all assertions passed, 1 detection failure, 2 near-RT
+budget violation, 3 configuration or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -37,21 +39,46 @@ _KIND_LABELS = {
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="scenario config file (flat key = value)")
-    parser.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    parser.add_argument("--out", type=Path, default=Path("out"),
-                        help="directory for CSV outputs")
-    parser.add_argument("--runs", type=int, default=10, help="repetitions per experiment")
-    parser.add_argument("--ues-per-cell", type=int, default=10)
-    parser.add_argument("--af", type=str, default="1.2,1.3,1.4,1.5",
-                        help="comma-separated amplification factors")
-    parser.add_argument("--matcher", choices=("naive", "automaton"), default="naive")
-    parser.add_argument("--deterministic-timing", action="store_true",
-                        help="derive latencies from the cost model (byte-exact CSVs)")
-    parser.add_argument("--rulebook", type=Path, default=None,
-                        help="rulebook file (default: 100 synthetic patterns)")
+def _numbers(kind, minimum, many=False):
+    """argparse type: a finite ``kind`` value of at least ``minimum`` or, with
+    ``many``, a comma-separated tuple of them."""
+    def parse(text: str):
+        values = tuple(kind(v) for v in text.split(",")) if many else (kind(text),)
+        if not all(minimum <= v < math.inf for v in values):  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} >= {minimum}, got {text!r}")
+        return values if many else values[0]
+    parse.__name__ = kind.__name__
+    return parse
+
+
+#: every flag; each subcommand takes only the ones its experiment reads
+_FLAGS = {
+    "--seed": dict(type=_numbers(int, 0), default=1, help="base RNG seed"),
+    "--out": dict(type=Path, default=Path("out"), help="directory for CSV outputs"),
+    "--runs": dict(type=_numbers(int, 1), default=10, help="repetitions per experiment"),
+    "--deterministic-timing": dict(action="store_true",
+                                   help="derive latencies from the cost model (byte-exact CSVs)"),
+    "--config": dict(type=Path, default=None, help="scenario config file (flat key = value)"),
+    "--rulebook": dict(type=Path, default=None,
+                       help="rulebook file (default: 100 synthetic patterns)"),
+    "--ues-per-cell": dict(type=_numbers(int, 1), default=10),
+    "--matcher": dict(choices=("naive", "automaton"), default="naive"),
+    "--af": dict(type=_numbers(float, 1.0, many=True), default="1.2,1.3,1.4,1.5",
+                 help="comma-separated amplification factors"),
+    "--ues-total": dict(type=_numbers(int, 1, many=True), default="50,500",
+                        help="comma-separated UE loads for the use case"),
+}
+_COMMON = ("--seed", "--out", "--runs", "--deterministic-timing")
+_COMMANDS = {
+    "inspect-bench": ("E2 message inspection latency and exactness",
+                      ("--config", "--rulebook", "--ues-per-cell", "--matcher")),
+    "detect-bench": ("KPM poisoning detection across amplification factors",
+                     ("--config", "--af")),
+    "attest-bench": ("xApp attestation latency and injection detection", ()),
+    "use-case": ("end-to-end consumer xApp with all safeguards",
+                 ("--config", "--rulebook", "--ues-total")),
+    "run-all": ("all four experiments", tuple(f for f in _FLAGS if f not in _COMMON)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,24 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(trained_bundle=None)  # not a flag: one invocation's detector
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("inspect-bench", "E2 message inspection latency and exactness"),
-        ("detect-bench", "KPM poisoning detection across amplification factors"),
-        ("attest-bench", "xApp attestation latency and injection detection"),
-        ("use-case", "end-to-end consumer xApp with all safeguards"),
-        ("run-all", "all four experiments"),
-    ):
+    for name, (descr, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=descr)
-        _add_common_flags(cmd)
-        if name in ("use-case", "run-all"):
-            cmd.add_argument("--ues-total", type=str, default="50,500",
-                             help="comma-separated UE loads for the use case")
+        for flag in _COMMON + flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _rulebook(args):
     if args.rulebook is not None:
-        return load_rulebook(args.rulebook)
+        try:
+            book = load_rulebook(args.rulebook)
+        except ValueError as exc:  # a malformed line, hex pattern or action code
+            raise ConfigError(str(exc)) from None
+        if not len(book):
+            raise ConfigError(f"{args.rulebook}: no signatures")
+        return book
     return synthetic_rulebook(count=100, seed=args.seed, action_codes="D")
 
 
@@ -120,13 +145,12 @@ def cmd_inspect_bench(args) -> None:
 
 def cmd_detect_bench(args) -> None:
     config = _scenario(args, detector_preset)
-    af_grid = tuple(float(v) for v in args.af.split(","))
     result = run_detector_experiment(
-        config, af_grid=af_grid, runs=args.runs, bundle=_trained_bundle(args),
+        config, af_grid=args.af, runs=args.runs, bundle=_trained_bundle(args),
         cost_model=_cost_model(args), out_dir=args.out,
     )
     print(f"{'AF':<6}{'ADR (%)':>10}{'FPR (%)':>10}{'latency (ms)':>14}")
-    for af in af_grid:
+    for af in args.af:
         metrics = result.per_af[af]
         print(f"{af:<6}{metrics.adr_pct:>10.2f}{metrics.fpr_pct:>10.2f}"
               f"{metrics.mean_latency_ms:>14.4f}")
@@ -147,14 +171,13 @@ def cmd_attest_bench(args) -> None:
 
 def cmd_use_case(args) -> None:
     rulebook = _rulebook(args)
-    loads = tuple(int(v) for v in args.ues_total.split(","))
     bundle = _trained_bundle(args)
     labels = {
         "inspector_ms": "E2 message inspection",
         "detector_ms": "KPM poisoning detection",
         "shift_ms": "data availability time shift",
     }
-    for total_ues in loads:
+    for total_ues in args.ues_total:
         config = _scenario(args, use_case_preset, total_ues=total_ues)
         result = run_use_case(
             config, bundle, rulebook, runs=args.runs,
@@ -168,8 +191,10 @@ def cmd_use_case(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 3 if exc.code else 0
     commands = {
         "inspect-bench": (cmd_inspect_bench,),
         "detect-bench": (cmd_detect_bench,),
@@ -178,6 +203,7 @@ def main(argv=None) -> int:
         "run-all": (cmd_inspect_bench, cmd_detect_bench, cmd_attest_bench, cmd_use_case),
     }
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         for command in commands[args.command]:
             command(args)
     except DetectionFailure as exc:
@@ -186,7 +212,8 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, FileNotFoundError) as exc:
+    # a missing --config or --rulebook file, or an --out path that is a file
+    except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     return 0

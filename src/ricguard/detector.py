@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kpm import FEATURE_COUNT, FeatureScaler, KpmRecord, records_to_matrix
+from .kpm import FEATURE_COUNT, TICK_MS, FeatureScaler, KpmRecord, records_to_matrix
 from .mitigation import Magnitude
 from .recurrent import SequenceModel, predict
 from .timing import wall_ns
@@ -51,22 +51,25 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class AnomalyVerdict:
+    """A scored record; it is anomalous exactly when ``score > threshold``."""
+
     ue_id: int
     timestamp: int
     score: float
     threshold: float
-    is_anomalous: bool
-    magnitude: Magnitude | None
 
-    def __post_init__(self) -> None:
-        if self.is_anomalous != (self.score > self.threshold):
-            raise ValueError("is_anomalous must mirror score > threshold")
-        if self.is_anomalous == (self.magnitude is None):
-            raise ValueError("magnitude is set exactly for anomalous verdicts")
+    @property
+    def is_anomalous(self) -> bool:
+        return self.score > self.threshold
+
+    @property
+    def magnitude(self) -> Magnitude | None:
+        """Deviation magnitude, set exactly for anomalous verdicts."""
+        return classify_magnitude(self.score, self.threshold) if self.is_anomalous else None
 
 
 def _validate_window(window: Sequence[KpmRecord], next_record: KpmRecord,
-                     sequence_length: int, tick_ms: int = 1000) -> None:
+                     sequence_length: int) -> None:
     if len(window) != sequence_length:
         raise ValueError(f"window of {len(window)} records, expected {sequence_length}")
     ue_ids = {r.ue_id for r in window} | {next_record.ue_id}
@@ -74,7 +77,7 @@ def _validate_window(window: Sequence[KpmRecord], next_record: KpmRecord,
         raise ValueError("window and next record must belong to one UE")
     times = [r.timestamp for r in window]
     deltas = {b - a for a, b in zip(times, times[1:])}
-    if deltas != {tick_ms}:
+    if deltas != {TICK_MS}:
         raise ValueError("window records must be strictly increasing at one-second spacing")
     if next_record.timestamp <= times[-1]:
         raise ValueError("next record must follow the window")
@@ -126,18 +129,6 @@ def classify_magnitude(score: float, threshold: float) -> Magnitude:
     if ratio <= SIGNIFICANT_EDGE:
         return Magnitude.MODERATE
     return Magnitude.SIGNIFICANT
-
-
-def make_verdict(record: KpmRecord, score: float, threshold: float) -> AnomalyVerdict:
-    anomalous = score > threshold
-    return AnomalyVerdict(
-        ue_id=record.ue_id,
-        timestamp=record.timestamp,
-        score=score,
-        threshold=threshold,
-        is_anomalous=anomalous,
-        magnitude=classify_magnitude(score, threshold) if anomalous else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,8 @@ class StreamingDetector:
         for idx, rec in enumerate(records):
             verdict = None
             if idx in score_by_idx:
-                verdict = make_verdict(rec, score_by_idx[idx], self.bundle.threshold)
+                verdict = AnomalyVerdict(rec.ue_id, rec.timestamp, score_by_idx[idx],
+                                         self.bundle.threshold)
             if verdict is None or not verdict.is_anomalous:
                 norm_hist = self._normalized.setdefault(rec.ue_id, deque(maxlen=seq_len))
                 norm_hist.append(normalized[idx])

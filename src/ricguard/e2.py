@@ -119,8 +119,10 @@ def decode_frame(data: bytes, clock: Callable[[], int] = time.monotonic_ns) -> E
     magic, version, kind_byte, node_id, length = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC or version != FRAME_VERSION:
         raise ProtocolError(f"bad magic/version bytes 0x{magic:02X}/0x{version:02X}")
-    if kind_byte > max(E2MessageKind):
-        raise UnknownKindError(f"unknown message kind byte {kind_byte}")
+    try:
+        kind = E2MessageKind(kind_byte)
+    except ValueError:
+        raise UnknownKindError(f"unknown message kind byte {kind_byte}") from None
     if length > MAX_PAYLOAD_BYTES:
         raise FramingError(f"frame declares {length} payload bytes, over the "
                            f"{MAX_PAYLOAD_BYTES}-byte cap")
@@ -131,7 +133,7 @@ def decode_frame(data: bytes, clock: Callable[[], int] = time.monotonic_ns) -> E
         raise FramingError(f"{carried - length} bytes after the declared {length}-byte payload")
     payload = data[FRAME_HEADER_SIZE:]
     return E2Message(
-        kind=E2MessageKind(kind_byte),
+        kind=kind,
         source_node_id=node_id,
         payload=payload,
         ingress_timestamp=clock(),

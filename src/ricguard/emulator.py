@@ -33,8 +33,7 @@ from .e2 import (
     encode_frame,
     encode_kpm_payload,
 )
-from .kpm import FEATURE_COUNT, KpmRecord
-from .recurrent import SEQUENCE_LENGTH
+from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, KpmRecord
 from .signatures import SignatureSet
 
 SETUP_REQUEST_BYTES = 25_000
@@ -44,7 +43,6 @@ SUBSCRIPTION_DELETE_RESPONSE_BYTES = 11  # 22-byte frame
 AR_COEFFICIENT = 0.8
 COEFF_OF_VARIATION = 0.05
 BASELINE_JITTER = 0.1  # per-UE uniform jitter around the slice baseline
-TICK_MS = 1000
 
 #: First tick eligible for poisoning: every poisoned record must arrive
 #: after the detector's per-UE warm-up so it receives a verdict.
@@ -108,8 +106,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.amplification_factor < 1.0:
-            raise ValueError("amplification_factor must be >= 1")
+        if not 1.0 <= self.amplification_factor < np.inf:  # also rejects NaN
+            raise ValueError("amplification_factor must be finite and >= 1")
         if self.malicious_node_fraction > 0 and self.malicious_message_fraction >= 1.0:
             # full injection would poison every setup request and no malicious
             # node could ever establish its connection

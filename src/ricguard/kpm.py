@@ -1,4 +1,4 @@
-"""Per-UE KPM telemetry records, feature scaling, and dataset handling.
+"""Per-UE KPM telemetry records, feature scaling, and training windows.
 
 A record is one UE's measurements for one reporting second. The record
 carries eight fields: the timestamp and UE id identify the stream, the
@@ -6,17 +6,13 @@ remaining six are the model's measurement features, always handled in this
 fixed order:
 
     UEThpUl, PrbUsedUl, UEThpDl, PrbUsedDl, TotNbrUl_per_sec, TotNbrDl_per_sec
-
-Datasets round-trip through CSV with exactly those column names (plus
-Timestamp and UEid).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +25,10 @@ FEATURE_NAMES = (
     "TotNbrDl_per_sec",
 )
 FEATURE_COUNT = len(FEATURE_NAMES)
-CSV_COLUMNS = ("Timestamp", "UEid") + FEATURE_NAMES
+#: Reporting period: one record per UE per simulated second.
+TICK_MS = 1000
+#: Records of context the sequence model reads before each prediction.
+SEQUENCE_LENGTH = 10
 
 
 class ScalerError(ValueError):
@@ -108,9 +107,6 @@ class FeatureScaler:
     def normalize(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
 
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        return normalized * self.std + self.mean
-
 
 def fit_scaler(records: Sequence[KpmRecord]) -> FeatureScaler:
     """Fit per-feature mean/std; rejects constant features by name."""
@@ -125,39 +121,13 @@ def fit_scaler(records: Sequence[KpmRecord]) -> FeatureScaler:
     return FeatureScaler(mean=mean, std=std)
 
 
-def write_dataset_csv(records: Iterable[KpmRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.timestamp, rec.ue_id, *(repr(v) for v in rec.feature_values())])
-
-
-def read_dataset_csv(path) -> list[KpmRecord]:
-    records: list[KpmRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected dataset columns {header!r}")
-        for row in reader:
-            records.append(
-                KpmRecord.from_features(int(row[0]), int(row[1]), [float(v) for v in row[2:]])
-            )
-    return records
-
-
-def build_windows(
-    records: Sequence[KpmRecord],
-    scaler: FeatureScaler,
-    sequence_length: int = 10,
-    tick_ms: int = 1000,
-) -> tuple[np.ndarray, np.ndarray]:
+def build_windows(records: Sequence[KpmRecord],
+                  scaler: FeatureScaler) -> tuple[np.ndarray, np.ndarray]:
     """Build normalized next-step windows from a record stream.
 
     Groups by UE, orders by timestamp, and slides a window over each run of
     consecutive (tick-spaced) records. Returns (inputs, targets) with shapes
-    (n, sequence_length, 6) and (n, 6); the target is the record following
+    (n, SEQUENCE_LENGTH, 6) and (n, 6); the target is the record following
     the window.
     """
     by_ue: dict[int, list[KpmRecord]] = {}
@@ -170,16 +140,16 @@ def build_windows(
         stream = sorted(by_ue[ue_id], key=lambda r: r.timestamp)
         feats = scaler.normalize(records_to_matrix(stream))
         times = np.array([r.timestamp for r in stream], dtype=np.int64)
-        for end in range(sequence_length, len(stream)):
-            start = end - sequence_length
+        for end in range(SEQUENCE_LENGTH, len(stream)):
+            start = end - SEQUENCE_LENGTH
             span = times[start : end + 1]
-            if np.any(np.diff(span) != tick_ms):
+            if np.any(np.diff(span) != TICK_MS):
                 continue  # gap in the stream; windows must be consecutive
             inputs.append(feats[start:end])
             targets.append(feats[end])
     if not inputs:
         return (
-            np.empty((0, sequence_length, FEATURE_COUNT)),
+            np.empty((0, SEQUENCE_LENGTH, FEATURE_COUNT)),
             np.empty((0, FEATURE_COUNT)),
         )
     return np.stack(inputs), np.stack(targets)

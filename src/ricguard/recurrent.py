@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kpm import FEATURE_COUNT
-
-SEQUENCE_LENGTH = 10
+from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
 
 
 class TrainingError(RuntimeError):

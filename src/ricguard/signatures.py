@@ -84,12 +84,6 @@ class SignatureSet:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def by_id(self, sig_id: int) -> Signature:
-        for s in self.signatures:
-            if s.sig_id == sig_id:
-                return s
-        raise KeyError(sig_id)
-
     @cached_property
     def _prefix_index(self) -> dict[int, tuple[Signature, ...]]:
         """Signatures grouped by their prefix, keyed as :func:`_grams` keys it."""
@@ -338,23 +332,19 @@ def save_rulebook(signatures: SignatureSet, path) -> None:
             )
 
 
-def synthetic_rulebook(
-    count: int = 100,
-    seed: int = 0xC0DE,
-    min_length: int = 8,
-    max_length: int = 32,
-    action_codes: str = "DR",
-) -> SignatureSet:
+def synthetic_rulebook(count: int = 100, seed: int = 0xC0DE,
+                       action_codes: str = "DR") -> SignatureSet:
     """Seeded stand-in rulebook of CVE-labelled random byte patterns.
 
     Real rulebooks are CVE-derived and unpublished; detection mechanics are
-    pattern-agnostic, so random patterns of realistic lengths suffice.
+    pattern-agnostic, so random patterns of realistic lengths (8 to 32
+    bytes) suffice.
     """
     rng = np.random.default_rng(seed)
     actions = parse_action_codes(action_codes)
     signatures = []
     for i in range(count):
-        length = int(rng.integers(min_length, max_length + 1))
+        length = int(rng.integers(8, 32 + 1))
         signatures.append(
             Signature(
                 sig_id=i,

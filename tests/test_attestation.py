@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,16 @@ class TestVerify:
         response = attest(image(content=content), ch)
         clock.advance_ns(2_000_000_000)  # past the 1 s freshness window
         assert engine.verify(ch, response) == VerificationResult.REPLAY
+
+    def test_rewritten_issue_time_does_not_extend_freshness(self, tmp_path):
+        # freshness runs from the engine's own issue time, not the caller's copy
+        clock = SimClock()
+        engine, content = engine_with(tmp_path, clock=clock.now_ns)
+        ch = engine.issue_challenge("xapp-a")
+        response = attest(image(content=content), ch)
+        clock.advance_ns(5_000_000_000)
+        restamped = replace(ch, issued_at=clock.now_ns())
+        assert engine.verify(restamped, response) == VerificationResult.REPLAY
 
     def test_unknown_xapp_rejected(self, tmp_path):
         engine, _ = engine_with(tmp_path)

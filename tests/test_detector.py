@@ -11,7 +11,6 @@ from ricguard.detector import (
     classify_magnitude,
     evaluate,
     load_bundle,
-    make_verdict,
     save_bundle,
     score_batch,
     score_window,
@@ -128,14 +127,12 @@ class TestMagnitude:
             classify_magnitude(0.5, 1.0)
 
     def test_verdict_invariants(self):
-        record = KpmRecord.from_features(1000, 1, np.full(6, 5.0))
-        verdict = make_verdict(record, 0.5, 1.0)
+        verdict = AnomalyVerdict(ue_id=1, timestamp=1000, score=0.5, threshold=1.0)
         assert not verdict.is_anomalous and verdict.magnitude is None
-        verdict = make_verdict(record, 3.0, 1.0)
+        verdict = AnomalyVerdict(ue_id=1, timestamp=1000, score=3.0, threshold=1.0)
         assert verdict.is_anomalous and verdict.magnitude is Magnitude.MODERATE
-        with pytest.raises(ValueError):
-            AnomalyVerdict(ue_id=1, timestamp=0, score=0.2, threshold=1.0,
-                           is_anomalous=True, magnitude=Magnitude.SMALL)
+        # the threshold itself is benign: anomalous means strictly above it
+        assert not AnomalyVerdict(ue_id=1, timestamp=0, score=1.0, threshold=1.0).is_anomalous
 
 
 class TestBundlePersistence:
@@ -260,7 +257,7 @@ class TestEvaluate:
         items, labels = [], {}
         for i, (flagged, poisoned) in enumerate(zip(flags, poisons)):
             record = KpmRecord.from_features(i * 1000, 1, np.full(6, 1.0))
-            verdict = make_verdict(record, 2.0 if flagged else 0.5, 1.0)
+            verdict = AnomalyVerdict(1, i * 1000, 2.0 if flagged else 0.5, 1.0)
             items.append(ScoredRecord(record=record, verdict=verdict,
                                       latency_ns=latency_ns))
             labels[(1, i * 1000)] = poisoned

@@ -37,8 +37,9 @@ class TestConfigValidation:
             ScenarioConfig(poison_target_fraction=1.5)
 
     def test_af_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(amplification_factor=0.9)
+        for af in (0.9, float("nan"), float("inf")):  # NaN compares false both ways
+            with pytest.raises(ValueError):
+                ScenarioConfig(amplification_factor=af)
 
 
 class TestBenignDynamics:
@@ -227,7 +228,7 @@ class TestSignatureInjection:
         book = synthetic_rulebook(count=5, seed=2)
         msg = E2Message(E2MessageKind.INDICATION, 1, b"\xff" * 50)
         mutated, record = inject_signature(msg, book, np.random.default_rng(0))
-        pattern = book.by_id(record.sig_id).pattern
+        (pattern,) = [s.pattern for s in book.signatures if s.sig_id == record.sig_id]
         assert len(mutated.payload) == 50 + len(pattern)
         assert mutated.payload[record.offset : record.offset + len(pattern)] == pattern
 

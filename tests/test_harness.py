@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -80,6 +81,45 @@ class TestScenarioConfigFile:
             poison_target_fraction=0.3, amplification_factor=1.4,
             loops=60, rng_seed=9,
         )
+
+    #: per field: the text in the file and the value it must load as
+    SETTINGS = {
+        "node_count": ("3", 3),
+        "cells_per_node": ("2", 2),
+        "ues_per_cell": ("4", 4),
+        "total_ues": ("50", 50),
+        "malicious_node_fraction": ("0.5", 0.5),
+        "malicious_message_fraction": ("0.25", 0.25),
+        "amplification_factor": ("1.4", 1.4),
+        "poison_target_fraction": ("0.3", 0.3),
+        "poison_time_fraction": ("0.5", 0.5),
+        "poison_cov_af_squared": ("yes", True),
+        "loops": ("60", 60),
+        "rng_seed": ("9", 9),
+        "size_calibrated": ("true", True),
+    }
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+    def test_every_field_set_from_file(self, tmp_path, name):
+        text, expected = self.SETTINGS[name]
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"{name} = {text}\n")
+        value = getattr(load_scenario_config(path), name)
+        assert value == expected and type(value) is type(expected)
+        assert getattr(ScenarioConfig(), name) != expected
+
+    def test_total_ues_none_restores_default(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("total_ues = none\n")
+        assert load_scenario_config(path).total_ues is None
+
+    @pytest.mark.parametrize("line", ["loops = abc", "loops = 2.5", "rng_seed = ",
+                                      "amplification_factor = x", "size_calibrated = maybe"])
+    def test_malformed_value_is_config_error(self, tmp_path, line):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_scenario_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -224,10 +264,7 @@ class TestUseCase:
         assert len(safeguarded.store) == len(baseline.store) - len(safeguarded.flagged_keys)
         for key in safeguarded.flagged_keys:
             assert key not in safeguarded.store
-        # no flagged record is benign-stored twice etc.
-        poisoned_keys = {(lab.ue_id, lab.timestamp)
-                         for lab in safeguarded.emitted_labels if lab.poisoned}
-        assert poisoned_keys, "scenario must contain attacks"
+        assert safeguarded.flagged_keys, "scenario must contain detected attacks"
 
     def test_consumer_decisions_causal(self, quick_bundle, rulebook):
         config = use_case_preset(seed=2, total_ues=20, loops=30)
@@ -390,6 +427,58 @@ class TestCli:
             "inspect-bench", "--config", str(bad), "--out", str(tmp_path),
         ])
         assert code == 3
+
+    def test_malformed_config_value_exits_three(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("loops = abc\n")
+        assert cli_main(["inspect-bench", "--config", str(bad), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("text", ["garbage line\n", "# comments only\n"],
+                             ids=["malformed", "empty"])
+    def test_bad_rulebook_exits_three(self, tmp_path, text):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(text)
+        assert cli_main(["inspect-bench", "--rulebook", str(rules), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["use-case", "--ues-total", "5x"],
+        ["detect-bench", "--af", "1.2,x"],
+        ["detect-bench", "--af", "0.5"],
+        ["inspect-bench", "--runs", "0"],
+        ["inspect-bench", "--no-such-flag"],
+    ], ids=["ues-total", "af", "af-below-one", "runs-zero", "unknown-flag"])
+    def test_bad_argument_exits_three(self, tmp_path, argv):
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 3
+
+    def test_out_path_that_is_a_file_exits_three(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["attest-bench", "--runs", "1", "--out", str(taken)]) == 3
+        assert cli_main(["attest-bench", "--runs", "1", "--out", str(taken / "sub")]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["use-case", "--matcher", "automaton"],
+        ["use-case", "--af", "1.5"],
+        ["detect-bench", "--rulebook", "rules.txt"],
+        ["attest-bench", "--config", "scenario.cfg"],
+        ["inspect-bench", "--ues-total", "20"],
+    ], ids=["use-case-matcher", "use-case-af", "detect-rulebook", "attest-config",
+            "inspect-ues-total"])
+    def test_flag_the_subcommand_ignores_exits_three(self, tmp_path, argv):
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 3
+
+    def test_run_all_accepts_every_flag(self):
+        from ricguard.cli import build_parser
+
+        args = build_parser().parse_args([
+            "run-all", "--config", "c.cfg", "--rulebook", "r.txt", "--matcher", "automaton",
+            "--af", "1.2,1.5", "--ues-per-cell", "3", "--ues-total", "20,50",
+        ])
+        assert (args.af, args.ues_total, args.ues_per_cell) == ((1.2, 1.5), (20, 50), 3)
+
+    def test_help_exits_zero(self, capsys):
+        assert cli_main(["attest-bench", "--help"]) == 0
+        assert "--matcher" not in capsys.readouterr().out
 
     def test_matcher_flag_accepted(self, tmp_path):
         code = cli_main([

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from ricguard.kpm import (
-    CSV_COLUMNS,
     FeatureScaler,
     KpmRecord,
     ScalerError,
     build_windows,
     fit_scaler,
-    read_dataset_csv,
     records_to_matrix,
-    write_dataset_csv,
 )
 
 
@@ -67,7 +64,7 @@ class TestScaler:
         ]
         scaler = fit_scaler(records)
         matrix = records_to_matrix(records)
-        back = scaler.denormalize(scaler.normalize(matrix))
+        back = scaler.normalize(matrix) * scaler.std + scaler.mean
         assert np.max(np.abs(back - matrix)) < 1e-12
 
     def test_constant_feature_named_in_error(self):
@@ -98,26 +95,6 @@ class TestScaler:
     def test_invalid_stats_rejected(self):
         with pytest.raises(ScalerError):
             FeatureScaler(mean=np.zeros(6), std=np.zeros(6))
-
-
-class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        records = [
-            KpmRecord.from_features(t * 1000, t % 3, np.abs(rng.standard_normal(6)))
-            for t in range(30)
-        ]
-        path = tmp_path / "data.csv"
-        write_dataset_csv(records, path)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(CSV_COLUMNS)
-        assert read_dataset_csv(path) == records
-
-    def test_wrong_columns_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_dataset_csv(path)
 
 
 class TestBuildWindows:
