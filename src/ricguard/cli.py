@@ -158,8 +158,7 @@ def cmd_detect_bench(args) -> None:
 
 def cmd_attest_bench(args) -> None:
     result = run_attestation_experiment(
-        runs=args.runs, seed=args.seed, workdir=args.out,
-        cost_model=_cost_model(args), out_dir=args.out,
+        runs=args.runs, seed=args.seed, cost_model=_cost_model(args), out_dir=args.out,
     )
     for size in sorted(result.latencies_ms):
         print(f"{size} MB image: round 1 {result.round1_mean(size):.3f} ms, "

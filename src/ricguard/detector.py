@@ -15,18 +15,17 @@ file::
     scaler mean (6 f64) | scaler std (6 f64)
     w_x | w_h | b | w_out | b_out                     (f64, row-major)
 
-The streaming detector keeps one rolling window per UE, fed only by records
-it has verified: flagged records never enter the history (nor the store),
-so scoring context stays clean during an attack. After an attack window the
-history carries a time gap until fresh benign records roll it over; the
-public :func:`score_window` contract (ten consecutive one-second records)
-is unchanged.
+The streaming detector keeps one rolling window per UE, a row of one context
+array, fed only by records it has verified: flagged records never enter the
+history (nor the store), so scoring context stays clean during an attack.
+After an attack window the history carries a time gap until fresh benign
+records roll it over; the public :func:`score_window` contract (ten
+consecutive one-second records) is unchanged.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,6 +43,9 @@ BUNDLE_VERSION = 1
 MODERATE_EDGE = 2.0
 SIGNIFICANT_EDGE = 4.0
 
+#: Context rows a streaming detector starts with; the array doubles as UEs join.
+INITIAL_CONTEXT_ROWS = 16
+
 
 class CalibrationError(ValueError):
     """Raised when threshold calibration preconditions fail."""
@@ -51,7 +53,7 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class AnomalyVerdict:
-    """A scored record; it is anomalous exactly when ``score > threshold``."""
+    """A scored record; it is anomalous unless ``score <= threshold``."""
 
     ue_id: int
     timestamp: int
@@ -60,7 +62,8 @@ class AnomalyVerdict:
 
     @property
     def is_anomalous(self) -> bool:
-        return self.score > self.threshold
+        # fails closed: a NaN score compares false, so it is anomalous
+        return not self.score <= self.threshold
 
     @property
     def magnitude(self) -> Magnitude | None:
@@ -119,7 +122,8 @@ def calibrate_threshold(model: SequenceModel, scaler: FeatureScaler,
 def classify_magnitude(score: float, threshold: float) -> Magnitude:
     """Deviation magnitude from the score/threshold ratio.
 
-    (1, 2] small, (2, 4] moderate, above 4 significant.
+    (1, 2] small, (2, 4] moderate, above 4 significant; a NaN score,
+    which no band holds, is significant.
     """
     if score <= threshold:
         raise ValueError("magnitude is only defined for anomalous scores")
@@ -207,53 +211,72 @@ class StreamingDetector:
     Records are scored against the UE's last ``sequence_length`` verified
     records; all UEs of one tick are scored in a single forward pass.
     Anomalous records are excluded from future history. Each scored record
-    carries an equal share of the tick's wall-clock scoring time.
+    carries an equal share of the tick's wall-clock time.
+
+    The context of all UEs is one (rows, sequence_length, features) array
+    of normalized records, each UE's newest record last, with a per-row
+    fill count; a UE takes the next free row when first seen, and the
+    array doubles when it runs out of rows.
     """
 
     def __init__(self, bundle: DetectorBundle) -> None:
         self.bundle = bundle
-        self._normalized: dict[int, deque[np.ndarray]] = {}
+        self._rows: dict[int, int] = {}
+        self._context = np.empty((INITIAL_CONTEXT_ROWS, bundle.model.sequence_length,
+                                  FEATURE_COUNT))
+        self._fill = np.zeros(INITIAL_CONTEXT_ROWS, dtype=np.intp)
 
     def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
-        model = self.bundle.model
-        scaler = self.bundle.scaler
-        seq_len = model.sequence_length
-
         started = wall_ns()
-        scorable: list[int] = []
-        inputs: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        normalized: list[np.ndarray] = []
-        for idx, rec in enumerate(records):
-            norm = scaler.normalize(rec.features())
-            normalized.append(norm)
-            hist = self._normalized.get(rec.ue_id)
-            if hist is not None and len(hist) == seq_len:
-                scorable.append(idx)
-                inputs.append(np.stack(hist))
-                targets.append(norm)
-        scores: np.ndarray | None = None
-        if scorable:
-            scores = score_batch(model, np.stack(inputs), np.stack(targets))
+        model, threshold = self.bundle.model, self.bundle.threshold
+        normalized = self.bundle.scaler.normalize(records_to_matrix(records))
+        rows = self._rows_of(records)
+        # every record is scored against the context from before this tick
+        scorable = np.flatnonzero(self._fill[rows] == model.sequence_length)
+        scores = (score_batch(model, self._context[rows[scorable]], normalized[scorable])
+                  if scorable.size else np.empty(0))
+        keep = np.ones(len(records), dtype=bool)
+        keep[scorable] = scores <= threshold  # a NaN score is anomalous
+        self._append(rows[keep], normalized[keep])
 
-        results: list[ScoredRecord] = []
-        score_by_idx = dict(zip(scorable, scores.tolist() if scores is not None else []))
-        for idx, rec in enumerate(records):
-            verdict = None
-            if idx in score_by_idx:
-                verdict = AnomalyVerdict(rec.ue_id, rec.timestamp, score_by_idx[idx],
-                                         self.bundle.threshold)
-            if verdict is None or not verdict.is_anomalous:
-                norm_hist = self._normalized.setdefault(rec.ue_id, deque(maxlen=seq_len))
-                norm_hist.append(normalized[idx])
-            results.append(ScoredRecord(record=rec, verdict=verdict))
-
-        if scorable:
-            per_record = (wall_ns() - started) // len(scorable)
-            for res in results:
-                if res.verdict is not None:
-                    res.latency_ns = per_record
+        results = [ScoredRecord(rec, None) for rec in records]
+        scored = [results[idx] for idx in scorable.tolist()]
+        for item, score in zip(scored, scores.tolist()):
+            item.verdict = AnomalyVerdict(item.record.ue_id, item.record.timestamp,
+                                          score, threshold)
+        if scored:
+            per_record = (wall_ns() - started) // len(scored)
+            for item in scored:
+                item.latency_ns = per_record
         return results
+
+    def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:
+        """Context row of each record's UE; a new UE takes the next row."""
+        index = self._rows
+        rows = np.fromiter((index.setdefault(rec.ue_id, len(index)) for rec in records),
+                           dtype=np.intp, count=len(records))
+        capacity = len(self._fill)
+        if len(index) > capacity:
+            while capacity < len(index):
+                capacity *= 2
+            extra = capacity - len(self._fill)
+            self._context = np.pad(self._context, ((0, extra), (0, 0), (0, 0)))
+            self._fill = np.pad(self._fill, (0, extra))
+        return rows
+
+    def _append(self, rows: np.ndarray, normalized: np.ndarray) -> None:
+        """Shift each row left by one and put its record last, in record
+        order: a UE with several records takes one per round."""
+        context, seq_len = self._context, self._context.shape[1]
+        while rows.size:
+            _, first = np.unique(rows, return_index=True)
+            now = rows[first]
+            context[now, :-1] = context[now, 1:]
+            context[now, -1] = normalized[first]
+            self._fill[now] = np.minimum(self._fill[now] + 1, seq_len)
+            later = np.ones(rows.size, dtype=bool)
+            later[first] = False
+            rows, normalized = rows[later], normalized[later]
 
 
 @dataclass

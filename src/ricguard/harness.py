@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -559,10 +560,16 @@ def run_attestation_experiment(
 ) -> AttestationExperimentResult:
     """Clean-image latency series at both sizes plus injection trials.
 
-    Reference images are written to ``workdir`` once per size; every run
+    Reference images are written to ``workdir`` once per size, or to a
+    temporary directory removed after the run when it is None; every run
     uses a fresh engine so round 1 always pays the cold-start load.
     """
-    workdir = Path(workdir) if workdir is not None else Path(out_dir or ".")
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="ricguard-attest-") as tmp:
+            return run_attestation_experiment(
+                sizes_mb=sizes_mb, rounds=rounds, runs=runs, injection_trials=injection_trials,
+                seed=seed, workdir=tmp, cost_model=cost_model, out_dir=out_dir)
+    workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
     reference_paths: dict[float, Path] = {}

@@ -87,17 +87,16 @@ def init_model(hidden_size: int, rng: np.random.Generator,
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _forward(model: SequenceModel, inputs: np.ndarray, keep_cache: bool):
-    """Run the LSTM over (n, T, F) inputs; returns (n, F) predictions."""
+    """Run the LSTM over (n, T, F) inputs; returns (n, F) predictions.
+
+    The input projection of every step is one matmul into a (T, n, 4H)
+    buffer (Appleyard et al., arXiv:1604.01946); each step adds its
+    recurrent term to its slice and activates the gates there, in place.
+    The rows of the sigmoid gates are pre-scaled by 0.5, which is exact,
+    so one tanh over the slice yields tanh(z/2) for them and
+    sigma(z) = 0.5 * (1 + tanh(z/2)). The cache holds views of the buffer.
+    """
     n, t_len, f = inputs.shape
     if t_len != model.sequence_length or f != model.feature_count:
         raise ValueError(
@@ -105,20 +104,32 @@ def _forward(model: SequenceModel, inputs: np.ndarray, keep_cache: bool):
             f"(n, {model.sequence_length}, {model.feature_count})"
         )
     h_size = model.hidden_size
+    scale = np.full(4 * h_size, 0.5)
+    scale[2 * h_size : 3 * h_size] = 1.0
+    steps = np.ascontiguousarray(inputs.transpose(1, 0, 2))
+    gates = (steps.reshape(t_len * n, f) @ (model.w_x.T * scale)).reshape(t_len, n, 4 * h_size)
+    gates += model.b * scale
+    w_h = model.w_h.T * scale
     h = np.zeros((n, h_size))
     c = np.zeros((n, h_size))
     cache = [] if keep_cache else None
     for t in range(t_len):
-        x_t = inputs[:, t, :]
-        z = x_t @ model.w_x.T + h @ model.w_h.T + model.b
-        i = _sigmoid(z[:, :h_size])
-        fgate = _sigmoid(z[:, h_size : 2 * h_size])
-        g = np.tanh(z[:, 2 * h_size : 3 * h_size])
-        o = _sigmoid(z[:, 3 * h_size :])
-        c_next = fgate * c + i * g
-        h_next = o * np.tanh(c_next)
+        z = gates[t]
+        z += h @ w_h
+        np.tanh(z, out=z)
+        for sig in (z[:, : 2 * h_size], z[:, 3 * h_size :]):
+            sig += 1.0
+            sig *= 0.5
+        i = z[:, :h_size]
+        fgate = z[:, h_size : 2 * h_size]
+        g = z[:, 2 * h_size : 3 * h_size]
+        o = z[:, 3 * h_size :]
+        c_next = fgate * c
+        c_next += i * g
+        h_next = np.tanh(c_next)
+        h_next *= o
         if keep_cache:
-            cache.append((x_t, h, c, i, fgate, g, o, c_next))
+            cache.append((steps[t], h, c, i, fgate, g, o, c_next))
         h, c = h_next, c_next
     predictions = h @ model.w_out.T + model.b_out
     return predictions, h, cache

@@ -1,7 +1,13 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ricguard.detector as detector_module
 from ricguard.detector import (
+    INITIAL_CONTEXT_ROWS,
     AnomalyVerdict,
     CalibrationError,
     DetectorBundle,
@@ -134,6 +140,11 @@ class TestMagnitude:
         # the threshold itself is benign: anomalous means strictly above it
         assert not AnomalyVerdict(ue_id=1, timestamp=0, score=1.0, threshold=1.0).is_anomalous
 
+    def test_nan_score_fails_closed(self):
+        verdict = AnomalyVerdict(ue_id=1, timestamp=1000, score=math.nan, threshold=1.0)
+        assert verdict.is_anomalous
+        assert verdict.magnitude is Magnitude.SIGNIFICANT
+
 
 class TestBundlePersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -189,6 +200,22 @@ class TestStreamingDetector:
         assert after.verdict.score == pytest.approx(expected, rel=1e-12)
         assert not after.verdict.is_anomalous
 
+    def test_nan_scored_record_never_enters_context(self, monkeypatch):
+        detector = StreamingDetector(constant_bundle(threshold=1e-3))
+        for t in range(10):
+            detector.observe_tick(stream(count=1, start_tick=t))
+        with monkeypatch.context() as patch:
+            patch.setattr(detector_module, "score_batch",
+                          lambda model, inputs, targets: np.full(len(inputs), math.nan))
+            (scored,) = detector.observe_tick(
+                [KpmRecord.from_features(10_000, 1, np.full(6, 9.0))])
+        assert scored.verdict.is_anomalous
+        assert scored.verdict.magnitude is Magnitude.SIGNIFICANT
+        (after,) = detector.observe_tick(stream(count=1, start_tick=11))
+        expected = score_window(detector.bundle.model, detector.bundle.scaler,
+                                stream(count=10), after.record)
+        assert after.verdict.score == pytest.approx(expected, rel=1e-12)
+
     def test_batch_scoring_matches_score_window(self):
         bundle = constant_bundle()
         records = stream(count=11)
@@ -208,6 +235,78 @@ class TestStreamingDetector:
         (row,) = (tmp_path / "detector.csv").read_text().splitlines()[1:]
         expected_ms = DEFAULT_COST_MODEL.ns_per_scored_record / 1e6
         assert float(row.split(",")[3]) == pytest.approx(expected_ms)
+
+
+def reference_observe(bundle, history, records):
+    """Plain per-UE lists: score every record against its UE's last
+    ``sequence_length`` kept records from before the tick, then keep the
+    records that are not anomalous, in record order."""
+    seq_len = bundle.model.sequence_length
+    normalized = [bundle.scaler.normalize(rec.features()) for rec in records]
+    scorable = [i for i, rec in enumerate(records)
+                if len(history.get(rec.ue_id, ())) >= seq_len]
+    scores = {}
+    if scorable:
+        inputs = np.stack([np.stack(history[records[i].ue_id][-seq_len:]) for i in scorable])
+        targets = np.stack([normalized[i] for i in scorable])
+        scores = dict(zip(scorable, score_batch(bundle.model, inputs, targets).tolist()))
+    for i, rec in enumerate(records):
+        if i not in scores or scores[i] <= bundle.threshold:
+            history.setdefault(rec.ue_id, []).append(normalized[i])
+    return [scores.get(i) for i in range(len(records))]
+
+
+#: Kept (at most 0.02 from the constant the bundle was trained on) or flagged.
+TICK_VALUES = (5.0, 5.01, 4.98, 50.0)
+UE_POOL = 2 * INITIAL_CONTEXT_ROWS
+# the first rows' UEs fill their context, the rest join past the initial rows
+# (growing the array under them) for eleven ticks; then an empty tick, UE 0
+# three times in one tick (one flagged, two kept) while most UEs are absent,
+# and UE 0 again against the context that produced
+FIRST_ROWS = [(ue, 5.01) for ue in range(INITIAL_CONTEXT_ROWS)]
+EVERY_UE = [(ue, 5.0) for ue in range(UE_POOL)]
+DUPLICATE_TICK = [(0, 50.0), (0, 5.01), (1, 4.98), (0, 5.0)]
+COVERING_TICKS = ([FIRST_ROWS] * 10 + [EVERY_UE] * 11
+                  + [[], DUPLICATE_TICK, [(0, 4.98), (1, 5.0)]])
+
+
+@functools.cache
+def flagging_bundle():
+    return constant_bundle(threshold=1e-3)
+
+
+class TestColumnarContext:
+    @given(st.lists(st.lists(st.tuples(st.integers(0, UE_POOL - 1), st.sampled_from(TICK_VALUES)),
+                             max_size=UE_POOL + 8),
+                    min_size=1, max_size=24))
+    @example(COVERING_TICKS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_ue_reference(self, ticks):
+        bundle = flagging_bundle()
+        detector = StreamingDetector(bundle)
+        history = {}
+        for t, tick in enumerate(ticks):
+            records = [KpmRecord.from_features(t * 1000, ue, np.full(6, value))
+                       for ue, value in tick]
+            expected = reference_observe(bundle, history, records)
+            results = detector.observe_tick(records)
+            assert [item.record for item in results] == records
+            assert [item.verdict is None for item in results] == [s is None for s in expected]
+            for item, score in zip(results, expected):
+                if score is not None:
+                    assert item.verdict.score == pytest.approx(score, rel=1e-12)
+
+    def test_covering_ticks_exercise_each_case(self):
+        detector = StreamingDetector(flagging_bundle())
+        results = [detector.observe_tick(
+            [KpmRecord.from_features(t * 1000, ue, np.full(6, value)) for ue, value in tick])
+            for t, tick in enumerate(COVERING_TICKS)]
+        assert UE_POOL > INITIAL_CONTEXT_ROWS
+        assert [item.verdict is not None for item in results[10]] == (
+            [True] * INITIAL_CONTEXT_ROWS + [False] * (UE_POOL - INITIAL_CONTEXT_ROWS))
+        assert [item.verdict.is_anomalous for item in results[-2]] == [True, False, False,
+                                                                       False]
+        assert all(not item.verdict.is_anomalous for item in results[-1])
 
 
 class TestStatisticalSeparation:

@@ -450,6 +450,11 @@ class TestCli:
     def test_bad_argument_exits_three(self, tmp_path, argv):
         assert cli_main([*argv, "--out", str(tmp_path)]) == 3
 
+    def test_attest_bench_leaves_only_csvs(self, tmp_path):
+        assert cli_main(["attest-bench", "--runs", "1", "--deterministic-timing",
+                         "--out", str(tmp_path)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["attestation.csv"]
+
     def test_out_path_that_is_a_file_exits_three(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")

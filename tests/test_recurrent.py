@@ -39,6 +39,45 @@ class TestGradients:
         assert gradient_relative_error(analytic, numeric) < 1e-4
 
 
+def textbook_predict(model, inputs):
+    """Per-window, per-step LSTM with the exp form of the sigmoid."""
+    h_size = model.hidden_size
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    predictions = []
+    for window in inputs:
+        h = np.zeros(h_size)
+        c = np.zeros(h_size)
+        for x in window:
+            z = model.w_x @ x + model.w_h @ h + model.b
+            i, f = sigmoid(z[:h_size]), sigmoid(z[h_size : 2 * h_size])
+            g, o = np.tanh(z[2 * h_size : 3 * h_size]), sigmoid(z[3 * h_size :])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+        predictions.append(model.w_out @ h + model.b_out)
+    return np.array(predictions)
+
+
+class TestForward:
+    def test_predict_matches_textbook_lstm(self):
+        rng = np.random.default_rng(7)
+        model = init_model(5, rng)
+        model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
+        inputs = rng.standard_normal((9, 10, 6)) * 2.0
+        assert predict(model, inputs) == pytest.approx(textbook_predict(model, inputs),
+                                                       rel=1e-12)
+
+    def test_inputs_left_unmodified(self):
+        inputs, targets = tiny_data(n=4, seed=9)
+        original = inputs.copy()
+        model = init_model(4, np.random.default_rng(0))
+        predict(model, inputs)
+        loss_and_grads(model, inputs, targets)
+        assert np.array_equal(inputs, original)
+
+
 class TestTraining:
     def test_deterministic_weights_for_fixed_seed(self):
         inputs, targets = tiny_data(n=20)
