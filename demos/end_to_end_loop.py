@@ -37,8 +37,8 @@ for total_ues in (50, 500):
     composed = [i + d for i, d in zip(result.inspector_ms, result.detector_ms)]
     safeguarded, baseline = result.arms[0]
     print(f"{total_ues} UEs over {len(result.shift_ms)} loops:")
-    print(f"  data-availability shift  min {result.min_shift_ms:7.3f}  "
-          f"max {result.max_shift_ms:7.3f}  avg {result.avg_shift_ms:7.3f} ms")
+    print(f"  data-availability shift  min {min(result.shift_ms):7.3f}  "
+          f"max {max(result.shift_ms):7.3f}  avg {result.avg_shift_ms:7.3f} ms")
     print(f"  inspector + detector avg {sum(composed) / len(composed):7.3f} ms "
           f"(the shift is their sum)")
     print(f"  store: baseline kept {len(baseline.store)} records, "

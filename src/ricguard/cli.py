@@ -61,12 +61,12 @@ _FLAGS = {
     "--config": dict(type=Path, default=None, help="scenario config file (flat key = value)"),
     "--rulebook": dict(type=Path, default=None,
                        help="rulebook file (default: 100 synthetic patterns)"),
-    "--ues-per-cell": dict(type=_numbers(int, 1), default=10),
+    "--ues-per-cell": dict(type=_numbers(int, 1), help="UEs per cell (default 10)"),
     "--matcher": dict(choices=("naive", "automaton"), default="naive"),
     "--af": dict(type=_numbers(float, 1.0, many=True), default="1.2,1.3,1.4,1.5",
                  help="comma-separated amplification factors"),
-    "--ues-total": dict(type=_numbers(int, 1, many=True), default="50,500",
-                        help="comma-separated UE loads for the use case"),
+    "--ues-total": dict(type=_numbers(int, 1, many=True),
+                        help="comma-separated UE loads for the use case (default 50,500)"),
 }
 _COMMON = ("--seed", "--out", "--runs", "--deterministic-timing")
 _COMMANDS = {
@@ -108,9 +108,14 @@ def _rulebook(args):
 
 
 def _scenario(args, preset_fn, **kwargs):
-    if args.config is not None:
-        return load_scenario_config(args.config)
-    return preset_fn(seed=args.seed, **kwargs)
+    """The --config scenario, or the preset for --seed and the flags given;
+    a flag that shapes the preset is a usage error next to --config."""
+    if args.config is None:
+        return preset_fn(seed=args.seed, **{k: v for k, v in kwargs.items() if v is not None})
+    for flag in ("ues_per_cell", "ues_total"):
+        if getattr(args, flag, None) is not None:
+            raise ConfigError(f"--{flag.replace('_', '-')} cannot be combined with --config")
+    return load_scenario_config(args.config)
 
 
 def _cost_model(args):
@@ -176,13 +181,14 @@ def cmd_use_case(args) -> None:
         "detector_ms": "KPM poisoning detection",
         "shift_ms": "data availability time shift",
     }
-    for total_ues in args.ues_total:
+    # --config is one scenario; without it, each UE load is one
+    for total_ues in args.ues_total or ((50, 500) if args.config is None else (None,)):
         config = _scenario(args, use_case_preset, total_ues=total_ues)
         result = run_use_case(
             config, bundle, rulebook, runs=args.runs,
             cost_model=_cost_model(args), out_dir=args.out,
         )
-        print(f"{total_ues} UEs ({args.runs} runs x {config.loops} loops, "
+        print(f"{result.total_ues} UEs ({args.runs} runs x {config.loops} loops, "
               f"worst loop {max(result.real_wall_ms):.2f} ms wall):")
         print(f"  {'measured time (ms)':<30}{'min':>9}{'max':>9}{'avg':>9}")
         for key, (low, high, avg) in result.summary_table().items():

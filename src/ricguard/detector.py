@@ -26,7 +26,7 @@ consecutive one-second records) is unchanged.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from .kpm import FEATURE_COUNT, TICK_MS, FeatureScaler, KpmRecord, records_to_matrix
 from .mitigation import Magnitude
 from .recurrent import SequenceModel, predict
-from .timing import wall_ns
 
 BUNDLE_MAGIC = b"KPMD"
 BUNDLE_VERSION = 1
@@ -45,6 +44,9 @@ SIGNIFICANT_EDGE = 4.0
 
 #: Context rows a streaming detector starts with; the array doubles as UEs join.
 INITIAL_CONTEXT_ROWS = 16
+
+#: Benign validation windows a threshold calibration needs.
+MIN_CALIBRATION_WINDOWS = 500
 
 
 class CalibrationError(ValueError):
@@ -109,9 +111,10 @@ def calibrate_threshold(model: SequenceModel, scaler: FeatureScaler,
                         validation_targets: np.ndarray,
                         quantile: float = 0.995) -> float:
     """Threshold = the given quantile of benign validation scores."""
-    if validation_inputs.shape[0] < 500:
+    if validation_inputs.shape[0] < MIN_CALIBRATION_WINDOWS:
         raise CalibrationError(
-            f"calibration needs at least 500 benign windows, got {validation_inputs.shape[0]}"
+            f"calibration needs at least {MIN_CALIBRATION_WINDOWS} benign windows, "
+            f"got {validation_inputs.shape[0]}"
         )
     if not 0.0 < quantile <= 1.0:
         raise CalibrationError("quantile must lie in (0, 1]")
@@ -202,7 +205,6 @@ class ScoredRecord:
 
     record: KpmRecord
     verdict: AnomalyVerdict | None
-    latency_ns: int = 0
 
 
 class StreamingDetector:
@@ -210,8 +212,8 @@ class StreamingDetector:
 
     Records are scored against the UE's last ``sequence_length`` verified
     records; all UEs of one tick are scored in a single forward pass.
-    Anomalous records are excluded from future history. Each scored record
-    carries an equal share of the tick's wall-clock time.
+    Anomalous records are excluded from future history. The caller times
+    the tick.
 
     The context of all UEs is one (rows, sequence_length, features) array
     of normalized records, each UE's newest record last, with a per-row
@@ -227,7 +229,6 @@ class StreamingDetector:
         self._fill = np.zeros(INITIAL_CONTEXT_ROWS, dtype=np.intp)
 
     def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
-        started = wall_ns()
         model, threshold = self.bundle.model, self.bundle.threshold
         normalized = self.bundle.scaler.normalize(records_to_matrix(records))
         rows = self._rows_of(records)
@@ -244,10 +245,6 @@ class StreamingDetector:
         for item, score in zip(scored, scores.tolist()):
             item.verdict = AnomalyVerdict(item.record.ue_id, item.record.timestamp,
                                           score, threshold)
-        if scored:
-            per_record = (wall_ns() - started) // len(scored)
-            for item in scored:
-                item.latency_ns = per_record
         return results
 
     def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:
@@ -281,49 +278,51 @@ class StreamingDetector:
 
 @dataclass
 class DetectorMetrics:
-    """Aggregate detection quality over a labelled run."""
+    """Detection counts over labelled runs, and the mean detector time per
+    scored record (set by the caller that timed the ticks)."""
 
-    adr_pct: float | None
-    fpr_pct: float
-    mean_latency_ms: float
     scored_poisoned: int = 0
     scored_benign: int = 0
     flagged_poisoned: int = 0
     flagged_benign: int = 0
+    mean_latency_ms: float = 0.0
+
+    @property
+    def adr_pct(self) -> float | None:
+        """Flagged share of the scored poisoned records; None without any."""
+        poisoned = self.scored_poisoned
+        return 100.0 * self.flagged_poisoned / poisoned if poisoned else None
+
+    @property
+    def fpr_pct(self) -> float:
+        benign = self.scored_benign
+        return 100.0 * self.flagged_benign / benign if benign else 0.0
+
+    def __add__(self, other: DetectorMetrics) -> DetectorMetrics:
+        """The counts of both, pooled; the latency is left to the caller."""
+        counts = zip(astuple(self)[:4], astuple(other)[:4])
+        return DetectorMetrics(*(mine + theirs for mine, theirs in counts))
 
 
 def evaluate(scored: Sequence[ScoredRecord],
              labels: Mapping[tuple[int, int], bool]) -> DetectorMetrics:
-    """ADR/FPR/latency over the scored records of a labelled run.
+    """Detection counts over the scored records of a labelled run.
 
     ``labels`` maps (ue_id, timestamp_ms) to the injector's ground truth.
-    Warm-up records (no verdict) are excluded; ADR is reported absent when
-    the run contained no scored poisoned records.
+    Warm-up records (no verdict) are excluded.
     """
-    poisoned = benign = flagged_poisoned = flagged_benign = 0
-    latency_total_ns = 0
+    metrics = DetectorMetrics()
     for item in scored:
         if item.verdict is None:
             continue
         key = (item.record.ue_id, item.record.timestamp)
         if key not in labels:
             raise KeyError(f"scored record {key} has no ground-truth label")
-        latency_total_ns += item.latency_ns
+        flagged = item.verdict.is_anomalous
         if labels[key]:
-            poisoned += 1
-            if item.verdict.is_anomalous:
-                flagged_poisoned += 1
+            metrics.scored_poisoned += 1
+            metrics.flagged_poisoned += flagged
         else:
-            benign += 1
-            if item.verdict.is_anomalous:
-                flagged_benign += 1
-    total_scored = poisoned + benign
-    return DetectorMetrics(
-        adr_pct=(100.0 * flagged_poisoned / poisoned) if poisoned else None,
-        fpr_pct=(100.0 * flagged_benign / benign) if benign else 0.0,
-        mean_latency_ms=(latency_total_ns / total_scored / 1e6) if total_scored else 0.0,
-        scored_poisoned=poisoned,
-        scored_benign=benign,
-        flagged_poisoned=flagged_poisoned,
-        flagged_benign=flagged_benign,
-    )
+            metrics.scored_benign += 1
+            metrics.flagged_benign += flagged
+    return metrics

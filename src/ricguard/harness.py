@@ -3,14 +3,17 @@
 Reproduces the four desk-scale experiments — inspection latency, poisoning
 detection across amplification factors, attestation latency/completeness,
 and the end-to-end use case measuring the data-availability shift that the
-safeguards impose on a consumer xApp.
+safeguards impose on a consumer xApp: each tick's frames go through a
+:class:`RicPipeline` with the safeguards and one without them.
 
 Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
-safeguards time themselves by wall clock, which is hardware-dependent. Pass
-a :class:`CostModel` and the runners here charge it for the work counts the
-safeguards report instead (scan comparisons, scored records, attested
-bytes, decoded and stored data), for deterministic (byte-identical) CSV
-output. The near-RT loop budget is always checked against real wall time.
+safeguards time themselves by wall clock, which is hardware-dependent; the
+detector's time is taken once per tick around the call, warm-up ticks
+included. Pass a :class:`CostModel` and the runners here charge it for the
+work counts the safeguards report instead (scan comparisons, scored
+records, attested bytes, decoded and stored data), for deterministic
+(byte-identical) CSV output. The near-RT loop budget is always checked
+against real wall time.
 
 CSV schemas (exact headers)::
 
@@ -26,7 +29,7 @@ import gc
 import random
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,6 +44,7 @@ from .attestation import (
     inject_code,
 )
 from .detector import (
+    MIN_CALIBRATION_WINDOWS,
     DetectorBundle,
     DetectorMetrics,
     ScoredRecord,
@@ -269,17 +273,15 @@ def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
     return outcome
 
 
-def _observe_tick(detector: StreamingDetector, records: Sequence[KpmRecord],
-                  cost_model: CostModel | None) -> list[ScoredRecord]:
-    """Score one tick; a deterministic run charges each scored record an
-    equal share of the cost model's scoring time for the tick."""
+def _score_tick(detector: StreamingDetector, records: Sequence[KpmRecord],
+                cost_model: CostModel | None) -> tuple[list[ScoredRecord], int]:
+    """Score one tick and take its detector time once: the wall time of the
+    call, or the cost model's charge for the records that got a verdict."""
+    started = wall_ns()
     scored = detector.observe_tick(records)
-    verdicts = [item for item in scored if item.verdict is not None]
-    if cost_model is not None and verdicts:
-        share = cost_model.scoring_ns(len(verdicts)) // len(verdicts)
-        for item in verdicts:
-            item.latency_ns = share
-    return scored
+    if cost_model is None:
+        return scored, wall_ns() - started
+    return scored, cost_model.scoring_ns(sum(item.verdict is not None for item in scored))
 
 
 def _attestation_round(engine: AttestationEngine, image: XappImage,
@@ -434,6 +436,9 @@ def train_detector_bundle(
     scaler = fit_scaler(train_records)
     train_x, train_y = build_windows(train_records, scaler)
     val_x, val_y = build_windows(val_records, scaler)
+    if len(val_x) < MIN_CALIBRATION_WINDOWS:
+        raise ConfigError(f"threshold calibration needs {MIN_CALIBRATION_WINDOWS} benign "
+                          f"validation windows; the scenario gives {len(val_x)}")
     result = train_model(train_x, train_y, train_config)
     threshold = calibrate_threshold(result.model, scaler, val_x, val_y)
     return DetectorBundle(model=result.model, scaler=scaler, threshold=threshold)
@@ -442,7 +447,6 @@ def train_detector_bundle(
 @dataclass
 class DetectorExperimentResult:
     per_af: dict[float, DetectorMetrics]
-    per_af_runs: dict[float, list[DetectorMetrics]]
     csv_rows: list[str]
 
 
@@ -460,10 +464,9 @@ def run_detector_experiment(
         raise ConfigError("the detector experiment needs poisoning targets")
 
     per_af: dict[float, DetectorMetrics] = {}
-    per_af_runs: dict[float, list[DetectorMetrics]] = {}
     csv_rows: list[str] = []
     for af in af_grid:
-        run_metrics: list[DetectorMetrics] = []
+        pooled, detect_ns = DetectorMetrics(), 0
         for run in range(runs):
             scenario = replace(config, amplification_factor=af)
             emulator = RanEmulator(scenario, run_seed=config.rng_seed + 100 + run)
@@ -476,46 +479,26 @@ def run_detector_experiment(
                 for lab in tick_labels:
                     labels[(lab.ue_id, lab.timestamp)] = lab.poisoned
                 all_labels.extend(tick_labels)
-                scored.extend(_observe_tick(detector, records, cost_model))
+                tick_scored, tick_ns = _score_tick(detector, records, cost_model)
+                scored.extend(tick_scored)
+                detect_ns += tick_ns
             if run == 0 and out_dir is not None:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
                 write_ground_truth_csv(
                     all_labels, Path(out_dir) / f"ground_truth_af{af}.csv"
                 )
-            run_metrics.append(evaluate(scored, labels))
-        pooled = _pool_metrics(run_metrics)
+            pooled += evaluate(scored, labels)
         if pooled.adr_pct is None:
             raise ConfigError(f"AF {af}: scenario produced no scored poisoned records")
+        pooled.mean_latency_ms = (
+            detect_ns / (pooled.scored_poisoned + pooled.scored_benign) / 1e6)
         per_af[af] = pooled
-        per_af_runs[af] = run_metrics
         csv_rows.append(
             f"{af},{pooled.adr_pct:.4f},{pooled.fpr_pct:.4f},{pooled.mean_latency_ms:.6f}"
         )
     if out_dir is not None:
         write_csv(Path(out_dir) / "detector.csv", DETECTOR_CSV_HEADER, csv_rows)
-    return DetectorExperimentResult(per_af=per_af, per_af_runs=per_af_runs, csv_rows=csv_rows)
-
-
-def _pool_metrics(metrics: Sequence[DetectorMetrics]) -> DetectorMetrics:
-    poisoned = sum(m.scored_poisoned for m in metrics)
-    benign = sum(m.scored_benign for m in metrics)
-    flagged_p = sum(m.flagged_poisoned for m in metrics)
-    flagged_b = sum(m.flagged_benign for m in metrics)
-    total = poisoned + benign
-    weighted_latency = (
-        sum(m.mean_latency_ms * (m.scored_poisoned + m.scored_benign) for m in metrics) / total
-        if total
-        else 0.0
-    )
-    return DetectorMetrics(
-        adr_pct=(100.0 * flagged_p / poisoned) if poisoned else None,
-        fpr_pct=(100.0 * flagged_b / benign) if benign else 0.0,
-        mean_latency_ms=weighted_latency,
-        scored_poisoned=poisoned,
-        scored_benign=benign,
-        flagged_poisoned=flagged_p,
-        flagged_benign=flagged_b,
-    )
+    return DetectorExperimentResult(per_af=per_af, csv_rows=csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +520,11 @@ class AttestationExperimentResult:
         return sum(s[0] for s in series) / len(series)
 
     def steady_mean(self, size_mb: float) -> float:
-        steady = series_steady(self.latencies_ms[size_mb])
+        steady = [value for run in self.latencies_ms[size_mb] for value in run[1:]]
         return sum(steady) / len(steady)
 
     def steady_per_mb(self, size_mb: float) -> float:
         return self.steady_mean(size_mb) / size_mb
-
-
-def series_steady(series: list[list[float]]) -> list[float]:
-    return [value for run in series for value in run[1:]]
 
 
 def run_attestation_experiment(
@@ -693,162 +672,127 @@ def consumer_xapp_loop(store: TelemetryStore, t: int,
 
 
 @dataclass
-class UseCaseArm:
-    """Per-tick series and end state of one arm of a run: its guarded or
-    its baseline passes."""
+class TickReport:
+    """What one pipeline did in one tick; the decision holds its data availability."""
 
-    inspector_ms: list[float] = field(default_factory=list)
-    detector_ms: list[float] = field(default_factory=list)
-    availability_ms: list[float] = field(default_factory=list)
-    loop_wall_ms: list[float] = field(default_factory=list)
-    real_wall_ms: list[float] = field(default_factory=list)
-    decisions: list[ConsumerDecision] = field(default_factory=list)
-    store: TelemetryStore = field(default_factory=TelemetryStore)
-    mitigation: MitigationState = field(default_factory=MitigationState)
-    flagged_keys: set[tuple[int, int]] = field(default_factory=set)
-    attestation_outcomes: list[str] = field(default_factory=list)
-    #: frames and KPM payloads dropped because they failed to decode
-    codec_errors: int = 0
-    #: KPM records dropped as replays: their (ue_id, timestamp) was already
-    #: stored, flagged, or received earlier in the same tick
-    replays: int = 0
+    inspector_ms: float
+    detector_ms: float
+    stored: int  # records that reached the store this tick
+    decision: ConsumerDecision
+    #: the loop time: wall clock, or the cost model's charge in deterministic mode
+    loop_wall_ms: float
+    real_wall_ms: float
 
 
-class _UseCaseRun:
-    """One use-case run: each tick, one emulator's frames feed the guarded
-    pass and then the baseline pass, and attestation runs between ticks.
+class RicPipeline:
+    """The near-RT chain over one tick's E2 frames: decode, inspect, decode
+    KPM and drop replays, score, mitigate, store, consumer xApp.
 
-    The guarded pass decodes, inspects and mitigates each frame, then scores
-    the benign indications' KPM records and mitigates or stores each one; the
-    baseline pass decodes and stores. Both end in the consumer xApp. Frames
-    and KPM payloads that fail to decode, and replayed KPM records, are
-    dropped and counted.
+    Built with a rulebook and a detector bundle it is the guarded arm of the
+    use case; built without them, the baseline that decodes and stores.
+    Frames and KPM payloads that fail to decode, and replayed KPM records,
+    are dropped and counted.
     """
 
-    def __init__(self, config: ScenarioConfig, run_seed: int, bundle: DetectorBundle,
-                 rulebook: SignatureSet, cost_model: CostModel | None = None,
-                 attest_reference: Path | None = None) -> None:
-        self.emulator = RanEmulator(config, rulebook, run_seed=run_seed)
-        self.guarded, self.baseline = UseCaseArm(), UseCaseArm()
-        self.clock = SimClock()
+    def __init__(self, clock: SimClock, cost_model: CostModel | None = None, *,
+                 size_calibrated: bool = False, rulebook: SignatureSet | None = None,
+                 bundle: DetectorBundle | None = None) -> None:
+        self.clock, self.cost_model = clock, cost_model
+        # size-calibrated indications carry stand-in bytes, not a KPM report
+        self.size_calibrated = size_calibrated
         self.policy = experiment_policy(rulebook)
-        # one inspector for every E2 connection, on the guarded arm's blocklist
-        self.inspector = IngressInspector(NaiveMatcher(rulebook),
-                                          self.guarded.mitigation.blocklist)
-        self.detector = StreamingDetector(bundle)
-        self.cost_model = cost_model
-        self.engine = self.image = None
-        if attest_reference is not None:
-            self.engine = AttestationEngine(clock=self.clock.now_ns,
-                                            rng=random.Random(config.rng_seed))
-            self.engine.register("consumer-xapp", attest_reference)
-            reference = attest_reference.read_bytes()
-            self.image = XappImage("consumer-xapp", bytearray(reference), len(reference))
+        self.store = TelemetryStore()
+        self.mitigation = MitigationState()
+        self.flagged_keys: set[tuple[int, int]] = set()
+        #: frames and KPM payloads dropped because they failed to decode
+        self.codec_errors = 0
+        #: KPM records dropped as replays: their (ue_id, timestamp) was already
+        #: stored, flagged, or received earlier in the same tick
+        self.replays = 0
+        # one inspector for every E2 connection, on the pipeline's blocklist
+        self.inspector = (None if rulebook is None else
+                          IngressInspector(NaiveMatcher(rulebook), self.mitigation.blocklist))
+        self.detector = None if bundle is None else StreamingDetector(bundle)
 
-    def tick(self, t: int) -> None:
-        self.clock.advance_to_ns(t * 1_000_000_000)
-        frames = [em.frame for em in self.emulator.step(t)]
-        self.guarded_pass(t, frames)
-        self.baseline_pass(t, frames)
-        # Attestation runs outside the control loop, between ticks.
-        if self.engine is not None and t % DEFAULT_ATTESTATION_PERIOD_S == 0:
-            result = _attestation_round(self.engine, self.image, self.cost_model)
-            self.guarded.attestation_outcomes.append(result.outcome)
-
-    def guarded_pass(self, t: int, frames: Sequence[bytes]) -> None:
-        arm, started = self.guarded, wall_ns()
-        inspect_ns = 0
+    def process_tick(self, t: int, frames: Sequence[bytes]) -> TickReport:
+        started, now_ms = wall_ns(), self.clock.now_ms()
+        inspect_ns = detect_ns = stored = 0
         records: list[KpmRecord] = []
         sources: list[int] = []  # the sending node of each record
         seen: set[tuple[int, int]] = set()
-        for msg in self._decoded(arm, frames):
-            outcome = _inspect(self.inspector, msg, t, self.policy, arm.mitigation,
-                               self.clock.now_ms(), self.cost_model)
-            inspect_ns += outcome.inspect_latency_ns
-            if outcome.verdict is not Verdict.BENIGN:
-                continue  # diverted or blocked: never reaches dispatch
-            decoded = self._kpm_records(arm, msg, seen)
+        for frame in frames:
+            try:
+                msg = decode_frame(frame, clock=self.clock.now_ns)
+            except E2CodecError:
+                self.codec_errors += 1
+                continue
+            if self.inspector is not None:
+                outcome = _inspect(self.inspector, msg, t, self.policy, self.mitigation,
+                                   now_ms, self.cost_model)
+                inspect_ns += outcome.inspect_latency_ns
+                if outcome.verdict is not Verdict.BENIGN:
+                    continue  # diverted or blocked: never reaches dispatch
+            decoded = self._kpm_records(msg, seen)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
-        scored = _observe_tick(self.detector, records, self.cost_model)
-        stored = 0
-        for item, node_id in zip(scored, sources):
-            verdict = item.verdict
+        verdicts = [None] * len(records)
+        if self.detector is not None:
+            scored, detect_ns = _score_tick(self.detector, records, self.cost_model)
+            verdicts = [item.verdict for item in scored]
+        for record, verdict, node_id in zip(records, verdicts, sources):
             if verdict is not None and verdict.is_anomalous:
-                arm.flagged_keys.add((verdict.ue_id, verdict.timestamp))
+                self.flagged_keys.add((verdict.ue_id, verdict.timestamp))
                 event = DetectionEvent(
                     detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
-                    timestamp_ms=self.clock.now_ms(), node_id=node_id, ue_id=verdict.ue_id,
+                    timestamp_ms=now_ms, node_id=node_id, ue_id=verdict.ue_id,
                 )
-                apply_actions(arm.mitigation, event,
+                apply_actions(self.mitigation, event,
                               resolve_kpm_event(verdict, node_id, self.policy))
             else:
-                arm.store.append(item.record)
+                self.store.append(record)
                 stored += 1
-        self._end_tick(arm, t, frames, started, stored, inspect_ns,
-                       sum(item.latency_ns for item in scored))
+        return self._report(t, frames, started, inspect_ns, detect_ns, stored)
 
-    def baseline_pass(self, t: int, frames: Sequence[bytes]) -> None:
-        arm, started = self.baseline, wall_ns()
-        stored, seen = 0, set()
-        for msg in self._decoded(arm, frames):
-            for record in self._kpm_records(arm, msg, seen):
-                arm.store.append(record)
-                stored += 1
-        self._end_tick(arm, t, frames, started, stored)
-
-    def _decoded(self, arm: UseCaseArm, frames: Sequence[bytes]) -> Iterable[E2Message]:
-        for frame in frames:
-            try:
-                yield decode_frame(frame, clock=self.clock.now_ns)
-            except E2CodecError:
-                arm.codec_errors += 1
-
-    def _kpm_records(self, arm: UseCaseArm, msg: E2Message,
-                     seen: set[tuple[int, int]]) -> Sequence[KpmRecord]:
+    def _kpm_records(self, msg: E2Message, seen: set[tuple[int, int]]) -> Sequence[KpmRecord]:
         """The message's KPM records, less replays; ``seen`` holds the keys
         of the tick's records so far and gains the ones returned."""
-        # size-calibrated indications carry stand-in bytes, not a KPM report
-        if msg.kind is not E2MessageKind.INDICATION or self.emulator.config.size_calibrated:
+        if msg.kind is not E2MessageKind.INDICATION or self.size_calibrated:
             return ()
         try:
             decoded = decode_kpm_payload(msg.payload)
         except E2CodecError:
-            arm.codec_errors += 1
+            self.codec_errors += 1
             return ()
         fresh = []
         for record in decoded:
             key = (record.ue_id, record.timestamp)
             # a flagged record is not stored, but must not be scored again
-            if key in seen or key in arm.store or key in arm.flagged_keys:
-                arm.replays += 1
+            if key in seen or key in self.store or key in self.flagged_keys:
+                self.replays += 1
             else:
                 seen.add(key)
                 fresh.append(record)
         return fresh
 
-    def _end_tick(self, arm: UseCaseArm, t: int, frames: Sequence[bytes], started_ns: int,
-                  stored: int, inspect_ns: int = 0, detect_ns: int = 0) -> None:
-        """Time the data availability, run the consumer, record the tick."""
+    def _report(self, t: int, frames: Sequence[bytes], started_ns: int, inspect_ns: int,
+                detect_ns: int, stored: int) -> TickReport:
+        """Time the data availability, run the consumer, report the tick."""
         cost = self.cost_model
         if cost is None:
             availability_ms = (wall_ns() - started_ns) / 1e6
         else:
             decode_ns = sum(cost.decode_ns(len(frame)) for frame in frames)
             availability_ms = (decode_ns + inspect_ns + detect_ns + cost.store_ns(stored)) / 1e6
-        decision = consumer_xapp_loop(arm.store, t, availability_ms)
+        decision = consumer_xapp_loop(self.store, t, availability_ms)
         if cost is not None:
             decision = replace(decision, busy_ms=cost.consumer_pass_ns / 1e6)
         real_wall_ms = (wall_ns() - started_ns) / 1e6
-        arm.decisions.append(decision)
-        arm.inspector_ms.append(inspect_ns / 1e6)
-        arm.detector_ms.append(detect_ns / 1e6)
-        arm.availability_ms.append(availability_ms)
-        arm.loop_wall_ms.append(
-            real_wall_ms if cost is None else availability_ms + decision.busy_ms
+        return TickReport(
+            inspector_ms=inspect_ns / 1e6, detector_ms=detect_ns / 1e6, stored=stored,
+            decision=decision, real_wall_ms=real_wall_ms,
+            loop_wall_ms=real_wall_ms if cost is None else availability_ms + decision.busy_ms,
         )
-        arm.real_wall_ms.append(real_wall_ms)
 
 
 @dataclass
@@ -859,21 +803,16 @@ class UseCaseResult:
     detector_ms: list[float]
     loop_wall_ms: list[float]
     real_wall_ms: list[float]
-    consumer_totals: list[tuple[float, float]]  # (safeguarded, baseline) per run
-    arms: list[tuple[UseCaseArm, UseCaseArm]]
+    #: (guarded, baseline) reports per (run, loop), run-major
+    reports: list[tuple[TickReport, TickReport]]
+    #: (guarded, baseline) pipelines per run, in their end state
+    arms: list[tuple[RicPipeline, RicPipeline]]
+    attestation_outcomes: list[str]
     csv_rows: list[str]
 
     @property
     def avg_shift_ms(self) -> float:
         return sum(self.shift_ms) / len(self.shift_ms)
-
-    @property
-    def max_shift_ms(self) -> float:
-        return max(self.shift_ms)
-
-    @property
-    def min_shift_ms(self) -> float:
-        return min(self.shift_ms)
 
     def summary_table(self) -> dict[str, tuple[float, float, float]]:
         """min/max/avg of the three measured times, over all runs and loops."""
@@ -896,32 +835,45 @@ def run_use_case(
     attest_reference: Path | None = None,
     out_dir=None,
 ) -> UseCaseResult:
-    """Paired safeguarded/baseline passes over the same frames, measuring the
-    data-availability shift imposed on the consumer xApp."""
-    arms: list[tuple[UseCaseArm, UseCaseArm]] = []
+    """Each tick, one emulator's frames go through the guarded pipeline and
+    then the baseline pipeline, measuring the data-availability shift the
+    safeguards impose on the consumer xApp. Attestation runs between ticks."""
+    reports, arms, attestation_outcomes = [], [], []
     for run in range(runs):
-        use_case = _UseCaseRun(config, config.rng_seed + 1 + run, bundle, rulebook,
-                               cost_model, attest_reference)
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
+        clock = SimClock()
+        guarded = RicPipeline(clock, cost_model, size_calibrated=config.size_calibrated,
+                              rulebook=rulebook, bundle=bundle)
+        baseline = RicPipeline(clock, cost_model, size_calibrated=config.size_calibrated)
+        engine = None
+        if attest_reference is not None:
+            engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(config.rng_seed))
+            engine.register("consumer-xapp", attest_reference)
+            reference = attest_reference.read_bytes()
+            image = XappImage("consumer-xapp", bytearray(reference), len(reference))
         with _gc_paused():
             for t in range(config.loops):
-                use_case.tick(t)
-        arms.append((use_case.guarded, use_case.baseline))
-    guarded_arms = [guarded for guarded, _ in arms]
-    shift_ms = [g - b for guarded, baseline in arms
-                for g, b in zip(guarded.availability_ms, baseline.availability_ms)]
-    inspector_ms = [v for arm in guarded_arms for v in arm.inspector_ms]
-    detector_ms = [v for arm in guarded_arms for v in arm.detector_ms]
-    loop_wall_ms = [v for arm in guarded_arms for v in arm.loop_wall_ms]
-    real_wall_ms = [v for arm in guarded_arms for v in arm.real_wall_ms]
+                clock.advance_to_ns(t * 1_000_000_000)
+                frames = [em.frame for em in emulator.step(t)]
+                reports.append((guarded.process_tick(t, frames),
+                                baseline.process_tick(t, frames)))
+                # Attestation runs outside the control loop, between ticks.
+                if engine is not None and t % DEFAULT_ATTESTATION_PERIOD_S == 0:
+                    attestation_outcomes.append(
+                        _attestation_round(engine, image, cost_model).outcome)
+        arms.append((guarded, baseline))
+    shift_ms = [g.decision.availability_ms - b.decision.availability_ms for g, b in reports]
+    inspector_ms = [g.inspector_ms for g, _ in reports]
+    detector_ms = [g.detector_ms for g, _ in reports]
+    loop_wall_ms = [g.loop_wall_ms for g, _ in reports]
+    real_wall_ms = [g.real_wall_ms for g, _ in reports]
     csv_rows = [
         f"{i // config.loops},{i % config.loops},{ins:.6f},{det:.6f},{shift:.6f},{wall:.6f}"
         for i, (ins, det, shift, wall) in enumerate(
             zip(inspector_ms, detector_ms, shift_ms, loop_wall_ms))
     ]
 
-    ue_label = config.total_ues if config.total_ues is not None else (
-        config.ues_per_cell * config.node_count * config.cells_per_node
-    )
+    ue_label = len(emulator.profiles)
     result = UseCaseResult(
         total_ues=ue_label,
         shift_ms=shift_ms,
@@ -929,9 +881,9 @@ def run_use_case(
         detector_ms=detector_ms,
         loop_wall_ms=loop_wall_ms,
         real_wall_ms=real_wall_ms,
-        consumer_totals=[tuple(sum(d.busy_ms for d in arm.decisions) for arm in pair)
-                         for pair in arms],
+        reports=reports,
         arms=arms,
+        attestation_outcomes=attestation_outcomes,
         csv_rows=csv_rows,
     )
     if out_dir is not None:

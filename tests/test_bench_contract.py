@@ -1,7 +1,9 @@
-"""The benchmark under ``bench/`` imports names from ``ricguard``; each must
-still resolve, so removing one from the package cannot silently break it.
+"""The benchmark under ``bench/`` and the scripts under ``demos/`` import
+names from ``ricguard``; each must still resolve, so removing one from the
+package cannot silently break them.
 
-The scripts are only parsed, never run.
+The scripts are only parsed, never run. For the two demos that train a
+detector, which the suite does not run, this is the only check.
 """
 
 import ast
@@ -10,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def _ricguard_imports():
     """(script, module, name) for every ``from ricguard... import name``."""
-    for path in sorted(BENCH_DIR.glob("*.py")):
+    for path in SCRIPTS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ricguard":
                 for alias in node.names:
@@ -26,7 +29,9 @@ IMPORTS = list(_ricguard_imports())
 
 
 def test_bench_imports_found():
-    assert len({script for script, _, _ in IMPORTS}) >= 3
+    scripts = {script for script, _, _ in IMPORTS}
+    assert len(scripts) >= 3
+    assert {"detect_poisoning.py", "end_to_end_loop.py"} <= scripts
 
 
 @pytest.mark.parametrize("script,module,name", IMPORTS,

@@ -352,13 +352,12 @@ class TestStatisticalSeparation:
 
 
 class TestEvaluate:
-    def scored(self, flags, poisons, latency_ns=100_000):
+    def scored(self, flags, poisons):
         items, labels = [], {}
         for i, (flagged, poisoned) in enumerate(zip(flags, poisons)):
             record = KpmRecord.from_features(i * 1000, 1, np.full(6, 1.0))
             verdict = AnomalyVerdict(1, i * 1000, 2.0 if flagged else 0.5, 1.0)
-            items.append(ScoredRecord(record=record, verdict=verdict,
-                                      latency_ns=latency_ns))
+            items.append(ScoredRecord(record=record, verdict=verdict))
             labels[(1, i * 1000)] = poisoned
         return items, labels
 
@@ -370,7 +369,10 @@ class TestEvaluate:
         metrics = evaluate(items, labels)
         assert metrics.adr_pct == pytest.approx(98.0)
         assert metrics.fpr_pct == pytest.approx(0.0)
-        assert metrics.mean_latency_ms == pytest.approx(0.1)
+        # pooling runs sums their counts
+        pooled = metrics + evaluate(*self.scored([True, True], [False, True]))
+        assert (pooled.scored_poisoned, pooled.flagged_poisoned) == (101, 99)
+        assert (pooled.scored_benign, pooled.flagged_benign) == (51, 1)
 
     def test_fpr_counts_flagged_benign(self):
         items, labels = self.scored([False, True, True, False],

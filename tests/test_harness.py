@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ricguard.harness import (
     INSPECTOR_CSV_HEADER,
     TelemetryStore,
     USE_CASE_CSV_HEADER,
-    _UseCaseRun,
+    RicPipeline,
     detector_preset,
     experiment_policy,
     inspector_preset,
@@ -32,11 +33,14 @@ from ricguard.harness import (
     run_detector_experiment,
     run_inspector_experiment,
     run_use_case,
+    train_detector_bundle,
     use_case_preset,
 )
+from ricguard.detector import StreamingDetector
 from ricguard.kpm import KpmRecord
 from ricguard.mitigation import Magnitude, MitigationAction, MitigationPolicy
-from ricguard.timing import DEFAULT_COST_MODEL
+from ricguard.recurrent import TrainConfig
+from ricguard.timing import DEFAULT_COST_MODEL, SimClock
 
 
 def record(ts=1000, ue=1):
@@ -219,6 +223,17 @@ class TestDetectorExperiment:
         with pytest.raises(ConfigError):
             run_detector_experiment(config, af_grid=(1.5,), runs=1, bundle=quick_bundle)
 
+    def test_too_few_validation_windows_is_config_error(self, monkeypatch):
+        """20 UEs give 400 validation windows: the run stops before training,
+        naming the count it got and the count calibration needs."""
+        import ricguard.harness as harness
+
+        monkeypatch.setattr(harness, "train_model", lambda *args: pytest.fail("trained"))
+        config = ScenarioConfig(node_count=3, cells_per_node=3, total_ues=20,
+                                poison_target_fraction=0.3)
+        with pytest.raises(ConfigError, match=r"needs 500 .* gives 400"):
+            train_detector_bundle(config, TrainConfig(hidden_size=4, epochs=1))
+
     def test_deterministic_rows(self, quick_bundle):
         config = detector_preset(seed=1, loops=50)
         first = run_detector_experiment(config, af_grid=(1.2, 1.5), runs=2,
@@ -270,10 +285,10 @@ class TestUseCase:
         config = use_case_preset(seed=2, total_ues=20, loops=30)
         result = run_use_case(config, quick_bundle, rulebook, runs=1,
                               cost_model=DEFAULT_COST_MODEL)
-        safeguarded, _ = result.arms[0]
-        for t, decision in enumerate(safeguarded.decisions):
-            availability = safeguarded.availability_ms[t]
-            assert decision.decision_timestamp_ms >= t * 1000 + availability
+        for t, (report, _) in enumerate(result.reports):
+            decision = report.decision
+            assert decision.loop == t
+            assert decision.decision_timestamp_ms >= t * 1000 + decision.availability_ms
 
     def test_attestation_rounds_run_clean(self, quick_bundle, rulebook, tmp_path):
         reference = tmp_path / "consumer.bin"
@@ -282,9 +297,8 @@ class TestUseCase:
         result = run_use_case(config, quick_bundle, rulebook, runs=1,
                               cost_model=DEFAULT_COST_MODEL,
                               attest_reference=reference)
-        safeguarded, _ = result.arms[0]
-        assert len(safeguarded.attestation_outcomes) == 6  # every 5 ticks
-        assert all(o == "valid" for o in safeguarded.attestation_outcomes)
+        assert len(result.attestation_outcomes) == 6  # every 5 ticks
+        assert all(o == "valid" for o in result.attestation_outcomes)
 
     def test_attestation_does_not_touch_loop_costs(self, quick_bundle, rulebook, tmp_path):
         reference = tmp_path / "consumer.bin"
@@ -312,17 +326,56 @@ class TestUseCase:
         result = run_use_case(config, quick_bundle, rulebook, runs=1,
                               cost_model=DEFAULT_COST_MODEL)
         busy_ms = DEFAULT_COST_MODEL.consumer_pass_ns / 1e6
-        for arm in result.arms[0]:
-            assert [d.busy_ms for d in arm.decisions] == [busy_ms] * config.loops
-            assert arm.loop_wall_ms == [a + busy_ms for a in arm.availability_ms]
+        assert len(result.reports) == config.loops
+        for report in (report for pair in result.reports for report in pair):
+            assert report.decision.busy_ms == busy_ms
+            assert report.loop_wall_ms == report.decision.availability_ms + busy_ms
 
     def test_aggregate_runtime_unchanged_by_safeguards(self, quick_bundle, rulebook):
         # idle time absorbs the shifts: consumer busy totals match across arms
         config = use_case_preset(seed=2, total_ues=20, loops=30)
         result = run_use_case(config, quick_bundle, rulebook, runs=1,
                               cost_model=DEFAULT_COST_MODEL)
-        safeguarded_total, baseline_total = result.consumer_totals[0]
+        safeguarded_total = sum(g.decision.busy_ms for g, _ in result.reports)
+        baseline_total = sum(b.decision.busy_ms for _, b in result.reports)
         assert safeguarded_total == pytest.approx(baseline_total, rel=0.05)
+
+    def test_shift_composition_deterministic(self, quick_bundle, rulebook, monkeypatch):
+        """Per tick, the detector charge is the cost of its scored records, and
+        the shift is inspector plus detector time less the store work of the
+        records the baseline stored and the guarded arm dropped. The shift is
+        compared in whole nanoseconds, the cost model's unit: the millisecond
+        floats of its terms round differently from their difference."""
+        scored_per_tick = []
+        observe_tick = StreamingDetector.observe_tick
+
+        def counting_observe_tick(detector, records):
+            scored = observe_tick(detector, records)
+            scored_per_tick.append(sum(item.verdict is not None for item in scored))
+            return scored
+
+        monkeypatch.setattr(StreamingDetector, "observe_tick", counting_observe_tick)
+        cost = DEFAULT_COST_MODEL
+        config = use_case_preset(seed=2, total_ues=20, loops=40)
+        result = run_use_case(config, quick_bundle, rulebook, runs=1, cost_model=cost)
+        assert len(scored_per_tick) == len(result.reports) == config.loops
+        dropped = [b.stored - g.stored for g, b in result.reports]
+        assert 0 in scored_per_tick and any(dropped), "warm-up and flagged ticks"
+
+        def ns(ms):
+            return round(ms * 1e6)
+
+        for (guarded, _), scored, lost, shift in zip(result.reports, scored_per_tick,
+                                                      dropped, result.shift_ms):
+            assert guarded.detector_ms == scored * cost.ns_per_scored_record / 1e6
+            assert ns(shift) == (ns(guarded.inspector_ms) + ns(guarded.detector_ms)
+                                 - cost.store_ns(lost))
+
+    def test_wall_detector_time_counts_every_tick(self, quick_bundle, rulebook):
+        # warm-up ticks score nothing, but the detector still runs on them
+        config = use_case_preset(seed=2, total_ues=20, loops=12)
+        result = run_use_case(config, quick_bundle, rulebook, runs=1)
+        assert all(ms > 0 for ms in result.detector_ms)
 
 
 class TestConsumerLoop:
@@ -336,13 +389,18 @@ class TestConsumerLoop:
 
 
 class TestGuardedPass:
+    @staticmethod
+    def _pipelines(bundle, rulebook):
+        """A guarded and a baseline pipeline on one clock."""
+        clock = SimClock()
+        return RicPipeline(clock, rulebook=rulebook, bundle=bundle), RicPipeline(clock)
+
     def test_forged_frames_fail_closed(self, quick_bundle, rulebook):
         """Forged frames from node 7: a UE the emulator never created warms
         up and then spikes, next to a truncated frame and a truncated KPM
         payload. None of them ends the run."""
-        run = _UseCaseRun(use_case_preset(seed=2, total_ues=20, loops=20), 3,
-                          quick_bundle, rulebook)
-        run.policy = MitigationPolicy.default()  # a significant spike blocks its node
+        guarded, _ = self._pipelines(quick_bundle, rulebook)
+        guarded.policy = MitigationPolicy.default()  # a significant spike blocks its node
         scaler = quick_bundle.scaler
 
         def frame(t, values, node=7, ue=999_999):
@@ -351,13 +409,12 @@ class TestGuardedPass:
             return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
 
         for t in range(10):
-            run.guarded_pass(t, [frame(t, scaler.mean)])
+            guarded.process_tick(t, [frame(t, scaler.mean)])
         spike = frame(10, scaler.mean + 1000 * scaler.std)
         cut_kpm = encode_frame(E2Message(E2MessageKind.INDICATION, 7,
                                          spike[FRAME_HEADER_SIZE:-5]))
-        run.guarded_pass(10, [spike, spike[:-5], cut_kpm])
+        guarded.process_tick(10, [spike, spike[:-5], cut_kpm])
 
-        guarded = run.guarded
         assert guarded.codec_errors == 2
         assert guarded.flagged_keys == {(999_999, 10_000)}
         (incident,) = guarded.mitigation.log.reports
@@ -374,40 +431,35 @@ class TestGuardedPass:
         return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
 
     def test_negative_and_non_finite_features_are_dropped(self, quick_bundle, rulebook):
-        run = _UseCaseRun(use_case_preset(seed=2, total_ues=20, loops=20), 3,
-                          quick_bundle, rulebook)
         forged = [self._raw_kpm_frame(0, (1, 2, bad, 4, 5, 6), ue=ue)
                   for ue, bad in enumerate((-1.0, math.nan, math.inf, -math.inf))]
         good = self._raw_kpm_frame(0, (1, 2, 3, 4, 5, 6), ue=10)
-        run.guarded_pass(0, [*forged, good])
-        run.baseline_pass(0, [*forged, good])
-        for arm in (run.guarded, run.baseline):
-            assert arm.codec_errors == 4
-            (row,) = arm.store.records_at(0)
+        for pipeline in self._pipelines(quick_bundle, rulebook):
+            pipeline.process_tick(0, [*forged, good])
+            assert pipeline.codec_errors == 4
+            (row,) = pipeline.store.records_at(0)
             assert row.ue_id == 10 and np.isfinite(row.features()).all()
 
     def test_replayed_records_are_dropped(self, quick_bundle, rulebook):
         """The same report twice in one tick, again one tick later, and a
         flagged spike sent again: each replay is dropped and counted."""
-        run = _UseCaseRun(use_case_preset(seed=2, total_ues=20, loops=20), 3,
-                          quick_bundle, rulebook)
+        guarded, baseline = self._pipelines(quick_bundle, rulebook)
         scaler = quick_bundle.scaler
         first = self._raw_kpm_frame(0, scaler.mean)
-        for arm_pass in (run.guarded_pass, run.baseline_pass):
-            arm_pass(0, [first, first])
-            arm_pass(1, [first, self._raw_kpm_frame(1, scaler.mean)])
-        for arm in (run.guarded, run.baseline):
-            assert arm.replays == 2
-            assert len(arm.store) == 2
+        for pipeline in (guarded, baseline):
+            pipeline.process_tick(0, [first, first])
+            pipeline.process_tick(1, [first, self._raw_kpm_frame(1, scaler.mean)])
+            assert pipeline.replays == 2
+            assert len(pipeline.store) == 2
 
         for t in range(2, 10):
-            run.guarded_pass(t, [self._raw_kpm_frame(t, scaler.mean)])
+            guarded.process_tick(t, [self._raw_kpm_frame(t, scaler.mean)])
         spike = self._raw_kpm_frame(10, scaler.mean + 1000 * scaler.std)
-        run.guarded_pass(10, [spike])
-        assert run.guarded.flagged_keys == {(999_999, 10_000)}
-        run.guarded_pass(11, [spike])
-        assert run.guarded.replays == 3
-        assert (999_999, 10_000) not in run.guarded.store
+        guarded.process_tick(10, [spike])
+        assert guarded.flagged_keys == {(999_999, 10_000)}
+        guarded.process_tick(11, [spike])
+        assert guarded.replays == 3
+        assert (999_999, 10_000) not in guarded.store
 
 
 class TestCli:
@@ -471,6 +523,42 @@ class TestCli:
             "inspect-ues-total"])
     def test_flag_the_subcommand_ignores_exits_three(self, tmp_path, argv):
         assert cli_main([*argv, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["use-case", "--ues-total", "30"],
+        ["inspect-bench", "--ues-per-cell", "3"],
+        ["run-all", "--ues-total", "30"],
+    ], ids=["use-case-ues-total", "inspect-ues-per-cell", "run-all-ues-total"])
+    def test_preset_flag_with_config_exits_three(self, tmp_path, monkeypatch, argv):
+        import ricguard.cli as cli
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: pytest.fail("trained"))
+        # inspect-bench runs this scenario as it is, so exit 3 comes from the flag
+        config = tmp_path / "scenario.cfg"
+        config.write_text("malicious_node_fraction = 0.5\nmalicious_message_fraction = 0.5\n"
+                          "size_calibrated = true\nloops = 5\ntotal_ues = 30\n")
+        assert cli_main([*argv, "--config", str(config), "--runs", "1",
+                         "--out", str(tmp_path)]) == 3
+
+    def test_use_case_config_runs_once_with_its_ue_count(self, tmp_path, monkeypatch,
+                                                          capsys):
+        import ricguard.cli as cli
+
+        config = tmp_path / "scenario.cfg"
+        config.write_text("total_ues = 30\nloops = 2\n")
+        ran = []
+
+        def run_use_case(config, *args, **kwargs):
+            ran.append(config)
+            return SimpleNamespace(total_ues=config.total_ues, real_wall_ms=[0.0],
+                                   summary_table=dict)
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: object())
+        monkeypatch.setattr(cli, "run_use_case", run_use_case)
+        assert cli_main(["use-case", "--config", str(config), "--runs", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert ran == [load_scenario_config(config)]
+        assert capsys.readouterr().out.startswith("30 UEs (1 runs x 2 loops")
 
     def test_run_all_accepts_every_flag(self):
         from ricguard.cli import build_parser
