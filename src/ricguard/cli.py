@@ -21,6 +21,7 @@ from .harness import (
     detector_preset,
     inspector_preset,
     load_scenario_config,
+    require_poisoning,
     run_attestation_experiment,
     run_detector_experiment,
     run_inspector_experiment,
@@ -150,6 +151,7 @@ def cmd_inspect_bench(args) -> None:
 
 def cmd_detect_bench(args) -> None:
     config = _scenario(args, detector_preset)
+    require_poisoning(config)  # before the bundle's training run
     result = run_detector_experiment(
         config, af_grid=args.af, runs=args.runs, bundle=_trained_bundle(args),
         cost_model=_cost_model(args), out_dir=args.out,

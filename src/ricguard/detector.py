@@ -234,18 +234,17 @@ class StreamingDetector:
         rows = self._rows_of(records)
         # every record is scored against the context from before this tick
         scorable = np.flatnonzero(self._fill[rows] == model.sequence_length)
-        scores = (score_batch(model, self._context[rows[scorable]], normalized[scorable])
-                  if scorable.size else np.empty(0))
-        keep = np.ones(len(records), dtype=bool)
-        keep[scorable] = scores <= threshold  # a NaN score is anomalous
+        scored = np.zeros(len(records), dtype=bool)
+        scored[scorable] = True
+        scores = np.zeros(len(records))
+        if scorable.size:
+            scores[scorable] = score_batch(model, self._context[rows[scorable]],
+                                           normalized[scorable])
+        keep = ~scored | (scores <= threshold)  # a NaN score is anomalous
         self._append(rows[keep], normalized[keep])
-
-        results = [ScoredRecord(rec, None) for rec in records]
-        scored = [results[idx] for idx in scorable.tolist()]
-        for item, score in zip(scored, scores.tolist()):
-            item.verdict = AnomalyVerdict(item.record.ue_id, item.record.timestamp,
-                                          score, threshold)
-        return results
+        return [ScoredRecord(rec, AnomalyVerdict(rec.ue_id, rec.timestamp, score, threshold)
+                             if is_scored else None)
+                for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
 
     def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:
         """Context row of each record's UE; a new UE takes the next row."""

@@ -61,7 +61,7 @@ from .inspector import (
     Verdict,
     latency_summary,
 )
-from .kpm import TICK_MS, KpmRecord, build_windows, fit_scaler
+from .kpm import TICK_MS, KpmRecord, build_windows, fit_scaler, records_to_matrix
 from .mitigation import (
     Blocklist,
     DetectionEvent,
@@ -450,6 +450,13 @@ class DetectorExperimentResult:
     csv_rows: list[str]
 
 
+def require_poisoning(config: ScenarioConfig) -> None:
+    """The detector experiment needs poisoned records to detect; callers that
+    train a bundle for it check this first."""
+    if config.poison_target_fraction <= 0:
+        raise ConfigError("the detector experiment needs poisoning targets")
+
+
 def run_detector_experiment(
     config: ScenarioConfig,
     bundle: DetectorBundle,
@@ -460,9 +467,7 @@ def run_detector_experiment(
 ) -> DetectorExperimentResult:
     """Per amplification factor: stream poisoned scenarios through the
     detector and pool ADR/FPR/latency over ``runs`` seeds."""
-    if config.poison_target_fraction <= 0:
-        raise ConfigError("the detector experiment needs poisoning targets")
-
+    require_poisoning(config)
     per_af: dict[float, DetectorMetrics] = {}
     csv_rows: list[str] = []
     for af in af_grid:
@@ -664,7 +669,7 @@ def consumer_xapp_loop(store: TelemetryStore, t: int,
     records = store.records_at(t * TICK_MS)
     started = wall_ns()
     if records:
-        matrix = np.stack([r.features() for r in records])
+        matrix = records_to_matrix(records)
         float(matrix.mean())  # fixed-cost decision stub
     return ConsumerDecision(loop=t, records_seen=len(records),
                             busy_ms=(wall_ns() - started) / 1e6,

@@ -54,8 +54,12 @@ class KpmRecord:
     tot_nbr_dl_per_sec: float
 
     def __post_init__(self) -> None:
-        # chained comparison: NaN fails both sides, so it is rejected too
-        if not all(0.0 <= v < math.inf for v in self.feature_values()):
+        # chained comparisons: NaN fails both sides, so it is rejected too
+        inf = math.inf
+        if not (0.0 <= self.ue_thp_ul < inf and 0.0 <= self.prb_used_ul < inf
+                and 0.0 <= self.ue_thp_dl < inf and 0.0 <= self.prb_used_dl < inf
+                and 0.0 <= self.tot_nbr_ul_per_sec < inf
+                and 0.0 <= self.tot_nbr_dl_per_sec < inf):
             raise ValueError(f"negative or non-finite KPM feature in record "
                              f"(ue={self.ue_id}, t={self.timestamp})")
 
@@ -81,10 +85,9 @@ class KpmRecord:
 
 def records_to_matrix(records: Sequence[KpmRecord]) -> np.ndarray:
     """Stack measurement features into an (n, 6) float64 matrix."""
-    out = np.empty((len(records), FEATURE_COUNT), dtype=np.float64)
-    for i, rec in enumerate(records):
-        out[i] = rec.feature_values()
-    return out
+    if not records:
+        return np.empty((0, FEATURE_COUNT))
+    return np.array([rec.feature_values() for rec in records], dtype=np.float64)
 
 
 @dataclass(frozen=True)

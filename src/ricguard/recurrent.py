@@ -8,7 +8,10 @@ anomaly score.
 
 Weight layout: the four gate blocks (input, forget, cell, output) are
 stacked row-wise in ``w_x``/``w_h``/``b``, in that order. Training is
-full-batch and fully deterministic for a fixed seed.
+full-batch and fully deterministic for a fixed seed; its forward pass
+(:func:`_forward`) runs the whole batch at once and keeps every step for
+backpropagation. Inference (:func:`predict`) runs its own forward pass over
+blocks of rows small enough to stay in cache, and keeps nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
+
+#: Scratch bytes of one block of the inference pass: 256 rows at H=32, which
+#: keeps a block's gates and state in cache.
+INFERENCE_BLOCK_BYTES = 640 << 10
 
 
 class TrainingError(RuntimeError):
@@ -87,22 +94,30 @@ def init_model(hidden_size: int, rng: np.random.Generator,
     )
 
 
-def _forward(model: SequenceModel, inputs: np.ndarray, keep_cache: bool):
-    """Run the LSTM over (n, T, F) inputs; returns (n, F) predictions.
-
-    The input projection of every step is one matmul into a (T, n, 4H)
-    buffer (Appleyard et al., arXiv:1604.01946); each step adds its
-    recurrent term to its slice and activates the gates there, in place.
-    The rows of the sigmoid gates are pre-scaled by 0.5, which is exact,
-    so one tanh over the slice yields tanh(z/2) for them and
-    sigma(z) = 0.5 * (1 + tanh(z/2)). The cache holds views of the buffer.
-    """
-    n, t_len, f = inputs.shape
+def _check_inputs(model: SequenceModel, inputs: np.ndarray) -> None:
+    _, t_len, f = inputs.shape
     if t_len != model.sequence_length or f != model.feature_count:
         raise ValueError(
             f"inputs of shape {inputs.shape}, expected "
             f"(n, {model.sequence_length}, {model.feature_count})"
         )
+
+
+def _forward(model: SequenceModel, inputs: np.ndarray):
+    """Run the LSTM over (n, T, F) inputs; returns the (n, F) predictions,
+    the last hidden state and the cache of every step.
+
+    This is the training pass: it runs the whole batch at once and keeps
+    every step for :func:`loss_and_grads`. The input projection of every
+    step is one matmul into a (T, n, 4H) buffer (Appleyard et al.,
+    arXiv:1604.01946); each step adds its recurrent term to its slice and
+    activates the gates there, in place. The rows of the sigmoid gates are
+    pre-scaled by 0.5, which is exact, so one tanh over the slice yields
+    tanh(z/2) for them and sigma(z) = 0.5 * (1 + tanh(z/2)). The cache
+    holds views of the buffer.
+    """
+    _check_inputs(model, inputs)
+    n, t_len, f = inputs.shape
     h_size = model.hidden_size
     scale = np.full(4 * h_size, 0.5)
     scale[2 * h_size : 3 * h_size] = 1.0
@@ -112,7 +127,7 @@ def _forward(model: SequenceModel, inputs: np.ndarray, keep_cache: bool):
     w_h = model.w_h.T * scale
     h = np.zeros((n, h_size))
     c = np.zeros((n, h_size))
-    cache = [] if keep_cache else None
+    cache = []
     for t in range(t_len):
         z = gates[t]
         z += h @ w_h
@@ -128,17 +143,76 @@ def _forward(model: SequenceModel, inputs: np.ndarray, keep_cache: bool):
         c_next += i * g
         h_next = np.tanh(c_next)
         h_next *= o
-        if keep_cache:
-            cache.append((steps[t], h, c, i, fgate, g, o, c_next))
+        cache.append((steps[t], h, c, i, fgate, g, o, c_next))
         h, c = h_next, c_next
     predictions = h @ model.w_out.T + model.b_out
     return predictions, h, cache
 
 
 def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
-    """Next-step feature predictions for a batch of windows."""
-    predictions, _, _ = _forward(model, inputs, keep_cache=False)
+    """Next-step feature predictions for a batch of (n, T, F) windows.
+
+    The inference pass: the arithmetic of :func:`_forward`, run over blocks
+    of at most :func:`_block_rows` rows so that a block's scratch stays in
+    cache, and keeping nothing; training keeps the whole-batch pass. Each
+    step projects its inputs straight into the block's (rows, 4H) gate
+    buffer, a strided view of ``inputs`` that is never copied or written.
+    The gate columns are reordered to i, f, o, g, so the three sigmoid
+    gates are one slice, and every factor 0.5 is deferred, which is exact:
+    the gates hold 2·sigma, h is carried as 2h (0.5 folded into ``w_h`` and
+    ``w_out``) and c = 0.5·(f'·c + i'·g). Step 0 skips the terms of the zero
+    h and c. Scratch is allocated per call.
+    """
+    _check_inputs(model, inputs)
+    n, t_len, _ = inputs.shape
+    h_size = model.hidden_size
+    order = np.r_[: 2 * h_size, 3 * h_size : 4 * h_size, 2 * h_size : 3 * h_size]
+    scale = np.full(4 * h_size, 0.5)
+    scale[3 * h_size :] = 1.0
+    w_x = model.w_x[order].T * scale
+    b = model.b[order] * scale
+    w_h = model.w_h[order].T * (0.5 * scale)
+    block = _block_rows(model)
+    rows = min(n, block)
+    z_buf, recur_buf = np.empty((rows, 4 * h_size)), np.empty((rows, 4 * h_size))
+    c_buf, term_buf = np.empty((rows, h_size)), np.empty((rows, h_size))
+    hidden = np.empty((n, h_size))  # 2h of every row after the last step
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        m = stop - start
+        z, recur, c, term = z_buf[:m], recur_buf[:m], c_buf[:m], term_buf[:m]
+        h2 = hidden[start:stop]
+        for t in range(t_len):
+            np.matmul(inputs[start:stop, t], w_x, out=z)
+            z += b
+            if t:
+                np.matmul(h2, w_h, out=recur)
+                z += recur
+            np.tanh(z, out=z)
+            z[:, : 3 * h_size] += 1.0
+            i = z[:, :h_size]
+            o = z[:, 2 * h_size : 3 * h_size]
+            g = z[:, 3 * h_size :]
+            if t:
+                c *= z[:, h_size : 2 * h_size]
+                np.multiply(i, g, out=term)
+                c += term
+            else:
+                np.multiply(i, g, out=c)
+            c *= 0.5
+            np.tanh(c, out=h2)
+            h2 *= o
+    predictions = hidden @ (0.5 * model.w_out.T)
+    predictions += model.b_out
     return predictions
+
+
+def _block_rows(model: SequenceModel) -> int:
+    """Rows per block of :func:`predict`: as many as keep a block's scratch
+    (two gate rows of 4H and two state rows of H per row) within
+    :data:`INFERENCE_BLOCK_BYTES`, at least one."""
+    row_bytes = 8 * (2 * 4 + 2) * model.hidden_size
+    return max(1, INFERENCE_BLOCK_BYTES // row_bytes)
 
 
 def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
@@ -146,7 +220,7 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
     """Mean-squared next-step error and analytic gradients (BPTT)."""
     n = inputs.shape[0]
     h_size = model.hidden_size
-    predictions, h_last, cache = _forward(model, inputs, keep_cache=True)
+    predictions, h_last, cache = _forward(model, inputs)
     diff = predictions - targets
     denom = diff.size
     loss = float(np.sum(diff * diff) / denom)

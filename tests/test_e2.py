@@ -180,3 +180,20 @@ class TestKpmPayload:
         payload[-16:-8] = struct.pack(">d", bad)  # the fifth feature
         with pytest.raises(FeatureValueError):
             decode_kpm_payload(bytes(payload))
+
+    @given(position=st.integers(0, 5),
+           bad=st.one_of(st.just(float("nan")), st.just(float("inf")),
+                         st.floats(max_value=-5e-324)))  # below -0.0
+    def test_any_bad_feature_in_any_position_rejected(self, position, bad):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        values[position] = bad
+        with pytest.raises(ValueError):
+            KpmRecord(1000, 5, *values)
+        payload = struct.pack(">H", 1) + struct.pack(">IQ6d", 5, 1000, *values)
+        with pytest.raises(FeatureValueError):
+            decode_kpm_payload(payload)
+
+    def test_negative_zero_feature_accepted(self):
+        record = KpmRecord(1000, 5, 1.0, -0.0, 3.0, 4.0, 5.0, 6.0)
+        payload = encode_kpm_payload(KpmReportPayload(1, 2, (record,)))
+        assert decode_kpm_payload(payload) == (record,)

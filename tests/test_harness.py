@@ -540,6 +540,16 @@ class TestCli:
         assert cli_main([*argv, "--config", str(config), "--runs", "1",
                          "--out", str(tmp_path)]) == 3
 
+    def test_poison_free_detect_bench_exits_three_before_training(self, tmp_path,
+                                                                   monkeypatch):
+        import ricguard.cli as cli
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: pytest.fail("trained"))
+        config = tmp_path / "scenario.cfg"
+        config.write_text("total_ues = 50\nloops = 5\npoison_target_fraction = 0.0\n")
+        assert cli_main(["detect-bench", "--config", str(config), "--runs", "1",
+                         "--out", str(tmp_path)]) == 3
+
     def test_use_case_config_runs_once_with_its_ue_count(self, tmp_path, monkeypatch,
                                                           capsys):
         import ricguard.cli as cli

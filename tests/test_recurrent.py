@@ -5,6 +5,8 @@ from ricguard.recurrent import (
     SequenceModel,
     TrainConfig,
     TrainingError,
+    _block_rows,
+    _forward,
     gradient_relative_error,
     init_model,
     loss_and_grads,
@@ -70,12 +72,39 @@ class TestForward:
                                                        rel=1e-12)
 
     def test_inputs_left_unmodified(self):
-        inputs, targets = tiny_data(n=4, seed=9)
-        original = inputs.copy()
         model = init_model(4, np.random.default_rng(0))
+        inputs, targets = tiny_data(n=2 * _block_rows(model) + 3, seed=9)  # several blocks
+        original = inputs.copy()
         predict(model, inputs)
         loss_and_grads(model, inputs, targets)
         assert np.array_equal(inputs, original)
+
+
+def h32_model(seed=11):
+    rng = np.random.default_rng(seed)
+    model = init_model(32, rng)
+    model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
+    return model, rng
+
+
+class TestBlockedInference:
+    """``predict`` runs blocks of rows; training's ``_forward`` runs the whole
+    batch. They do the same arithmetic, but BLAS may pick another kernel for
+    a small block, so the outputs agree to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("rows_of_block", [
+        lambda block: 1, lambda block: 7, lambda block: block - 1, lambda block: block,
+        lambda block: block + 1, lambda block: 2000, lambda block: 5000,
+    ], ids=["1", "7", "block-1", "block", "block+1", "2000", "5000"])
+    def test_matches_whole_batch_forward(self, rows_of_block):
+        model, rng = h32_model()
+        inputs = rng.standard_normal((rows_of_block(_block_rows(model)), 10, 6)) * 2.0
+        whole, _, _ = _forward(model, inputs)
+        assert predict(model, inputs) == pytest.approx(whole, rel=1e-12)
+
+    def test_empty_batch(self):
+        model, _ = h32_model()
+        assert predict(model, np.empty((0, 10, 6))).shape == (0, 6)
 
 
 class TestTraining:
