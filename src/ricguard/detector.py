@@ -20,14 +20,15 @@ array, fed only by records it has verified: flagged records never enter the
 history (nor the store), so scoring context stays clean during an attack.
 After an attack window the history carries a time gap until fresh benign
 records roll it over; the public :func:`score_window` contract (ten
-consecutive one-second records) is unchanged.
+consecutive one-second records) is unchanged. Verdicts and scored records
+are immutable named tuples, built in one pass per tick.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class CalibrationError(ValueError):
     """Raised when threshold calibration preconditions fail."""
 
 
-@dataclass(frozen=True)
-class AnomalyVerdict:
+class AnomalyVerdict(NamedTuple):
     """A scored record; it is anomalous unless ``score <= threshold``."""
 
     ue_id: int
@@ -199,8 +199,7 @@ def load_bundle(path) -> DetectorBundle:
     return DetectorBundle(model=model, scaler=FeatureScaler(mean=mean, std=std), threshold=threshold)
 
 
-@dataclass
-class ScoredRecord:
+class ScoredRecord(NamedTuple):
     """One streamed record with its verdict (None during per-UE warm-up)."""
 
     record: KpmRecord
@@ -242,8 +241,12 @@ class StreamingDetector:
                                            normalized[scorable])
         keep = ~scored | (scores <= threshold)  # a NaN score is anomalous
         self._append(rows[keep], normalized[keep])
-        return [ScoredRecord(rec, AnomalyVerdict(rec.ue_id, rec.timestamp, score, threshold)
-                             if is_scored else None)
+        # both named tuples only pack their fields; tuple.__new__ packs them
+        # without a Python-level constructor call per record
+        new = tuple.__new__
+        return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, rec.timestamp,
+                                                              score, threshold))
+                                   if is_scored else None))
                 for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
 
     def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:

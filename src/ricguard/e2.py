@@ -15,6 +15,10 @@ Full-mode KPM payloads carry telemetry records bit-exactly::
     per record: ue_id 4 B, timestamp_ms 8 B, six features as IEEE-754
     big-endian doubles in the fixed measurement-feature order
 
+A KPM payload decodes in one pass to validated, immutable
+:class:`~ricguard.kpm.KpmRecord` named tuples; one bad feature rejects the
+whole payload.
+
 Size-calibrated payloads are seeded pseudorandom bytes whose length tracks
 observed indication sizes (~100 B at one UE per cell, ~5.3 B per extra UE);
 they carry no records and exist for inspection-latency benchmarking, where
@@ -184,7 +188,8 @@ def encode_kpm_payload(report: KpmReportPayload) -> bytes:
 def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
     """Inverse of :func:`encode_kpm_payload`; reproduces records bit-exactly.
 
-    A negative or non-finite feature raises :class:`FeatureValueError`.
+    Each record is built by the validating :class:`KpmRecord` constructor, so
+    a negative or non-finite feature raises :class:`FeatureValueError`.
     """
     if len(payload) < _KPM_COUNT.size:
         raise TruncationError("KPM payload shorter than its count field")
@@ -192,14 +197,13 @@ def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
     expected = _KPM_COUNT.size + count * _KPM_RECORD.size
     if len(payload) != expected:
         raise TruncationError(f"KPM payload of {len(payload)} bytes, expected {expected}")
-    records = []
     body = memoryview(payload)[_KPM_COUNT.size:]
-    for ue_id, timestamp, *features in _KPM_RECORD.iter_unpack(body):
-        try:
-            records.append(KpmRecord(timestamp, ue_id, *features))
-        except ValueError as exc:
-            raise FeatureValueError(str(exc)) from None
-    return tuple(records)
+    try:
+        return tuple([KpmRecord(timestamp, ue_id, thp_ul, prb_ul, thp_dl, prb_dl, nbr_ul, nbr_dl)
+                      for ue_id, timestamp, thp_ul, prb_ul, thp_dl, prb_dl, nbr_ul, nbr_dl
+                      in _KPM_RECORD.iter_unpack(body)])
+    except ValueError as exc:
+        raise FeatureValueError(str(exc)) from None
 
 
 def calibrated_indication_payload(ue_count: int, rng: np.random.Generator) -> bytes:

@@ -226,27 +226,36 @@ def write_csv(path, header: str, rows: Iterable[str]) -> None:
 
 
 class TelemetryStore:
-    """Append-only verified-telemetry table keyed by (ue_id, timestamp)."""
+    """Append-only verified-telemetry table, unique by (ue_id, timestamp).
+
+    One dict per reporting tick, keyed by UE id in append order, and a row
+    count: a tick's rows are read in the order they were stored.
+    """
 
     def __init__(self) -> None:
-        self._rows: dict[tuple[int, int], KpmRecord] = {}
-        self._by_tick: dict[int, list[KpmRecord]] = {}
+        self._ticks: dict[int, dict[int, KpmRecord]] = {}
+        self._row_count = 0
 
     def append(self, record: KpmRecord) -> None:
-        key = (record.ue_id, record.timestamp)
-        if key in self._rows:
-            raise ValueError(f"duplicate telemetry row {key}")
-        self._rows[key] = record
-        self._by_tick.setdefault(record.timestamp, []).append(record)
+        tick = self._ticks.get(record.timestamp)
+        if tick is None:
+            tick = self._ticks[record.timestamp] = {}
+        elif record.ue_id in tick:
+            raise ValueError(f"duplicate telemetry row {(record.ue_id, record.timestamp)}")
+        tick[record.ue_id] = record
+        self._row_count += 1
 
     def records_at(self, timestamp_ms: int) -> list[KpmRecord]:
-        return list(self._by_tick.get(timestamp_ms, ()))
+        tick = self._ticks.get(timestamp_ms)
+        return [] if tick is None else list(tick.values())
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._rows
+        ue_id, timestamp = key
+        tick = self._ticks.get(timestamp)
+        return tick is not None and ue_id in tick
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._row_count
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,18 @@ remaining six are the model's measurement features, always handled in this
 fixed order:
 
     UEThpUl, PrbUsedUl, UEThpDl, PrbUsedDl, TotNbrUl_per_sec, TotNbrDl_per_sec
+
+Records are validated, immutable named tuples, so the features of a record
+are the slice ``record[2:]`` and a batch stacks into a matrix in one
+``np.fromiter`` pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,15 +40,7 @@ class ScalerError(ValueError):
     """Raised when scaler fitting preconditions fail."""
 
 
-@dataclass(frozen=True)
-class KpmRecord:
-    """One UE's KPM row for one reporting second.
-
-    ``timestamp`` is milliseconds since scenario start (simulated clock).
-    Measurement features are stored as floats; all must be finite and
-    non-negative.
-    """
-
+class _KpmFields(NamedTuple):
     timestamp: int
     ue_id: int
     ue_thp_ul: float
@@ -53,28 +50,43 @@ class KpmRecord:
     tot_nbr_ul_per_sec: float
     tot_nbr_dl_per_sec: float
 
-    def __post_init__(self) -> None:
+
+class KpmRecord(_KpmFields):
+    """One UE's KPM row for one reporting second.
+
+    ``timestamp`` is milliseconds since scenario start (simulated clock).
+    Measurement features are stored as floats; all must be finite and
+    non-negative. A record is an immutable named tuple in field order, so
+    ``record[2:]`` is its six features. Every way of building one validates:
+    the constructor, keywords, :meth:`from_features`, ``_make`` and
+    ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: int, ue_id: int, ue_thp_ul: float, prb_used_ul: float,
+                ue_thp_dl: float, prb_used_dl: float, tot_nbr_ul_per_sec: float,
+                tot_nbr_dl_per_sec: float) -> "KpmRecord":
         # chained comparisons: NaN fails both sides, so it is rejected too
         inf = math.inf
-        if not (0.0 <= self.ue_thp_ul < inf and 0.0 <= self.prb_used_ul < inf
-                and 0.0 <= self.ue_thp_dl < inf and 0.0 <= self.prb_used_dl < inf
-                and 0.0 <= self.tot_nbr_ul_per_sec < inf
-                and 0.0 <= self.tot_nbr_dl_per_sec < inf):
+        if not (0.0 <= ue_thp_ul < inf and 0.0 <= prb_used_ul < inf
+                and 0.0 <= ue_thp_dl < inf and 0.0 <= prb_used_dl < inf
+                and 0.0 <= tot_nbr_ul_per_sec < inf and 0.0 <= tot_nbr_dl_per_sec < inf):
             raise ValueError(f"negative or non-finite KPM feature in record "
-                             f"(ue={self.ue_id}, t={self.timestamp})")
+                             f"(ue={ue_id}, t={timestamp})")
+        return tuple.__new__(cls, (timestamp, ue_id, ue_thp_ul, prb_used_ul, ue_thp_dl,
+                                   prb_used_dl, tot_nbr_ul_per_sec, tot_nbr_dl_per_sec))
+
+    @classmethod
+    def _make(cls, iterable) -> "KpmRecord":
+        # the inherited _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     def feature_values(self) -> tuple[float, ...]:
-        return (
-            self.ue_thp_ul,
-            self.prb_used_ul,
-            self.ue_thp_dl,
-            self.prb_used_dl,
-            self.tot_nbr_ul_per_sec,
-            self.tot_nbr_dl_per_sec,
-        )
+        return self[2:]
 
     def features(self) -> np.ndarray:
-        return np.array(self.feature_values(), dtype=np.float64)
+        return np.array(self[2:], dtype=np.float64)
 
     @classmethod
     def from_features(cls, timestamp: int, ue_id: int, values: Sequence[float]) -> "KpmRecord":
@@ -85,9 +97,9 @@ class KpmRecord:
 
 def records_to_matrix(records: Sequence[KpmRecord]) -> np.ndarray:
     """Stack measurement features into an (n, 6) float64 matrix."""
-    if not records:
-        return np.empty((0, FEATURE_COUNT))
-    return np.array([rec.feature_values() for rec in records], dtype=np.float64)
+    features = chain.from_iterable(rec[2:] for rec in records)
+    count = FEATURE_COUNT * len(records)
+    return np.fromiter(features, dtype=np.float64, count=count).reshape(-1, FEATURE_COUNT)
 
 
 @dataclass(frozen=True)

@@ -38,3 +38,27 @@ def test_bench_imports_found():
                          ids=[f"{s}:{m}.{n}" for s, m, n in IMPORTS])
 def test_bench_import_resolves(script, module, name):
     assert hasattr(importlib.import_module(module), name), f"{script} imports {module}.{name}"
+
+
+#: Attributes ``bench/session.py`` reads off the objects that ``ricguard``
+#: returns to it: the scored records and their verdicts, the decoded records,
+#: and the verified store.
+READ_ATTRIBUTES = [
+    ("ricguard.detector", "ScoredRecord", "record"),
+    ("ricguard.detector", "ScoredRecord", "verdict"),
+    ("ricguard.detector", "AnomalyVerdict", "is_anomalous"),
+    ("ricguard.detector", "AnomalyVerdict", "magnitude"),
+    ("ricguard.detector", "AnomalyVerdict", "ue_id"),
+    ("ricguard.kpm", "KpmRecord", "feature_values"),
+    ("ricguard.harness", "TelemetryStore", "append"),
+    ("ricguard.harness", "TelemetryStore", "records_at"),
+]
+
+
+@pytest.mark.parametrize("module,cls,attr", READ_ATTRIBUTES,
+                         ids=[f"{c}.{a}" for _, c, a in READ_ATTRIBUTES])
+def test_bench_read_attribute_exists(module, cls, attr):
+    assert f".{attr}" in (ROOT / "bench" / "session.py").read_text(), \
+        f"bench/session.py no longer reads .{attr}; drop it from the list"
+    assert hasattr(getattr(importlib.import_module(module), cls), attr), \
+        f"bench/session.py reads {cls}.{attr}"

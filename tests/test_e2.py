@@ -1,3 +1,4 @@
+import math
 import struct
 
 import pytest
@@ -183,17 +184,58 @@ class TestKpmPayload:
 
     @given(position=st.integers(0, 5),
            bad=st.one_of(st.just(float("nan")), st.just(float("inf")),
+                         st.just(float("-inf")),
                          st.floats(max_value=-5e-324)))  # below -0.0
     def test_any_bad_feature_in_any_position_rejected(self, position, bad):
+        """Every way of building a record fails closed: the constructor,
+        keywords, from_features, _make, _replace and the payload decoder."""
         values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        good = KpmRecord(1000, 5, *values)
         values[position] = bad
-        with pytest.raises(ValueError):
-            KpmRecord(1000, 5, *values)
+        field = KpmRecord._fields[2 + position]
+        builders = [
+            lambda: KpmRecord(1000, 5, *values),
+            lambda: KpmRecord(**dict(zip(KpmRecord._fields, [1000, 5, *values]))),
+            lambda: KpmRecord.from_features(1000, 5, values),
+            lambda: KpmRecord._make([1000, 5, *values]),
+            lambda: good._replace(**{field: bad}),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="negative or non-finite KPM feature"):
+                build()
         payload = struct.pack(">H", 1) + struct.pack(">IQ6d", 5, 1000, *values)
         with pytest.raises(FeatureValueError):
             decode_kpm_payload(payload)
 
-    def test_negative_zero_feature_accepted(self):
-        record = KpmRecord(1000, 5, 1.0, -0.0, 3.0, 4.0, 5.0, 6.0)
+    @given(position=st.integers(0, 5))
+    def test_negative_zero_feature_accepted(self, position):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        values[position] = -0.0
+        field = KpmRecord._fields[2 + position]
+        record = KpmRecord(1000, 5, *values)
+        assert record == KpmRecord(**dict(zip(KpmRecord._fields, [1000, 5, *values])))
+        assert record == KpmRecord.from_features(1000, 5, values)
+        assert record == KpmRecord._make([1000, 5, *values])
+        assert record == KpmRecord(1000, 5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)._replace(**{field: -0.0})
         payload = encode_kpm_payload(KpmReportPayload(1, 2, (record,)))
-        assert decode_kpm_payload(payload) == (record,)
+        (decoded,) = decode_kpm_payload(payload)
+        assert decoded == record
+        assert math.copysign(1.0, decoded[2 + position]) == -1.0  # sign bit kept
+
+    def test_decode_yields_exact_python_types(self):
+        records = tuple(KpmRecord(7000, ue, 0.5 * ue, 1.0, 2.0, 3.0, 4.0, float(ue))
+                        for ue in (0, 3, 0xFFFFFFFF))
+        decoded = decode_kpm_payload(encode_kpm_payload(KpmReportPayload(1, 2, records)))
+        assert decoded == records
+        assert type(decoded) is tuple
+        for record in decoded:
+            assert type(record) is KpmRecord
+            assert type(record.timestamp) is int and type(record.ue_id) is int
+            assert all(type(value) is float for value in record.feature_values())
+
+    def test_record_is_immutable_and_slotted(self):
+        record = KpmRecord(1000, 5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        with pytest.raises(AttributeError):
+            record.ue_thp_ul = 9.0
+        assert not hasattr(record, "__dict__")
+        assert record.feature_values() == record[2:] == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)

@@ -61,8 +61,33 @@ class TestTelemetryStore:
     def test_duplicate_key_rejected(self):
         store = TelemetryStore()
         store.append(record())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate telemetry row \(1, 1000\)$"):
             store.append(record())
+        assert len(store) == 1
+
+    def test_rows_read_in_append_order_per_tick(self):
+        store = TelemetryStore()
+        ues = [7, 3, 11, 0, 5]
+        for t in (2000, 1000):
+            for ue in (ues if t == 1000 else ues[::-1]):
+                store.append(record(t, ue))
+        assert [r.ue_id for r in store.records_at(1000)] == ues
+        assert [r.ue_id for r in store.records_at(2000)] == ues[::-1]
+        # the list is a copy: changing it leaves the store as it was
+        store.records_at(1000).clear()
+        assert len(store.records_at(1000)) == 5
+
+    def test_membership_and_length_across_ticks(self):
+        store = TelemetryStore()
+        for t in range(4):
+            for ue in range(t + 1):
+                store.append(record(t * 1000, ue))
+        assert len(store) == 1 + 2 + 3 + 4
+        assert (0, 0) in store and (3, 3000) in store
+        assert (1, 0) not in store and (4, 3000) not in store and (0, 4000) not in store
+        assert store.records_at(4000) == []
+        assert (0, 4000) not in store  # reading an empty tick adds no row
+        assert len(store) == 10
 
 
 class TestScenarioConfigFile:

@@ -44,6 +44,22 @@ class TestKpmRecord:
             KpmRecord.from_features(0, 1, (1, 2, 3))
 
 
+class TestRecordsToMatrix:
+    def test_empty_is_zero_by_six_float64(self):
+        matrix = records_to_matrix([])
+        assert matrix.shape == (0, 6) and matrix.dtype == np.float64
+
+    def test_equals_row_by_row_stack(self):
+        rng = np.random.default_rng(4)
+        records = [KpmRecord.from_features(t * 1000, ue, rng.exponential(10.0, 6))
+                   for t in range(5) for ue in range(40)]
+        reference = np.array([rec.feature_values() for rec in records], dtype=np.float64)
+        matrix = records_to_matrix(records)
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, reference)
+        assert np.array_equal(records_to_matrix(tuple(records[:1])), reference[:1])
+
+
 class TestScaler:
     def test_population_convention(self):
         records = [rec(0, values=(0, 1, 1, 1, 1, 1)), rec(1000, values=(2, 1.5, 1, 1, 1, 1))]
