@@ -43,7 +43,7 @@ for total_ues in (50, 500):
           f"(the shift is their sum)")
     print(f"  store: baseline kept {len(baseline.store)} records, "
           f"safeguarded kept {len(safeguarded.store)} "
-          f"({len(safeguarded.flagged_keys)} poisoned records dropped)")
+          f"({safeguarded.flagged} poisoned records dropped)")
     print(f"  incidents logged: {len(safeguarded.mitigation.log)}")
     worst = max(result.real_wall_ms)
     print(f"  worst loop wall time: {worst:.1f} ms (budget 1000 ms)\n")

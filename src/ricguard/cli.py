@@ -63,7 +63,6 @@ _FLAGS = {
     "--rulebook": dict(type=Path, default=None,
                        help="rulebook file (default: 100 synthetic patterns)"),
     "--ues-per-cell": dict(type=_numbers(int, 1), help="UEs per cell (default 10)"),
-    "--matcher": dict(choices=("naive", "automaton"), default="naive"),
     "--af": dict(type=_numbers(float, 1.0, many=True), default="1.2,1.3,1.4,1.5",
                  help="comma-separated amplification factors"),
     "--ues-total": dict(type=_numbers(int, 1, many=True),
@@ -72,7 +71,7 @@ _FLAGS = {
 _COMMON = ("--seed", "--out", "--runs", "--deterministic-timing")
 _COMMANDS = {
     "inspect-bench": ("E2 message inspection latency and exactness",
-                      ("--config", "--rulebook", "--ues-per-cell", "--matcher")),
+                      ("--config", "--rulebook", "--ues-per-cell")),
     "detect-bench": ("KPM poisoning detection across amplification factors",
                      ("--config", "--af")),
     "attest-bench": ("xApp attestation latency and injection detection", ()),
@@ -133,8 +132,7 @@ def _trained_bundle(args):
 def cmd_inspect_bench(args) -> None:
     config = _scenario(args, inspector_preset, ues_per_cell=args.ues_per_cell)
     result = run_inspector_experiment(
-        config, _rulebook(args), runs=args.runs, matcher_kind=args.matcher,
-        cost_model=_cost_model(args), out_dir=args.out,
+        config, _rulebook(args), runs=args.runs, cost_model=_cost_model(args), out_dir=args.out,
     )
     print(f"detection rate: {result.detection_rate_pct:.2f}% "
           f"({result.detected_injected}/{result.injected_total} injected), "

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .kpm import FEATURE_COUNT, TICK_MS, FeatureScaler, KpmRecord, records_to_matrix
+from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, FeatureScaler, KpmRecord, records_to_matrix
 from .mitigation import Magnitude
 from .recurrent import SequenceModel, predict
 
@@ -73,10 +73,9 @@ class AnomalyVerdict(NamedTuple):
         return classify_magnitude(self.score, self.threshold) if self.is_anomalous else None
 
 
-def _validate_window(window: Sequence[KpmRecord], next_record: KpmRecord,
-                     sequence_length: int) -> None:
-    if len(window) != sequence_length:
-        raise ValueError(f"window of {len(window)} records, expected {sequence_length}")
+def _validate_window(window: Sequence[KpmRecord], next_record: KpmRecord) -> None:
+    if len(window) != SEQUENCE_LENGTH:
+        raise ValueError(f"window of {len(window)} records, expected {SEQUENCE_LENGTH}")
     ue_ids = {r.ue_id for r in window} | {next_record.ue_id}
     if len(ue_ids) != 1:
         raise ValueError("window and next record must belong to one UE")
@@ -91,7 +90,7 @@ def _validate_window(window: Sequence[KpmRecord], next_record: KpmRecord,
 def score_window(model: SequenceModel, scaler: FeatureScaler,
                  window: Sequence[KpmRecord], next_record: KpmRecord) -> float:
     """Anomaly score for one UE's next record given its last ten records."""
-    _validate_window(window, next_record, model.sequence_length)
+    _validate_window(window, next_record)
     inputs = scaler.normalize(records_to_matrix(list(window)))[np.newaxis, :, :]
     target = scaler.normalize(next_record.features())
     prediction = predict(model, inputs)[0]
@@ -209,12 +208,12 @@ class ScoredRecord(NamedTuple):
 class StreamingDetector:
     """Tick-batched scoring over live telemetry.
 
-    Records are scored against the UE's last ``sequence_length`` verified
+    Records are scored against the UE's last ``SEQUENCE_LENGTH`` verified
     records; all UEs of one tick are scored in a single forward pass.
     Anomalous records are excluded from future history. The caller times
     the tick.
 
-    The context of all UEs is one (rows, sequence_length, features) array
+    The context of all UEs is one (rows, SEQUENCE_LENGTH, features) array
     of normalized records, each UE's newest record last, with a per-row
     fill count; a UE takes the next free row when first seen, and the
     array doubles when it runs out of rows.
@@ -223,8 +222,7 @@ class StreamingDetector:
     def __init__(self, bundle: DetectorBundle) -> None:
         self.bundle = bundle
         self._rows: dict[int, int] = {}
-        self._context = np.empty((INITIAL_CONTEXT_ROWS, bundle.model.sequence_length,
-                                  FEATURE_COUNT))
+        self._context = np.empty((INITIAL_CONTEXT_ROWS, SEQUENCE_LENGTH, FEATURE_COUNT))
         self._fill = np.zeros(INITIAL_CONTEXT_ROWS, dtype=np.intp)
 
     def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
@@ -232,7 +230,7 @@ class StreamingDetector:
         normalized = self.bundle.scaler.normalize(records_to_matrix(records))
         rows = self._rows_of(records)
         # every record is scored against the context from before this tick
-        scorable = np.flatnonzero(self._fill[rows] == model.sequence_length)
+        scorable = np.flatnonzero(self._fill[rows] == SEQUENCE_LENGTH)
         scored = np.zeros(len(records), dtype=bool)
         scored[scorable] = True
         scores = np.zeros(len(records))

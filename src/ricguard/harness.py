@@ -76,7 +76,7 @@ from .mitigation import (
     resolve_kpm_event,
 )
 from .recurrent import TrainConfig, train_model
-from .signatures import AhoCorasickMatcher, MatchResult, NaiveMatcher, SignatureSet
+from .signatures import MatchResult, NaiveMatcher, SignatureSet
 from .timing import CostModel, SimClock, wall_ns
 
 LOOP_BUDGET_MS = 1000.0
@@ -226,33 +226,33 @@ def write_csv(path, header: str, rows: Iterable[str]) -> None:
 
 
 class TelemetryStore:
-    """Append-only verified-telemetry table, unique by (ue_id, timestamp).
+    """Verified telemetry of the newest reporting tick, unique by UE id.
 
-    One dict per reporting tick, keyed by UE id in append order, and a row
-    count: a tick's rows are read in the order they were stored.
+    One timestamp, its rows keyed by UE id in append order, and the count of
+    every row ever stored. A newer timestamp starts a new tick and frees the
+    held one; an older timestamp, or a UE already held, is refused.
     """
 
     def __init__(self) -> None:
-        self._ticks: dict[int, dict[int, KpmRecord]] = {}
+        self._timestamp: int | None = None
+        self._rows: dict[int, KpmRecord] = {}
         self._row_count = 0
 
     def append(self, record: KpmRecord) -> None:
-        tick = self._ticks.get(record.timestamp)
-        if tick is None:
-            tick = self._ticks[record.timestamp] = {}
-        elif record.ue_id in tick:
+        held = self._timestamp
+        if held is None or record.timestamp > held:
+            self._timestamp, self._rows = record.timestamp, {}
+        elif record.timestamp < held:
+            raise ValueError(f"telemetry row {(record.ue_id, record.timestamp)} is older "
+                             f"than the held tick {held}")
+        elif record.ue_id in self._rows:
             raise ValueError(f"duplicate telemetry row {(record.ue_id, record.timestamp)}")
-        tick[record.ue_id] = record
+        self._rows[record.ue_id] = record
         self._row_count += 1
 
     def records_at(self, timestamp_ms: int) -> list[KpmRecord]:
-        tick = self._ticks.get(timestamp_ms)
-        return [] if tick is None else list(tick.values())
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        ue_id, timestamp = key
-        tick = self._ticks.get(timestamp)
-        return tick is not None and ue_id in tick
+        """A copy of the held tick's rows, or no rows for any other tick."""
+        return list(self._rows.values()) if timestamp_ms == self._timestamp else []
 
     def __len__(self) -> int:
         return self._row_count
@@ -272,9 +272,7 @@ def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
     """Inspect one message and apply the policy to a signature hit."""
     outcome = inspector.inspect(msg, loop=loop)
     if cost_model is not None and outcome.match is not None:
-        automaton = isinstance(inspector.matcher, AhoCorasickMatcher)
-        outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(
-            outcome.match.comparisons, automaton=automaton))
+        outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(outcome.match.comparisons))
     if outcome.verdict is Verdict.MALICIOUS:
         event = DetectionEvent(detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
                                timestamp_ms=now_ms, node_id=msg.source_node_id)
@@ -331,18 +329,14 @@ def run_inspector_experiment(
     config: ScenarioConfig,
     rulebook: SignatureSet,
     runs: int = 10,
-    matcher_kind: str = "naive",
     cost_model: CostModel | None = None,
     out_dir=None,
 ) -> InspectorExperimentResult:
     """Inspect every message of ``runs`` scenarios; verify exact detection."""
-    if matcher_kind not in ("naive", "automaton"):
-        raise ConfigError(f"unknown matcher {matcher_kind!r}")
     if config.malicious_node_fraction <= 0:
         raise ConfigError("the inspector experiment needs malicious nodes")
 
-    make_matcher = NaiveMatcher if matcher_kind == "naive" else AhoCorasickMatcher
-    matcher = make_matcher(rulebook)
+    matcher = NaiveMatcher(rulebook)
     policy = MitigationPolicy.default()
     policy.bind_rulebook(rulebook)
 
@@ -700,12 +694,14 @@ class TickReport:
 
 class RicPipeline:
     """The near-RT chain over one tick's E2 frames: decode, inspect, decode
-    KPM and drop replays, score, mitigate, store, consumer xApp.
+    KPM and drop stale records, score, mitigate, store, consumer xApp.
 
     Built with a rulebook and a detector bundle it is the guarded arm of the
-    use case; built without them, the baseline that decodes and stores.
-    Frames and KPM payloads that fail to decode, and replayed KPM records,
-    are dropped and counted.
+    use case; built without them, the baseline that decodes and stores. A
+    KPM record is fresh only when it is stamped ``t * TICK_MS`` and its UE
+    has not yet reported in tick ``t``. Frames and KPM payloads that fail to
+    decode, and stale KPM records, are dropped and counted; no per-record
+    state outlives the tick.
     """
 
     def __init__(self, clock: SimClock, cost_model: CostModel | None = None, *,
@@ -717,12 +713,14 @@ class RicPipeline:
         self.policy = experiment_policy(rulebook)
         self.store = TelemetryStore()
         self.mitigation = MitigationState()
-        self.flagged_keys: set[tuple[int, int]] = set()
         #: frames and KPM payloads dropped because they failed to decode
         self.codec_errors = 0
-        #: KPM records dropped as replays: their (ue_id, timestamp) was already
-        #: stored, flagged, or received earlier in the same tick
+        #: KPM records dropped because they are not stamped with the tick's time
+        self.off_tick = 0
+        #: KPM records dropped as replays: their UE already reported in the tick
         self.replays = 0
+        #: KPM records the detector flagged; they are mitigated, not stored
+        self.flagged = 0
         # one inspector for every E2 connection, on the pipeline's blocklist
         self.inspector = (None if rulebook is None else
                           IngressInspector(NaiveMatcher(rulebook), self.mitigation.blocklist))
@@ -733,7 +731,7 @@ class RicPipeline:
         inspect_ns = detect_ns = stored = 0
         records: list[KpmRecord] = []
         sources: list[int] = []  # the sending node of each record
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()  # the UEs that reported in the tick
         for frame in frames:
             try:
                 msg = decode_frame(frame, clock=self.clock.now_ns)
@@ -746,7 +744,7 @@ class RicPipeline:
                 inspect_ns += outcome.inspect_latency_ns
                 if outcome.verdict is not Verdict.BENIGN:
                     continue  # diverted or blocked: never reaches dispatch
-            decoded = self._kpm_records(msg, seen)
+            decoded = self._kpm_records(msg, t * TICK_MS, seen)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
@@ -756,7 +754,7 @@ class RicPipeline:
             verdicts = [item.verdict for item in scored]
         for record, verdict, node_id in zip(records, verdicts, sources):
             if verdict is not None and verdict.is_anomalous:
-                self.flagged_keys.add((verdict.ue_id, verdict.timestamp))
+                self.flagged += 1
                 event = DetectionEvent(
                     detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
                     timestamp_ms=now_ms, node_id=node_id, ue_id=verdict.ue_id,
@@ -768,9 +766,10 @@ class RicPipeline:
                 stored += 1
         return self._report(t, frames, started, inspect_ns, detect_ns, stored)
 
-    def _kpm_records(self, msg: E2Message, seen: set[tuple[int, int]]) -> Sequence[KpmRecord]:
-        """The message's KPM records, less replays; ``seen`` holds the keys
-        of the tick's records so far and gains the ones returned."""
+    def _kpm_records(self, msg: E2Message, tick_ms: int, seen: set[int]) -> Sequence[KpmRecord]:
+        """The message's fresh KPM records: stamped ``tick_ms``, of a UE not in
+        ``seen``, which holds the UEs of the tick's records so far and gains
+        the ones returned."""
         if msg.kind is not E2MessageKind.INDICATION or self.size_calibrated:
             return ()
         try:
@@ -780,12 +779,12 @@ class RicPipeline:
             return ()
         fresh = []
         for record in decoded:
-            key = (record.ue_id, record.timestamp)
-            # a flagged record is not stored, but must not be scored again
-            if key in seen or key in self.store or key in self.flagged_keys:
+            if record.timestamp != tick_ms:
+                self.off_tick += 1
+            elif record.ue_id in seen:
                 self.replays += 1
             else:
-                seen.add(key)
+                seen.add(record.ue_id)
                 fresh.append(record)
         return fresh
 

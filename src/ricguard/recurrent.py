@@ -35,7 +35,9 @@ class TrainingError(RuntimeError):
 class SequenceModel:
     """LSTM cell weights plus output projection.
 
-    Shapes: w_x (4H, F), w_h (4H, H), b (4H,), w_out (F, H), b_out (F,).
+    Shapes: w_x (4H, F), w_h (4H, H), b (4H,), w_out (F, H), b_out (F,), with
+    F = :data:`FEATURE_COUNT`; every model reads windows of
+    :data:`SEQUENCE_LENGTH` steps.
     """
 
     w_x: np.ndarray
@@ -44,11 +46,9 @@ class SequenceModel:
     w_out: np.ndarray
     b_out: np.ndarray
     hidden_size: int
-    sequence_length: int = SEQUENCE_LENGTH
-    feature_count: int = FEATURE_COUNT
 
     def __post_init__(self) -> None:
-        h, f = self.hidden_size, self.feature_count
+        h, f = self.hidden_size, FEATURE_COUNT
         expected = {
             "w_x": (4 * h, f),
             "w_h": (4 * h, h),
@@ -73,12 +73,10 @@ class SequenceModel:
         }
 
 
-def init_model(hidden_size: int, rng: np.random.Generator,
-               feature_count: int = FEATURE_COUNT,
-               sequence_length: int = SEQUENCE_LENGTH) -> SequenceModel:
+def init_model(hidden_size: int, rng: np.random.Generator) -> SequenceModel:
     """Small uniform init; forget-gate bias starts at 1 so early gradients
     flow through the cell state."""
-    h, f = hidden_size, feature_count
+    h, f = hidden_size, FEATURE_COUNT
     scale = 1.0 / np.sqrt(h)
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
@@ -89,17 +87,13 @@ def init_model(hidden_size: int, rng: np.random.Generator,
         w_out=rng.uniform(-scale, scale, size=(f, h)),
         b_out=np.zeros(f),
         hidden_size=h,
-        sequence_length=sequence_length,
-        feature_count=f,
     )
 
 
-def _check_inputs(model: SequenceModel, inputs: np.ndarray) -> None:
-    _, t_len, f = inputs.shape
-    if t_len != model.sequence_length or f != model.feature_count:
+def _check_inputs(inputs: np.ndarray) -> None:
+    if inputs.shape[1:] != (SEQUENCE_LENGTH, FEATURE_COUNT):
         raise ValueError(
-            f"inputs of shape {inputs.shape}, expected "
-            f"(n, {model.sequence_length}, {model.feature_count})"
+            f"inputs of shape {inputs.shape}, expected (n, {SEQUENCE_LENGTH}, {FEATURE_COUNT})"
         )
 
 
@@ -116,7 +110,7 @@ def _forward(model: SequenceModel, inputs: np.ndarray):
     tanh(z/2) for them and sigma(z) = 0.5 * (1 + tanh(z/2)). The cache
     holds views of the buffer.
     """
-    _check_inputs(model, inputs)
+    _check_inputs(inputs)
     n, t_len, f = inputs.shape
     h_size = model.hidden_size
     scale = np.full(4 * h_size, 0.5)
@@ -163,7 +157,7 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
     ``w_out``) and c = 0.5·(f'·c + i'·g). Step 0 skips the terms of the zero
     h and c. Scratch is allocated per call.
     """
-    _check_inputs(model, inputs)
+    _check_inputs(inputs)
     n, t_len, _ = inputs.shape
     h_size = model.hidden_size
     order = np.r_[: 2 * h_size, 3 * h_size : 4 * h_size, 2 * h_size : 3 * h_size]
@@ -235,7 +229,7 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
     }
     dh = d_pred @ model.w_out
     dc = np.zeros((n, h_size))
-    for t in range(model.sequence_length - 1, -1, -1):
+    for t in range(SEQUENCE_LENGTH - 1, -1, -1):
         x_t, h_prev, c_prev, i, fgate, g, o, c_next = cache[t]
         tanh_c = np.tanh(c_next)
         do = dh * tanh_c
@@ -285,9 +279,12 @@ def train_model(inputs: np.ndarray, targets: np.ndarray,
     """
     if config.optimizer not in ("gd", "adam"):
         raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    _check_inputs(inputs)
+    if targets.shape != (len(inputs), FEATURE_COUNT):
+        raise ValueError(f"targets of shape {targets.shape}, expected "
+                         f"({len(inputs)}, {FEATURE_COUNT})")
     rng = np.random.default_rng(config.rng_seed)
-    model = init_model(config.hidden_size, rng, feature_count=targets.shape[1],
-                       sequence_length=inputs.shape[1])
+    model = init_model(config.hidden_size, rng)
     params = model.parameters()
     adam_m = {k: np.zeros_like(v) for k, v in params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in params.items()}

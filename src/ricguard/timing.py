@@ -2,10 +2,10 @@
 
 The safeguards time their own work by wall clock only
 (``time.perf_counter_ns``) and report the work counts behind it: byte
-comparisons or automaton steps per scan, scored records per tick, image
-length and cold start per attestation round. In deterministic mode the
-experiment runners in :mod:`ricguard.harness` replace those wall latencies
-with a :class:`CostModel` charge for the same counts. Cost-model runs are
+comparisons per scan, scored records per tick, image length and cold start
+per attestation round. In deterministic mode the experiment runners in
+:mod:`ricguard.harness` replace those wall latencies with a
+:class:`CostModel` charge for the same counts. Cost-model runs are
 bit-reproducible, which is what makes CSV outputs byte-identical across
 executions with the same seed.
 
@@ -26,7 +26,6 @@ class CostModel:
     """Work-unit costs, in nanoseconds, for deterministic timing."""
 
     ns_per_naive_comparison: float = 2.0
-    ns_per_automaton_step: float = 12.0
     ns_per_scored_record: float = 140_000.0
     ns_per_hashed_byte: float = 0.335
     reference_load_flat_ns: float = 500_000.0
@@ -36,9 +35,8 @@ class CostModel:
     ns_per_stored_record: float = 800.0
     consumer_pass_ns: float = 1_500_000.0
 
-    def scan_ns(self, comparisons: int, *, automaton: bool = False) -> int:
-        rate = self.ns_per_automaton_step if automaton else self.ns_per_naive_comparison
-        return int(comparisons * rate)
+    def scan_ns(self, comparisons: int) -> int:
+        return int(comparisons * self.ns_per_naive_comparison)
 
     def scoring_ns(self, record_count: int) -> int:
         return int(record_count * self.ns_per_scored_record)

@@ -22,7 +22,7 @@ from ricguard.detector import (
     score_window,
 )
 from ricguard.harness import detector_preset, run_detector_experiment
-from ricguard.kpm import FeatureScaler, KpmRecord
+from ricguard.kpm import SEQUENCE_LENGTH, FeatureScaler, KpmRecord
 from ricguard.mitigation import Magnitude
 from ricguard.recurrent import TrainConfig, train_model
 from ricguard.timing import DEFAULT_COST_MODEL
@@ -169,6 +169,22 @@ class TestBundlePersistence:
         b = score_window(loaded.model, loaded.scaler, records[:10], records[10])
         assert a == b
 
+    @pytest.mark.parametrize("inputs_shape, targets_shape", [
+        ((40, 5, 6), (40, 6)), ((40, 10, 6), (39, 6)), ((40, 10, 6), (40, 5)),
+    ], ids=["five-step-windows", "target-count", "target-width"])
+    def test_windows_of_another_shape_never_train(self, monkeypatch, inputs_shape,
+                                                  targets_shape):
+        """A bundle stores no window length: a model trained on 5-step windows
+        would load as a 10-step model that cannot score them. Training refuses
+        such windows, and mismatched targets, before its first epoch."""
+        import ricguard.recurrent as recurrent
+
+        monkeypatch.setattr(recurrent, "loss_and_grads", lambda *args: pytest.fail("trained"))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"of shape .* expected \("):
+            train_model(rng.random(inputs_shape), rng.random(targets_shape),
+                        TrainConfig(hidden_size=4, epochs=2))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.kpmd"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -239,9 +255,9 @@ class TestStreamingDetector:
 
 def reference_observe(bundle, history, records):
     """Plain per-UE lists: score every record against its UE's last
-    ``sequence_length`` kept records from before the tick, then keep the
+    ``SEQUENCE_LENGTH`` kept records from before the tick, then keep the
     records that are not anomalous, in record order."""
-    seq_len = bundle.model.sequence_length
+    seq_len = SEQUENCE_LENGTH
     normalized = [bundle.scaler.normalize(rec.features()) for rec in records]
     scorable = [i for i, rec in enumerate(records)
                 if len(history.get(rec.ue_id, ())) >= seq_len]

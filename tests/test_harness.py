@@ -1,17 +1,22 @@
 import dataclasses
 import math
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ricguard.cli import main as cli_main
 from ricguard.e2 import (
     FRAME_HEADER_SIZE,
+    E2CodecError,
     E2Message,
     E2MessageKind,
     KpmReportPayload,
+    decode_frame,
+    decode_kpm_payload,
     encode_frame,
     encode_kpm_payload,
 )
@@ -36,15 +41,27 @@ from ricguard.harness import (
     train_detector_bundle,
     use_case_preset,
 )
-from ricguard.detector import StreamingDetector
+from ricguard.detector import StreamingDetector, load_bundle
 from ricguard.kpm import KpmRecord
 from ricguard.mitigation import Magnitude, MitigationAction, MitigationPolicy
 from ricguard.recurrent import TrainConfig
+from ricguard.signatures import synthetic_rulebook
 from ricguard.timing import DEFAULT_COST_MODEL, SimClock
+
+
+BENCH_BUNDLE = Path(__file__).resolve().parent.parent / "bench" / "detector-h32.kpmd"
 
 
 def record(ts=1000, ue=1):
     return KpmRecord.from_features(ts, ue, (1, 2, 3, 4, 5, 6))
+
+
+def _indication_records(frames):
+    """The KPM records of every indication among ``frames``."""
+    for frame in frames:
+        msg = decode_frame(frame)
+        if msg.kind is E2MessageKind.INDICATION:
+            yield from decode_kpm_payload(msg.payload)
 
 
 class TestTelemetryStore:
@@ -52,11 +69,12 @@ class TestTelemetryStore:
         store = TelemetryStore()
         store.append(record(1000, 1))
         store.append(record(1000, 2))
+        assert [r.ue_id for r in store.records_at(1000)] == [1, 2]
         store.append(record(2000, 1))
         assert len(store) == 3
-        assert len(store.records_at(1000)) == 2
+        assert [r.ue_id for r in store.records_at(2000)] == [1]
+        assert store.records_at(1000) == []  # the newer tick freed it
         assert store.records_at(3000) == []
-        assert (1, 1000) in store
 
     def test_duplicate_key_rejected(self):
         store = TelemetryStore()
@@ -68,26 +86,27 @@ class TestTelemetryStore:
     def test_rows_read_in_append_order_per_tick(self):
         store = TelemetryStore()
         ues = [7, 3, 11, 0, 5]
-        for t in (2000, 1000):
+        for t in (1000, 2000):
             for ue in (ues if t == 1000 else ues[::-1]):
                 store.append(record(t, ue))
-        assert [r.ue_id for r in store.records_at(1000)] == ues
-        assert [r.ue_id for r in store.records_at(2000)] == ues[::-1]
+            assert [r.ue_id for r in store.records_at(t)] == (ues if t == 1000 else ues[::-1])
         # the list is a copy: changing it leaves the store as it was
-        store.records_at(1000).clear()
-        assert len(store.records_at(1000)) == 5
+        store.records_at(2000).clear()
+        assert len(store.records_at(2000)) == 5
 
-    def test_membership_and_length_across_ticks(self):
+    def test_holds_only_the_newest_tick(self):
         store = TelemetryStore()
         for t in range(4):
             for ue in range(t + 1):
                 store.append(record(t * 1000, ue))
-        assert len(store) == 1 + 2 + 3 + 4
-        assert (0, 0) in store and (3, 3000) in store
-        assert (1, 0) not in store and (4, 3000) not in store and (0, 4000) not in store
+            assert [r.ue_id for r in store.records_at(t * 1000)] == list(range(t + 1))
+            assert all(store.records_at(past * 1000) == [] for past in range(t))
+        assert len(store) == 1 + 2 + 3 + 4  # every row stored, not only the held ones
         assert store.records_at(4000) == []
-        assert (0, 4000) not in store  # reading an empty tick adds no row
-        assert len(store) == 10
+        with pytest.raises(ValueError, match=r"older than the held tick 3000"):
+            store.append(record(2000, 9))
+        assert len(store) == 10 and len(store.records_at(3000)) == 4
+        assert not hasattr(store, "__contains__")
 
 
 class TestScenarioConfigFile:
@@ -212,14 +231,6 @@ class TestInspectorExperiment:
         with pytest.raises(ConfigError):
             run_inspector_experiment(config, rulebook, runs=1)
 
-    def test_automaton_matcher_equivalent_detection(self, rulebook):
-        config = inspector_preset(seed=3, loops=10)
-        naive = run_inspector_experiment(config, rulebook, runs=1)
-        auto = run_inspector_experiment(config, rulebook, runs=1,
-                                        matcher_kind="automaton")
-        assert naive.detected_injected == auto.detected_injected
-        assert naive.injected_total == auto.injected_total
-
     def test_deterministic_csv_bytes(self, rulebook, tmp_path):
         config = inspector_preset(seed=3, loops=10)
         first = run_inspector_experiment(config, rulebook, runs=2,
@@ -294,17 +305,40 @@ class TestAttestationExperiment:
 
 
 class TestUseCase:
-    def test_pipeline_purity(self, quick_bundle, rulebook):
+    def test_pipeline_purity(self, quick_bundle, rulebook, monkeypatch):
+        """Per tick, the baseline stores every emitted record and the guarded
+        arm the same records less exactly the ones the detector flagged."""
+        flagged_per_tick = []
+        observe_tick = StreamingDetector.observe_tick
+
+        def recording_observe_tick(detector, records):
+            scored = observe_tick(detector, records)
+            flagged_per_tick.append({(v.ue_id, v.timestamp) for _, v in scored
+                                     if v is not None and v.is_anomalous})
+            return scored
+
+        monkeypatch.setattr(StreamingDetector, "observe_tick", recording_observe_tick)
         config = use_case_preset(seed=2, total_ues=20, loops=40)
-        result = run_use_case(config, quick_bundle, rulebook, runs=1)
-        safeguarded, baseline = result.arms[0]
-        # baseline stores every emitted record
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+        clock = SimClock()
+        safeguarded = RicPipeline(clock, rulebook=rulebook, bundle=quick_bundle)
+        baseline = RicPipeline(clock)
+        for t in range(config.loops):
+            clock.advance_to_ns(t * 1_000_000_000)
+            frames = [em.frame for em in emulator.step(t)]
+            safeguarded.process_tick(t, frames)
+            baseline.process_tick(t, frames)
+            emitted = {(r.ue_id, r.timestamp) for r in baseline.store.records_at(t * 1000)}
+            kept = {(r.ue_id, r.timestamp) for r in safeguarded.store.records_at(t * 1000)}
+            assert len(emitted) == 20
+            assert kept == emitted - flagged_per_tick[t]
+        flagged = sum(len(keys) for keys in flagged_per_tick)
+        assert safeguarded.flagged == flagged, "scenario must contain detected attacks"
+        assert flagged
         assert len(baseline.store) == 20 * 40
-        # safeguarded store = emitted minus exactly the flagged records
-        assert len(safeguarded.store) == len(baseline.store) - len(safeguarded.flagged_keys)
-        for key in safeguarded.flagged_keys:
-            assert key not in safeguarded.store
-        assert safeguarded.flagged_keys, "scenario must contain detected attacks"
+        assert len(safeguarded.store) == len(baseline.store) - flagged
+        for arm in (safeguarded, baseline):
+            assert arm.off_tick == arm.replays == arm.codec_errors == 0
 
     def test_consumer_decisions_causal(self, quick_bundle, rulebook):
         config = use_case_preset(seed=2, total_ues=20, loops=30)
@@ -441,7 +475,8 @@ class TestGuardedPass:
         guarded.process_tick(10, [spike, spike[:-5], cut_kpm])
 
         assert guarded.codec_errors == 2
-        assert guarded.flagged_keys == {(999_999, 10_000)}
+        assert guarded.flagged == 1 and guarded.off_tick == guarded.replays == 0
+        assert guarded.store.records_at(10_000) == []
         (incident,) = guarded.mitigation.log.reports
         assert (incident.detector, incident.subject) == ("kpm", "ue:999999")
         # the block lands on the node that sent the spike
@@ -466,25 +501,141 @@ class TestGuardedPass:
             assert row.ue_id == 10 and np.isfinite(row.features()).all()
 
     def test_replayed_records_are_dropped(self, quick_bundle, rulebook):
-        """The same report twice in one tick, again one tick later, and a
-        flagged spike sent again: each replay is dropped and counted."""
+        """The same report twice in one tick, a past tick's report sent again,
+        and a flagged spike sent again in its tick and the next: a UE's second
+        report in a tick is a replay, a report stamped for another tick is
+        off-tick, and neither reaches the store."""
         guarded, baseline = self._pipelines(quick_bundle, rulebook)
         scaler = quick_bundle.scaler
         first = self._raw_kpm_frame(0, scaler.mean)
         for pipeline in (guarded, baseline):
             pipeline.process_tick(0, [first, first])
+            assert (pipeline.replays, pipeline.off_tick) == (1, 0)
             pipeline.process_tick(1, [first, self._raw_kpm_frame(1, scaler.mean)])
-            assert pipeline.replays == 2
+            assert (pipeline.replays, pipeline.off_tick) == (1, 1)
             assert len(pipeline.store) == 2
+            (row,) = pipeline.store.records_at(1000)
+            assert row.timestamp == 1000
 
         for t in range(2, 10):
             guarded.process_tick(t, [self._raw_kpm_frame(t, scaler.mean)])
         spike = self._raw_kpm_frame(10, scaler.mean + 1000 * scaler.std)
-        guarded.process_tick(10, [spike])
-        assert guarded.flagged_keys == {(999_999, 10_000)}
+        guarded.process_tick(10, [spike, spike])
+        assert (guarded.flagged, guarded.replays, guarded.off_tick) == (1, 2, 1)
         guarded.process_tick(11, [spike])
-        assert guarded.replays == 3
-        assert (999_999, 10_000) not in guarded.store
+        assert (guarded.flagged, guarded.replays, guarded.off_tick) == (1, 2, 2)
+        assert guarded.store.records_at(10_000) == guarded.store.records_at(11_000) == []
+        assert len(guarded.store) == 10
+
+    def test_next_tick_record_cannot_pre_empt_a_ue(self):
+        """A node that never set up sends, one tick early, UE 5's record
+        stamped for the next tick. It is dropped as off-tick, and the genuine
+        record of the next tick is scored and stored."""
+        config = use_case_preset(seed=1, total_ues=50)
+        rulebook = synthetic_rulebook(100)
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+        clock = SimClock()
+        guarded = RicPipeline(clock, rulebook=rulebook, bundle=load_bundle(BENCH_BUNDLE))
+        for t in range(16):
+            clock.advance_to_ns(t * 1_000_000_000)
+            frames = [em.frame for em in emulator.step(t)]
+            if t == 14:
+                (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
+                forged = genuine._replace(timestamp=15_000)
+                payload = encode_kpm_payload(KpmReportPayload(99, 0, (forged,)))
+                frames.append(encode_frame(E2Message(E2MessageKind.INDICATION, 99, payload)))
+            guarded.process_tick(t, frames)
+        (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
+        (stored,) = (r for r in guarded.store.records_at(15_000) if r.ue_id == 5)
+        assert stored == genuine
+        assert (guarded.off_tick, guarded.replays) == (1, 0)
+
+
+#: (ue_id, ms from the tick's timestamp, features, bad feature): UEs 0-5 are
+#: warmed up, 6 and 7 are new; timestamps reach two ticks back and ahead, or
+#: miss by milliseconds; one feature may be replaced by a negative or
+#: non-finite value.
+_RECORD = st.tuples(st.integers(0, 7),
+                    st.one_of(st.just(0), st.integers(-2, 2).map(lambda k: k * 1000),
+                              st.integers(-999, 999)),
+                    st.lists(st.floats(0.0, 1e6), min_size=6, max_size=6),
+                    st.one_of(st.none(), st.tuples(st.integers(0, 5), st.sampled_from(
+                        [-1.0, math.nan, math.inf, -math.inf]))))
+#: Change a frame: replace one byte, or cut it at a position.
+_MUTATION = st.one_of(st.none(),
+                      st.tuples(st.just("byte"), st.integers(0, 1 << 16), st.integers(0, 255)),
+                      st.tuples(st.just("cut"), st.integers(0, 1 << 16)))
+#: An indication from any node id, possibly mutated, or random bytes.
+_FRAME = st.one_of(st.tuples(st.integers(0, 0xFFFFFFFF), st.lists(_RECORD, min_size=1,
+                                                                    max_size=5), _MUTATION),
+                   st.binary(max_size=64))
+
+
+def _hostile_frame(spec, t):
+    if isinstance(spec, bytes):
+        return spec
+    node, records, mutation = spec
+    body = []
+    for ue, offset_ms, values, bad in records:
+        if bad is not None:
+            values = [bad[1] if i == bad[0] else v for i, v in enumerate(values)]
+        body.append(struct.pack(">IQ6d", ue, t * 1000 + offset_ms, *values))
+    payload = struct.pack(">H", len(records)) + b"".join(body)
+    frame = encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
+    if mutation is None:
+        return frame
+    at = mutation[1] % len(frame)
+    if mutation[0] == "cut":
+        return frame[:at]
+    return frame[:at] + bytes([mutation[2]]) + frame[at + 1:]
+
+
+def _decodable_records(frames) -> int:
+    """Records in the frames' decodable KPM payloads."""
+    count = 0
+    for frame in frames:
+        try:
+            msg = decode_frame(frame)
+            if msg.kind is E2MessageKind.INDICATION:
+                count += len(decode_kpm_payload(msg.payload))
+        except E2CodecError:
+            pass
+    return count
+
+
+class TestHostileTicks:
+    WARM_TICKS = 10
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(ticks=st.lists(st.lists(_FRAME, max_size=6), min_size=1, max_size=4))
+    def test_store_holds_one_finite_row_per_ue_of_the_tick(self, quick_bundle, rulebook,
+                                                             ticks):
+        """After UEs 0-5 warm up, hostile ticks never escape ``process_tick``;
+        each tick leaves only finite rows of its own, one per UE, and the
+        baseline accounts for every decodable record as off-tick, replay or
+        stored."""
+        clock = SimClock()
+        guarded = RicPipeline(clock, rulebook=rulebook, bundle=quick_bundle)
+        baseline = RicPipeline(clock)
+        mean = tuple(quick_bundle.scaler.mean)
+        warm = [[(0, [(ue, 0, mean, None) for ue in range(6)], None)]] * self.WARM_TICKS
+        for t, specs in enumerate(warm + ticks):
+            clock.advance_to_ns(t * 1_000_000_000)
+            frames = [_hostile_frame(spec, t) for spec in specs]
+            before = baseline.off_tick + baseline.replays + len(baseline.store)
+            for pipeline in (guarded, baseline):
+                stored = len(pipeline.store)
+                pipeline.process_tick(t, frames)
+                rows = pipeline.store.records_at(t * 1000)
+                # every row the tick stored is stamped with the tick's time
+                assert len(pipeline.store) - stored == len(rows)
+                assert len({row.ue_id for row in rows}) == len(rows)
+                assert all(math.isfinite(value) for row in rows for value in row[2:])
+                # a tick that stores a row frees the one before it
+                assert not rows or pipeline.store.records_at((t - 1) * 1000) == []
+            after = baseline.off_tick + baseline.replays + len(baseline.store)
+            assert after - before == _decodable_records(frames)
 
 
 class TestCli:
@@ -599,7 +750,7 @@ class TestCli:
         from ricguard.cli import build_parser
 
         args = build_parser().parse_args([
-            "run-all", "--config", "c.cfg", "--rulebook", "r.txt", "--matcher", "automaton",
+            "run-all", "--config", "c.cfg", "--rulebook", "r.txt",
             "--af", "1.2,1.5", "--ues-per-cell", "3", "--ues-total", "20,50",
         ])
         assert (args.af, args.ues_total, args.ues_per_cell) == ((1.2, 1.5), (20, 50), 3)
@@ -608,12 +759,12 @@ class TestCli:
         assert cli_main(["attest-bench", "--help"]) == 0
         assert "--matcher" not in capsys.readouterr().out
 
-    def test_matcher_flag_accepted(self, tmp_path):
+    def test_matcher_flag_rejected(self, tmp_path):
         code = cli_main([
             "inspect-bench", "--runs", "1", "--seed", "3", "--out", str(tmp_path),
             "--matcher", "automaton", "--deterministic-timing",
         ])
-        assert code == 0
+        assert code == 3
 
     def test_detector_bundle_trained_once_per_invocation(self, monkeypatch):
         import ricguard.cli as cli

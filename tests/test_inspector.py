@@ -5,13 +5,7 @@ from ricguard.emulator import RanEmulator
 from ricguard.harness import inspector_preset, run_inspector_experiment
 from ricguard.inspector import IngressInspector, InspectionOutcome, Verdict, latency_summary
 from ricguard.mitigation import Blocklist, parse_action_codes
-from ricguard.signatures import (
-    AhoCorasickMatcher,
-    MatchResult,
-    NaiveMatcher,
-    Signature,
-    SignatureSet,
-)
+from ricguard.signatures import MatchResult, NaiveMatcher, Signature, SignatureSet
 from ricguard.timing import DEFAULT_COST_MODEL
 
 
@@ -72,19 +66,17 @@ class TestInspect:
         # the inspector times scans by wall clock; a deterministic run charges
         # the cost model for the comparisons each scan reports
         config = inspector_preset(seed=3, loops=3)
-        for kind, matcher in (("naive", NaiveMatcher(rulebook)),
-                              ("automaton", AhoCorasickMatcher(rulebook))):
-            run_inspector_experiment(config, rulebook, runs=1, matcher_kind=kind,
-                                     cost_model=DEFAULT_COST_MODEL, out_dir=tmp_path)
-            rows = (tmp_path / "inspector.csv").read_text().splitlines()[1:]
-            emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
-            payloads = [decode_frame(em.frame).payload
-                        for t in range(config.loops) for em in emulator.step(t)]
-            assert len(rows) == len(payloads)
-            for row, payload in zip(rows, payloads):
-                comparisons = matcher.scan(payload).comparisons
-                expected = DEFAULT_COST_MODEL.scan_ns(comparisons, automaton=kind == "automaton")
-                assert int(row.split(",")[5]) == expected
+        matcher = NaiveMatcher(rulebook)
+        run_inspector_experiment(config, rulebook, runs=1,
+                                 cost_model=DEFAULT_COST_MODEL, out_dir=tmp_path)
+        rows = (tmp_path / "inspector.csv").read_text().splitlines()[1:]
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+        payloads = [decode_frame(em.frame).payload
+                    for t in range(config.loops) for em in emulator.step(t)]
+        assert len(rows) == len(payloads)
+        for row, payload in zip(rows, payloads):
+            expected = DEFAULT_COST_MODEL.scan_ns(matcher.scan(payload).comparisons)
+            assert int(row.split(",")[5]) == expected
 
     def test_outcome_invariants_enforced(self):
         clean = MatchResult(hits=(), scan_latency_ns=5)
