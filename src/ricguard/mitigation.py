@@ -304,12 +304,19 @@ class DetectionEvent:
 
 
 class MitigationState:
-    """Blocklist + incident log + per-event dedup for idempotent application."""
+    """Blocklist + incident log + per-event dedup for idempotent application.
+
+    Dedup keys are held for the newest event timestamp only, so they are
+    bounded by one tick's events: an event with a newer timestamp clears
+    them. An event older than that timestamp is applied without a dedup
+    check, never dropped.
+    """
 
     def __init__(self) -> None:
         self.blocklist = Blocklist()
         self.log = IncidentLog()
-        self._applied: set[tuple] = set()
+        self._applied_ms: int | None = None
+        self._applied: set[tuple] = set()  # keys of the events at _applied_ms
 
 
 def apply_actions(state: MitigationState, event: DetectionEvent,
@@ -317,17 +324,21 @@ def apply_actions(state: MitigationState, event: DetectionEvent,
     """Apply a resolved action set; returns human-readable effects.
 
     Re-applying the same event with the same actions is a no-op (identical
-    end state, no duplicate incident row). Report precedes block/revoke so
+    end state, no duplicate incident row) while no newer event has been
+    applied; see :class:`MitigationState`. Report precedes block/revoke so
     every block is covered by a logged incident. Message/data exclusion is
     enforced by the calling pipeline; here it is recorded as an effect.
     """
     if not actions:
         raise ValueError("mitigation requires a non-empty action set")
-    key = (event.detector, event.subject, event.evidence, event.timestamp_ms,
-           frozenset(actions))
-    if key in state._applied:
-        return []
-    state._applied.add(key)
+    if state._applied_ms is None or event.timestamp_ms > state._applied_ms:
+        state._applied_ms = event.timestamp_ms
+        state._applied.clear()
+    if event.timestamp_ms == state._applied_ms:
+        key = (event.detector, event.subject, event.evidence, frozenset(actions))
+        if key in state._applied:
+            return []
+        state._applied.add(key)
 
     effects: list[str] = []
     if MitigationAction.REPORT in actions:

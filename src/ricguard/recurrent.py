@@ -8,10 +8,11 @@ anomaly score.
 
 Weight layout: the four gate blocks (input, forget, cell, output) are
 stacked row-wise in ``w_x``/``w_h``/``b``, in that order. Training is
-full-batch and fully deterministic for a fixed seed; its forward pass
-(:func:`_forward`) runs the whole batch at once and keeps every step for
-backpropagation. Inference (:func:`predict`) runs its own forward pass over
-blocks of rows small enough to stay in cache, and keeps nothing.
+full-batch and fully deterministic for a fixed seed. Both passes run the
+batch in blocks of :func:`_block_rows` rows, small enough that a block's
+scratch stays in cache. Inference (:func:`predict`) keeps nothing of a
+block; training (:func:`loss_and_grads`) keeps a block's steps only until
+it has backpropagated through them, before it moves to the next block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
 
 #: Scratch bytes of one block of the inference pass: 256 rows at H=32, which
-#: keeps a block's gates and state in cache.
+#: keeps a block's gates and state in cache. Training uses the same rows per
+#: block.
 INFERENCE_BLOCK_BYTES = 640 << 10
 
 
@@ -97,60 +99,26 @@ def _check_inputs(inputs: np.ndarray) -> None:
         )
 
 
-def _forward(model: SequenceModel, inputs: np.ndarray):
-    """Run the LSTM over (n, T, F) inputs; returns the (n, F) predictions,
-    the last hidden state and the cache of every step.
-
-    This is the training pass: it runs the whole batch at once and keeps
-    every step for :func:`loss_and_grads`. The input projection of every
-    step is one matmul into a (T, n, 4H) buffer (Appleyard et al.,
-    arXiv:1604.01946); each step adds its recurrent term to its slice and
-    activates the gates there, in place. The rows of the sigmoid gates are
-    pre-scaled by 0.5, which is exact, so one tanh over the slice yields
-    tanh(z/2) for them and sigma(z) = 0.5 * (1 + tanh(z/2)). The cache
-    holds views of the buffer.
-    """
+def _check_batch(inputs: np.ndarray, targets: np.ndarray) -> None:
+    """Training batches: windows as :func:`_check_inputs`, one target row of
+    F features per window, and at least one window (the mean loss of none
+    is undefined)."""
     _check_inputs(inputs)
-    n, t_len, f = inputs.shape
-    h_size = model.hidden_size
-    scale = np.full(4 * h_size, 0.5)
-    scale[2 * h_size : 3 * h_size] = 1.0
-    steps = np.ascontiguousarray(inputs.transpose(1, 0, 2))
-    gates = (steps.reshape(t_len * n, f) @ (model.w_x.T * scale)).reshape(t_len, n, 4 * h_size)
-    gates += model.b * scale
-    w_h = model.w_h.T * scale
-    h = np.zeros((n, h_size))
-    c = np.zeros((n, h_size))
-    cache = []
-    for t in range(t_len):
-        z = gates[t]
-        z += h @ w_h
-        np.tanh(z, out=z)
-        for sig in (z[:, : 2 * h_size], z[:, 3 * h_size :]):
-            sig += 1.0
-            sig *= 0.5
-        i = z[:, :h_size]
-        fgate = z[:, h_size : 2 * h_size]
-        g = z[:, 2 * h_size : 3 * h_size]
-        o = z[:, 3 * h_size :]
-        c_next = fgate * c
-        c_next += i * g
-        h_next = np.tanh(c_next)
-        h_next *= o
-        cache.append((steps[t], h, c, i, fgate, g, o, c_next))
-        h, c = h_next, c_next
-    predictions = h @ model.w_out.T + model.b_out
-    return predictions, h, cache
+    if targets.shape != (len(inputs), FEATURE_COUNT):
+        raise ValueError(f"targets of shape {targets.shape}, expected "
+                         f"({len(inputs)}, {FEATURE_COUNT})")
+    if not len(inputs):
+        raise ValueError("empty training batch: at least one window is needed")
 
 
 def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
     """Next-step feature predictions for a batch of (n, T, F) windows.
 
-    The inference pass: the arithmetic of :func:`_forward`, run over blocks
+    The inference pass: the LSTM of :func:`loss_and_grads`, run over blocks
     of at most :func:`_block_rows` rows so that a block's scratch stays in
-    cache, and keeping nothing; training keeps the whole-batch pass. Each
-    step projects its inputs straight into the block's (rows, 4H) gate
-    buffer, a strided view of ``inputs`` that is never copied or written.
+    cache, and keeping nothing. Each step projects its inputs straight into
+    the block's (rows, 4H) gate buffer, a strided view of ``inputs`` that is
+    never copied or written.
     The gate columns are reordered to i, f, o, g, so the three sigmoid
     gates are one slice, and every factor 0.5 is deferred, which is exact:
     the gates hold 2·sigma, h is carried as 2h (0.5 folded into ``w_h`` and
@@ -202,56 +170,136 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(model: SequenceModel) -> int:
-    """Rows per block of :func:`predict`: as many as keep a block's scratch
-    (two gate rows of 4H and two state rows of H per row) within
-    :data:`INFERENCE_BLOCK_BYTES`, at least one."""
+    """Rows per block of both :func:`predict` and :func:`loss_and_grads`: as
+    many as keep a block of the inference pass's scratch (two gate rows of 4H
+    and two state rows of H per row) within :data:`INFERENCE_BLOCK_BYTES`, at
+    least one. Training keeps the T steps of a block of that many rows."""
     row_bytes = 8 * (2 * 4 + 2) * model.hidden_size
     return max(1, INFERENCE_BLOCK_BYTES // row_bytes)
 
 
 def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
                    targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-squared next-step error and analytic gradients (BPTT)."""
-    n = inputs.shape[0]
-    h_size = model.hidden_size
-    predictions, h_last, cache = _forward(model, inputs)
-    diff = predictions - targets
-    denom = diff.size
-    loss = float(np.sum(diff * diff) / denom)
+    """Mean-squared next-step error and analytic gradients (BPTT).
 
-    d_pred = 2.0 * diff / denom
-    grads = {
-        "w_out": d_pred.T @ h_last,
-        "b_out": d_pred.sum(axis=0),
-        "w_x": np.zeros_like(model.w_x),
-        "w_h": np.zeros_like(model.w_h),
-        "b": np.zeros_like(model.b),
-    }
-    dh = d_pred @ model.w_out
-    dc = np.zeros((n, h_size))
-    for t in range(SEQUENCE_LENGTH - 1, -1, -1):
-        x_t, h_prev, c_prev, i, fgate, g, o, c_next = cache[t]
-        tanh_c = np.tanh(c_next)
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dc_prev = dc * fgate
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * fgate * (1.0 - fgate),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        grads["w_x"] += dz.T @ x_t
-        grads["w_h"] += dz.T @ h_prev
-        grads["b"] += dz.sum(axis=0)
-        dh = dz @ model.w_h
-        dc = dc_prev
+    The training pass: one sweep over blocks of at most :func:`_block_rows`
+    rows, the block size of :func:`predict`. A block runs its forward pass,
+    keeping its T steps of gates, h, c and time-major inputs in scratch sized
+    to one block, and writes its predictions; it then backpropagates through
+    the same steps at once, writing dz in place over its gates, and adds its
+    weight gradients to the totals. A prediction's gradient depends on the
+    batch only through the element count, so no block waits for another;
+    the loss is taken once over all predictions.
+
+    The scratch is gate-major, (4, T, rows, H), so every element-wise step
+    reads and writes whole (rows, H) gates; the input projection of all of
+    a block's steps is one batched matmul (Appleyard et al.,
+    arXiv:1604.01946). The rows of the sigmoid gates are pre-scaled by 0.5,
+    which is exact, so one tanh yields tanh(z/2) for them and
+    sigma(z) = 0.5 * (1 + tanh(z/2)). Scratch is allocated once per call.
+    """
+    _check_batch(inputs, targets)
+    n, t_len, f = inputs.shape
+    h_size = model.hidden_size
+    scale = np.full(4 * h_size, 0.5)
+    scale[2 * h_size : 3 * h_size] = 1.0
+    # gate-major weights: (4, F, H), (4, 1, H) and (4, H, H). w_x and w_h
+    # stay transposed views, so BLAS gets each gate's weights in the layout
+    # of a (F or H, 4H) matmul and a one-row block sums as that would.
+    w_x = (model.w_x * scale[:, None]).reshape(4, h_size, f).transpose(0, 2, 1)
+    b = (model.b * scale).reshape(4, 1, h_size)
+    w_h = (model.w_h * scale[:, None]).reshape(4, h_size, h_size).transpose(0, 2, 1)
+    block = _block_rows(model)
+    rows = min(n, block)
+    # flat scratch; a block of m rows takes a contiguous prefix of each
+    xs_buf, gates_buf = np.empty(t_len * rows * f), np.empty(4 * t_len * rows * h_size)
+    hs_buf, cs_buf = np.empty((t_len + 1) * rows * h_size), np.empty((t_len + 1) * rows * h_size)
+    recur_buf, dz_buf = np.empty(4 * rows * h_size), np.empty((rows, 4 * h_size))
+    dh_buf, dc_buf, a_buf, b_buf, c_buf = (np.empty((rows, h_size)) for _ in range(5))
+    ones = np.ones(t_len * rows)  # sums dz over a block's steps and rows
+    predictions = np.empty((n, f))
+    denom = predictions.size
+    grads = {name: np.zeros_like(param) for name, param in model.parameters().items()}
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        m = stop - start
+        xs = xs_buf[: t_len * m * f].reshape(t_len, m, f)
+        gates = gates_buf[: 4 * t_len * m * h_size].reshape(4, t_len, m, h_size)
+        hs = hs_buf[: (t_len + 1) * m * h_size].reshape(t_len + 1, m, h_size)
+        cs = cs_buf[: (t_len + 1) * m * h_size].reshape(t_len + 1, m, h_size)
+        recur = recur_buf[: 4 * m * h_size].reshape(4, m, h_size)
+        dz, dh, dc = dz_buf[:m], dh_buf[:m], dc_buf[:m]
+        tmp_a, tmp_b, tmp_c = a_buf[:m], b_buf[:m], c_buf[:m]
+
+        xs[...] = inputs[start:stop].transpose(1, 0, 2)
+        np.matmul(xs.reshape(t_len * m, f), w_x, out=gates.reshape(4, t_len * m, h_size))
+        gates += b[:, None]
+        hs[0] = 0.0
+        cs[0] = 0.0
+        for t in range(t_len):
+            z = gates[:, t]
+            if t:
+                np.matmul(hs[t], w_h, out=recur)
+                z += recur
+            np.tanh(z, out=z)
+            for sig in (z[:2], z[3]):
+                sig += 1.0
+                sig *= 0.5
+            i, fgate, g, o = z
+            c_next = cs[t + 1]
+            np.multiply(fgate, cs[t], out=c_next)
+            np.multiply(i, g, out=tmp_a)
+            c_next += tmp_a
+            np.tanh(c_next, out=hs[t + 1])
+            hs[t + 1] *= o
+        pred = predictions[start:stop]
+        np.matmul(hs[t_len], model.w_out.T, out=pred)
+        pred += model.b_out
+
+        diff = pred - targets[start:stop]
+        d_pred = 2.0 * diff / denom
+        grads["w_out"] += d_pred.T @ hs[t_len]
+        grads["b_out"] += d_pred.sum(axis=0)
+        np.matmul(d_pred, model.w_out, out=dh)
+        dc[...] = 0.0
+        for t in range(t_len - 1, -1, -1):
+            i, fgate, g, o = gates[:, t]
+            tanh_c = np.tanh(cs[t + 1], out=tmp_a)
+            do = np.multiply(dh, tanh_c, out=tmp_b)
+            np.multiply(dh, o, out=tmp_c)  # dc += dh * o * (1 - tanh_c^2)
+            tanh_c *= tanh_c
+            np.subtract(1.0, tanh_c, out=tanh_c)
+            tmp_c *= tanh_c
+            dc += tmp_c
+            # dz over the gates, in place: i, then f (dc becomes dc_prev),
+            # then g and o
+            di = np.multiply(dc, g, out=tmp_a)
+            dg = np.multiply(dc, i, out=tmp_c)
+            di *= i
+            np.subtract(1.0, i, out=i)
+            i *= di
+            df = np.multiply(dc, cs[t], out=tmp_a)
+            df *= fgate
+            dc *= fgate
+            np.subtract(1.0, fgate, out=fgate)
+            fgate *= df
+            g *= g
+            np.subtract(1.0, g, out=g)
+            g *= dg
+            do *= o
+            np.subtract(1.0, o, out=o)
+            o *= do
+            if t:  # dh of step t-1: one (rows, 4H) @ (4H, H) matmul
+                np.copyto(dz.reshape(m, 4, h_size), gates[:, t].transpose(1, 0, 2))
+                np.matmul(dz, model.w_h, out=dh)
+        flat_dz = gates.reshape(4, t_len * m, h_size)
+        grads["w_x"] += (flat_dz.transpose(0, 2, 1)
+                         @ xs.reshape(t_len * m, f)).reshape(4 * h_size, f)
+        grads["w_h"] += (gates[:, 1:].reshape(4, (t_len - 1) * m, h_size).transpose(0, 2, 1)
+                         @ hs[1:t_len].reshape((t_len - 1) * m, h_size)).reshape(4 * h_size, h_size)
+        grads["b"] += (ones[: t_len * m] @ flat_dz).reshape(-1)
+    diff = predictions - targets
+    loss = float(np.sum(diff * diff) / denom)
     return loss, grads
 
 
@@ -279,10 +327,7 @@ def train_model(inputs: np.ndarray, targets: np.ndarray,
     """
     if config.optimizer not in ("gd", "adam"):
         raise ValueError(f"unknown optimizer {config.optimizer!r}")
-    _check_inputs(inputs)
-    if targets.shape != (len(inputs), FEATURE_COUNT):
-        raise ValueError(f"targets of shape {targets.shape}, expected "
-                         f"({len(inputs)}, {FEATURE_COUNT})")
+    _check_batch(inputs, targets)
     rng = np.random.default_rng(config.rng_seed)
     model = init_model(config.hidden_size, rng)
     params = model.parameters()

@@ -161,6 +161,26 @@ class TestApply:
         assert len(state.log) == 2
         assert [r.event_id for r in state.log.reports] == [0, 1]
 
+    def test_dedup_keys_bounded_to_the_newest_tick(self):
+        state = MitigationState()
+        for tick in range(200):
+            flagged = 3 + tick % 5
+            for ue in range(flagged):
+                ev = event(ts=1000 * tick, ue_id=ue, node_id=ue % 3)
+                apply_actions(state, ev, frozenset({X, B, R}))
+                apply_actions(state, ev, frozenset({X, B, R}))  # replay: a no-op
+            assert len(state._applied) <= flagged
+        assert len(state.log) == sum(3 + tick % 5 for tick in range(200))
+
+    def test_event_older_than_the_newest_is_still_applied(self):
+        state = MitigationState()
+        apply_actions(state, event(ts=2000, ue_id=1), frozenset({R}))
+        late = apply_actions(state, event(ts=1000, node_id=7), frozenset({B, R}))
+        assert late and state.blocklist.blocked_nodes == {7}
+        assert [r.timestamp_ms for r in state.log.reports] == [2000, 1000]
+        # the newest tick's dedup still holds
+        assert apply_actions(state, event(ts=2000, ue_id=1), frozenset({R})) == []
+
     def test_block_requires_subject(self):
         with pytest.raises(ValueError):
             apply_actions(MitigationState(), event(ue_id=1), frozenset({B}))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from ricguard.recurrent import (
     TrainConfig,
     TrainingError,
     _block_rows,
-    _forward,
     gradient_relative_error,
     init_model,
     loss_and_grads,
@@ -19,6 +20,78 @@ from ricguard.recurrent import (
 def tiny_data(n=3, seed=42):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 10, 6)), rng.standard_normal((n, 6))
+
+
+def whole_batch_loss_and_grads(model, inputs, targets):
+    """Reference training pass: the whole batch's forward, keeping every
+    step, then BPTT over the whole batch one step at a time, with the
+    element-wise arithmetic of ``loss_and_grads``. Returns the loss, the
+    gradients and the (n, F) predictions."""
+    n, t_len, f = inputs.shape
+    h_size = model.hidden_size
+    scale = np.full(4 * h_size, 0.5)
+    scale[2 * h_size : 3 * h_size] = 1.0
+    steps = np.ascontiguousarray(inputs.transpose(1, 0, 2))
+    gates = (steps.reshape(t_len * n, f) @ (model.w_x.T * scale)).reshape(t_len, n, 4 * h_size)
+    gates += model.b * scale
+    w_h = model.w_h.T * scale
+    h = np.zeros((n, h_size))
+    c = np.zeros((n, h_size))
+    cache = []
+    for t in range(t_len):
+        z = gates[t]
+        z += h @ w_h
+        np.tanh(z, out=z)
+        for sig in (z[:, : 2 * h_size], z[:, 3 * h_size :]):
+            sig += 1.0
+            sig *= 0.5
+        i = z[:, :h_size]
+        fgate = z[:, h_size : 2 * h_size]
+        g = z[:, 2 * h_size : 3 * h_size]
+        o = z[:, 3 * h_size :]
+        c_next = fgate * c
+        c_next += i * g
+        h_next = np.tanh(c_next)
+        h_next *= o
+        cache.append((steps[t], h, c, i, fgate, g, o, c_next))
+        h, c = h_next, c_next
+    predictions = h @ model.w_out.T + model.b_out
+
+    diff = predictions - targets
+    denom = diff.size
+    loss = float(np.sum(diff * diff) / denom)
+    d_pred = 2.0 * diff / denom
+    grads = {
+        "w_out": d_pred.T @ h,
+        "b_out": d_pred.sum(axis=0),
+        "w_x": np.zeros_like(model.w_x),
+        "w_h": np.zeros_like(model.w_h),
+        "b": np.zeros_like(model.b),
+    }
+    dh = d_pred @ model.w_out
+    dc = np.zeros((n, h_size))
+    for t in range(t_len - 1, -1, -1):
+        x_t, h_prev, c_prev, i, fgate, g, o, c_next = cache[t]
+        tanh_c = np.tanh(c_next)
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * fgate * (1.0 - fgate),
+            dc * i * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ], axis=1)
+        grads["w_x"] += dz.T @ x_t
+        grads["w_h"] += dz.T @ h_prev
+        grads["b"] += dz.sum(axis=0)
+        dh = dz @ model.w_h
+        dc = dc * fgate
+    return loss, grads, predictions
+
+
+ROW_COUNTS = [lambda block: 1, lambda block: 7, lambda block: block - 1, lambda block: block,
+              lambda block: block + 1]
+ROW_IDS = ["1", "7", "block-1", "block", "block+1"]
 
 
 class TestGradients:
@@ -39,6 +112,44 @@ class TestGradients:
         _, analytic = loss_and_grads(model, inputs, targets)
         numeric = numerical_gradients(model, inputs, targets)
         assert gradient_relative_error(analytic, numeric) < 1e-4
+
+    def test_central_differences_across_a_block_boundary(self):
+        rng = np.random.default_rng(13)
+        model = init_model(4, rng)
+        model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
+        inputs, targets = tiny_data(n=_block_rows(model) + 3, seed=14)
+        _, analytic = loss_and_grads(model, inputs, targets)
+        numeric = numerical_gradients(model, inputs, targets)
+        assert gradient_relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("rows_of_block", ROW_COUNTS + [lambda block: 2 * block + 3],
+                             ids=ROW_IDS + ["2block+3"])
+    def test_blocked_pass_matches_whole_batch(self, rows_of_block):
+        """Blocks sum the weight gradients in another order, so they agree
+        with the whole-batch pass to rounding; the loss is bit for bit."""
+        model, rng = h32_model()
+        n = rows_of_block(_block_rows(model))
+        inputs = rng.standard_normal((n, 10, 6)) * 2.0
+        targets = rng.standard_normal((n, 6))
+        loss, grads = loss_and_grads(model, inputs, targets)
+        ref_loss, ref_grads, _ = whole_batch_loss_and_grads(model, inputs, targets)
+        assert loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert gradient_relative_error({name: grads[name]}, {name: ref}) < 1e-12, name
+
+    def test_scratch_is_one_block(self):
+        """The whole-batch pass peaks at about 113 MB here, the blocked pass
+        at about 6 MB."""
+        model, rng = h32_model()
+        inputs = rng.standard_normal((5500, 10, 6))
+        targets = rng.standard_normal((5500, 6))
+        tracemalloc.start()
+        try:
+            loss_and_grads(model, inputs, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 def textbook_predict(model, inputs):
@@ -88,18 +199,18 @@ def h32_model(seed=11):
 
 
 class TestBlockedInference:
-    """``predict`` runs blocks of rows; training's ``_forward`` runs the whole
-    batch. They do the same arithmetic, but BLAS may pick another kernel for
-    a small block, so the outputs agree to rounding, not bit for bit."""
+    """``predict`` runs blocks of rows with the 0.5 factors deferred; the
+    reference runs the whole batch. The LSTM is the same, but the rounding
+    is not, so the outputs agree to rounding, not bit for bit."""
 
-    @pytest.mark.parametrize("rows_of_block", [
-        lambda block: 1, lambda block: 7, lambda block: block - 1, lambda block: block,
-        lambda block: block + 1, lambda block: 2000, lambda block: 5000,
-    ], ids=["1", "7", "block-1", "block", "block+1", "2000", "5000"])
+    @pytest.mark.parametrize("rows_of_block", ROW_COUNTS + [lambda block: 2000,
+                                                            lambda block: 5000],
+                             ids=ROW_IDS + ["2000", "5000"])
     def test_matches_whole_batch_forward(self, rows_of_block):
         model, rng = h32_model()
-        inputs = rng.standard_normal((rows_of_block(_block_rows(model)), 10, 6)) * 2.0
-        whole, _, _ = _forward(model, inputs)
+        n = rows_of_block(_block_rows(model))
+        inputs = rng.standard_normal((n, 10, 6)) * 2.0
+        _, _, whole = whole_batch_loss_and_grads(model, inputs, np.zeros((n, 6)))
         assert predict(model, inputs) == pytest.approx(whole, rel=1e-12)
 
     def test_empty_batch(self):
@@ -143,6 +254,21 @@ class TestTraining:
             train_model(inputs * 100, targets * 100,
                         TrainConfig(hidden_size=8, epochs=200,
                                     learning_rate=50.0, rng_seed=0))
+
+    def test_empty_batch_rejected_before_training(self, monkeypatch):
+        import ricguard.recurrent as recurrent
+
+        monkeypatch.setattr(recurrent, "loss_and_grads", lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="empty"):
+            train_model(np.empty((0, 10, 6)), np.empty((0, 6)), TrainConfig(hidden_size=4))
+
+    @pytest.mark.parametrize("targets_shape", [(6,), (3,), (3, 1), (3, 6, 1), (2, 6)])
+    def test_loss_rejects_targets_of_another_shape(self, targets_shape):
+        """(6,) targets would broadcast against the (3, 6) predictions."""
+        model = init_model(4, np.random.default_rng(0))
+        inputs, _ = tiny_data()
+        with pytest.raises(ValueError, match=r"targets of shape"):
+            loss_and_grads(model, inputs, np.zeros(targets_shape))
 
     def test_unknown_optimizer_rejected(self):
         inputs, targets = tiny_data()
