@@ -72,6 +72,9 @@ for tier in XappTier:
 actions = resolve_attestation_event("traffic-steering", XappTier.HIGH_IMPACT, policy)
 event = DetectionEvent(detector="attestation", evidence="digest-mismatch",
                        timestamp_ms=clock.now_ms(), xapp_id="traffic-steering")
-for effect in apply_actions(state, event, actions):
-    print(f"  effect: {effect}")
-print(f"xApp blocked: {state.blocklist.is_xapp_blocked('traffic-steering')}")
+apply_actions(state, event, actions)
+row = state.log.reports[-1]
+print(f"  incident {row.event_id}: {row.subject} {row.evidence} "
+      f"{format_action_codes(row.actions)}")
+print(f"  {state.blocklist}")
+assert "traffic-steering" in state.blocklist.blocked_xapps

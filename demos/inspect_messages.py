@@ -77,12 +77,14 @@ print(f"\nresolved actions: {format_action_codes(actions)} "
 state = MitigationState()
 event = DetectionEvent(detector="inspector", evidence="sig:42",
                        timestamp_ms=1, node_id=infected.source_node_id)
-for effect in apply_actions(state, event, actions):
-    print(f"  effect: {effect}")
-print(f"incident log now holds {len(state.log)} report(s)")
+apply_actions(state, event, actions)
+row = state.log.reports[-1]
+print(f"  incident {row.event_id}: {row.subject} {row.evidence} "
+      f"{format_action_codes(row.actions)}")
+print(f"  {state.blocklist}")
 
 # Once an operator policy blocks a node, its traffic never reaches a scan.
-blocklist.block_node(5)
+blocklist.blocked_nodes.add(5)
 blocked = inspector.inspect(infected)
 print(f"\nafter blocklisting node 5: verdict {blocked.verdict.value} "
       f"(scanned: {blocked.match is not None})")

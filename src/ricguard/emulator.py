@@ -9,7 +9,7 @@ N(mu, cov). Attacks are reproduced with ground-truth labels:
 * KPM poisoning: targeted UEs' reports are resampled i.i.d. from
   N(af*mu, af*cov) during seeded attack windows (the underlying benign
   process keeps evolving — a man-in-the-middle rewrites reports in
-  transit). An af^2 covariance reading is available as a config switch.
+  transit).
 * Signature injection: messages from malicious nodes carry one uniformly
   chosen rulebook pattern spliced at a uniform payload offset.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,7 +94,6 @@ class ScenarioConfig:
     amplification_factor: float = 1.0
     poison_target_fraction: float = 0.0
     poison_time_fraction: float = 0.25
-    poison_cov_af_squared: bool = False
     loops: int = 100
     rng_seed: int = 1
     size_calibrated: bool = False
@@ -130,6 +130,11 @@ class UeProfile:
     cell_id: int
     mu: np.ndarray
     cov: np.ndarray
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """``psd_factor(cov)``, computed on first use."""
+        return psd_factor(self.cov)
 
 
 @dataclass(frozen=True)
@@ -175,23 +180,20 @@ def poison_records(
     af: float,
     profiles: Mapping[int, UeProfile],
     rng: np.random.Generator,
-    cov_af_squared: bool = False,
 ) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
     """Resample targeted records from the amplified distribution.
 
-    Targeted records are redrawn i.i.d. from N(af*mu, af*cov) (or af^2*cov
-    under the config switch) and clipped at zero; labels mark every record,
-    poisoned or not. af = 1 leaves the distribution unchanged but the
-    window is still labelled as attacked.
+    Targeted records are redrawn i.i.d. from N(af*mu, af*cov) and clipped
+    at zero; labels mark every record, poisoned or not. af = 1 leaves the
+    distribution unchanged but the window is still labelled as attacked.
     """
     out: list[KpmRecord] = []
     labels: list[GroundTruthLabel] = []
-    scale = af if cov_af_squared else np.sqrt(af)
+    scale = np.sqrt(af)
     for rec in records:
         if rec.ue_id in targets:
             profile = profiles[rec.ue_id]
-            factor = psd_factor(profile.cov)
-            draw = af * profile.mu + scale * (factor @ rng.standard_normal(FEATURE_COUNT))
+            draw = af * profile.mu + scale * (profile.factor @ rng.standard_normal(FEATURE_COUNT))
             values = np.clip(draw, 0.0, None)
             out.append(KpmRecord.from_features(rec.timestamp, rec.ue_id, values))
             labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, True, af))
@@ -285,7 +287,7 @@ class RanEmulator:
         self.profile_by_ue = {p.ue_id: p for p in profiles}
 
         self._mu = np.stack([p.mu for p in profiles])
-        self._factor = np.stack([psd_factor(p.cov) for p in profiles])
+        self._factor = np.stack([p.factor for p in profiles])
         # stationary start: deviations begin at the marginal distribution
         self._dev = np.einsum(
             "uij,uj->ui", self._factor, self._rng.standard_normal((ue_count, FEATURE_COUNT))
@@ -350,7 +352,6 @@ class RanEmulator:
             self.config.amplification_factor,
             self.profile_by_ue,
             self._rng,
-            cov_af_squared=self.config.poison_cov_af_squared,
         )
         return records, labels
 

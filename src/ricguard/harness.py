@@ -267,16 +267,11 @@ def _hit_ids(match: MatchResult | None) -> str:
 
 
 def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
-             policy: MitigationPolicy, mitigation: MitigationState, now_ms: int,
              cost_model: CostModel | None) -> InspectionOutcome:
-    """Inspect one message and apply the policy to a signature hit."""
+    """Inspect one message; the cost model, when given, charges its scan."""
     outcome = inspector.inspect(msg, loop=loop)
     if cost_model is not None and outcome.match is not None:
         outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(outcome.match.comparisons))
-    if outcome.verdict is Verdict.MALICIOUS:
-        event = DetectionEvent(detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
-                               timestamp_ms=now_ms, node_id=msg.source_node_id)
-        apply_actions(mitigation, event, resolve_inspector_event(outcome.match, policy))
     return outcome
 
 
@@ -336,9 +331,8 @@ def run_inspector_experiment(
     if config.malicious_node_fraction <= 0:
         raise ConfigError("the inspector experiment needs malicious nodes")
 
-    matcher = NaiveMatcher(rulebook)
-    policy = MitigationPolicy.default()
-    policy.bind_rulebook(rulebook)
+    # nothing adds to this blocklist, so every message of every run is scanned
+    inspector = IngressInspector(NaiveMatcher(rulebook), Blocklist())
 
     injected_total = detected_injected = benign_total = false_positives = 0
     per_run_kind: dict[tuple[int, E2MessageKind], LatencySummary] = {}
@@ -347,10 +341,6 @@ def run_inspector_experiment(
 
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
-        # the inspector's blocklist stays apart from the mitigation state, so
-        # every message of the run is scanned
-        inspector = IngressInspector(matcher, Blocklist())
-        mitigation = MitigationState()
         clock = SimClock()
         outcomes: list[InspectionOutcome] = []
         for t in range(config.loops):
@@ -358,8 +348,7 @@ def run_inspector_experiment(
             for emitted in emulator.step(t):
                 clock.advance_ns(1_000)
                 msg = decode_frame(emitted.frame, clock=clock.now_ns)
-                outcome = _inspect(inspector, msg, t, policy, mitigation, clock.now_ms(),
-                                   cost_model)
+                outcome = _inspect(inspector, msg, t, cost_model)
                 outcomes.append(outcome)
                 diverted = outcome.verdict is Verdict.MALICIOUS
                 if emitted.injected is not None:
@@ -627,7 +616,7 @@ def run_attestation_experiment(
                                timestamp_ms=clock.now_ms(), xapp_id="xapp-trial"),
                 actions,
             )
-            if mitigation.blocklist.is_xapp_blocked("xapp-trial"):
+            if "xapp-trial" in mitigation.blocklist.blocked_xapps:
                 blocked += 1
 
     result = AttestationExperimentResult(
@@ -739,9 +728,15 @@ class RicPipeline:
                 self.codec_errors += 1
                 continue
             if self.inspector is not None:
-                outcome = _inspect(self.inspector, msg, t, self.policy, self.mitigation,
-                                   now_ms, self.cost_model)
+                outcome = _inspect(self.inspector, msg, t, self.cost_model)
                 inspect_ns += outcome.inspect_latency_ns
+                if outcome.verdict is Verdict.MALICIOUS:
+                    event = DetectionEvent(
+                        detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
+                        timestamp_ms=now_ms, node_id=msg.source_node_id,
+                    )
+                    apply_actions(self.mitigation, event,
+                                  resolve_inspector_event(outcome.match, self.policy))
                 if outcome.verdict is not Verdict.BENIGN:
                     continue  # diverted or blocked: never reaches dispatch
             decoded = self._kpm_records(msg, t * TICK_MS, seen)

@@ -66,7 +66,7 @@ class IngressInspector:
         self.blocklist = blocklist
 
     def inspect(self, msg: E2Message, loop: int = 0) -> InspectionOutcome:
-        if self.blocklist.is_node_blocked(msg.source_node_id):
+        if msg.source_node_id in self.blocklist.blocked_nodes:
             return InspectionOutcome(
                 message=msg, verdict=Verdict.BLOCKED, inspect_latency_ns=0, loop=loop
             )

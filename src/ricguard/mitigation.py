@@ -3,7 +3,8 @@
 Detection events are resolved against an operator-editable
 :class:`MitigationPolicy` into sets of :class:`MitigationAction`, then
 applied to runtime state (blocklists, revocation marks, the incident log).
-Resolution is pure; application is idempotent per detection event.
+Resolution is pure; each application acts once, so every reported
+detection event gets its own incident row.
 
 Policy file format (stdlib configparser syntax)::
 
@@ -254,31 +255,13 @@ class IncidentLog:
                 )
 
 
+@dataclass
 class Blocklist:
-    """Blocked nodes/xApps and revoked privileges; idempotent insertion."""
+    """Blocked nodes and xApps, and the xApps whose privileges are revoked."""
 
-    def __init__(self) -> None:
-        self.blocked_nodes: set[int] = set()
-        self.blocked_xapps: set[str] = set()
-        self.revoked_xapps: set[str] = set()
-
-    def block_node(self, node_id: int) -> None:
-        self.blocked_nodes.add(node_id)
-
-    def block_xapp(self, xapp_id: str) -> None:
-        self.blocked_xapps.add(xapp_id)
-
-    def revoke_privileges(self, xapp_id: str) -> None:
-        self.revoked_xapps.add(xapp_id)
-
-    def is_node_blocked(self, node_id: int) -> bool:
-        return node_id in self.blocked_nodes
-
-    def is_xapp_blocked(self, xapp_id: str) -> bool:
-        return xapp_id in self.blocked_xapps
-
-    def is_xapp_revoked(self, xapp_id: str) -> bool:
-        return xapp_id in self.revoked_xapps
+    blocked_nodes: set[int] = field(default_factory=set)
+    blocked_xapps: set[str] = field(default_factory=set)
+    revoked_xapps: set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -303,65 +286,40 @@ class DetectionEvent:
         return "unknown"
 
 
-class MitigationState:
-    """Blocklist + incident log + per-event dedup for idempotent application.
+_XAPP_ACTIONS = frozenset({MitigationAction.BLOCK_XAPP, MitigationAction.REVOKE_PRIVILEGES})
 
-    Dedup keys are held for the newest event timestamp only, so they are
-    bounded by one tick's events: an event with a newer timestamp clears
-    them. An event older than that timestamp is applied without a dedup
-    check, never dropped.
-    """
+
+class MitigationState:
+    """The runtime state that mitigation acts on: blocklist and incident log."""
 
     def __init__(self) -> None:
         self.blocklist = Blocklist()
         self.log = IncidentLog()
-        self._applied_ms: int | None = None
-        self._applied: set[tuple] = set()  # keys of the events at _applied_ms
 
 
 def apply_actions(state: MitigationState, event: DetectionEvent,
-                  actions: frozenset[MitigationAction]) -> list[str]:
-    """Apply a resolved action set; returns human-readable effects.
+                  actions: frozenset[MitigationAction]) -> None:
+    """Apply a resolved action set for one detection event.
 
-    Re-applying the same event with the same actions is a no-op (identical
-    end state, no duplicate incident row) while no newer event has been
-    applied; see :class:`MitigationState`. Report precedes block/revoke so
-    every block is covered by a logged incident. Message/data exclusion is
-    enforced by the calling pipeline; here it is recorded as an effect.
+    Every call applies its actions: with Report in the set it logs exactly
+    one incident row, so two detections log two rows even when they read
+    alike. The event is checked before anything changes, and the row is
+    logged before any block or revocation, so every block is covered by a
+    logged incident. Dropping the message or data is left to the calling
+    pipeline, which does not forward a diverted message or a flagged record.
     """
     if not actions:
         raise ValueError("mitigation requires a non-empty action set")
-    if state._applied_ms is None or event.timestamp_ms > state._applied_ms:
-        state._applied_ms = event.timestamp_ms
-        state._applied.clear()
-    if event.timestamp_ms == state._applied_ms:
-        key = (event.detector, event.subject, event.evidence, frozenset(actions))
-        if key in state._applied:
-            return []
-        state._applied.add(key)
-
-    effects: list[str] = []
+    if MitigationAction.BLOCK_NODE in actions and event.node_id is None:
+        raise ValueError("BlockNode requires a node_id on the event")
+    if event.xapp_id is None and not actions.isdisjoint(_XAPP_ACTIONS):
+        raise ValueError("BlockXapp and RevokePrivileges require an xapp_id on the event")
     if MitigationAction.REPORT in actions:
-        report = state.log.append(event.detector, event.subject, event.evidence,
-                                  actions, event.timestamp_ms)
-        effects.append(f"incident {report.event_id} reported")
-    if MitigationAction.DROP_MESSAGE in actions:
-        effects.append(f"message from {event.subject} dropped")
-    if MitigationAction.DROP_DATA in actions:
-        effects.append(f"data from {event.subject} dropped")
+        state.log.append(event.detector, event.subject, event.evidence,
+                         actions, event.timestamp_ms)
     if MitigationAction.BLOCK_NODE in actions:
-        if event.node_id is None:
-            raise ValueError("BlockNode requires a node_id on the event")
-        state.blocklist.block_node(event.node_id)
-        effects.append(f"node {event.node_id} blocked")
+        state.blocklist.blocked_nodes.add(event.node_id)
     if MitigationAction.BLOCK_XAPP in actions:
-        if event.xapp_id is None:
-            raise ValueError("BlockXapp requires an xapp_id on the event")
-        state.blocklist.block_xapp(event.xapp_id)
-        effects.append(f"xapp {event.xapp_id} blocked")
+        state.blocklist.blocked_xapps.add(event.xapp_id)
     if MitigationAction.REVOKE_PRIVILEGES in actions:
-        if event.xapp_id is None:
-            raise ValueError("RevokePrivileges requires an xapp_id on the event")
-        state.blocklist.revoke_privileges(event.xapp_id)
-        effects.append(f"xapp {event.xapp_id} privileges revoked")
-    return effects
+        state.blocklist.revoked_xapps.add(event.xapp_id)

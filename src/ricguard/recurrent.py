@@ -101,14 +101,17 @@ def _check_inputs(inputs: np.ndarray) -> None:
 
 def _check_batch(inputs: np.ndarray, targets: np.ndarray) -> None:
     """Training batches: windows as :func:`_check_inputs`, one target row of
-    F features per window, and at least one window (the mean loss of none
-    is undefined)."""
+    F features per window, at least one window (the mean loss of none is
+    undefined), and only finite values (a NaN or inf would surface as a
+    non-finite loss, blamed on the learning rate)."""
     _check_inputs(inputs)
     if targets.shape != (len(inputs), FEATURE_COUNT):
         raise ValueError(f"targets of shape {targets.shape}, expected "
                          f"({len(inputs)}, {FEATURE_COUNT})")
     if not len(inputs):
         raise ValueError("empty training batch: at least one window is needed")
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise ValueError("non-finite training input: windows and targets must be finite")
 
 
 def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:

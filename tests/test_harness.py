@@ -141,7 +141,6 @@ class TestScenarioConfigFile:
         "amplification_factor": ("1.4", 1.4),
         "poison_target_fraction": ("0.3", 0.3),
         "poison_time_fraction": ("0.5", 0.5),
-        "poison_cov_af_squared": ("yes", True),
         "loops": ("60", 60),
         "rng_seed": ("9", 9),
         "size_calibrated": ("true", True),
@@ -480,9 +479,25 @@ class TestGuardedPass:
         (incident,) = guarded.mitigation.log.reports
         assert (incident.detector, incident.subject) == ("kpm", "ue:999999")
         # the block lands on the node that sent the spike
-        assert guarded.mitigation.blocklist.is_node_blocked(7)
-        assert not any(guarded.mitigation.blocklist.is_node_blocked(n) for n in range(3))
+        assert 7 in guarded.mitigation.blocklist.blocked_nodes
+        assert guarded.mitigation.blocklist.blocked_nodes.isdisjoint(range(3))
         assert len(guarded.store) == 10
+
+    @pytest.mark.parametrize("codes, rows, blocked", [("DR", 2, set()), ("DBR", 1, {2})])
+    def test_each_inspector_hit_is_its_own_incident(self, codes, rows, blocked):
+        """Node 2 sends two frames carrying signature 3 in one tick. Each is
+        a detection with its own incident row; when the policy also blocks
+        the node, the first hit blocks it and the second frame goes
+        unscanned, so it logs no row."""
+        rulebook = synthetic_rulebook(10, seed=1, action_codes=codes)
+        payload = b"\x00" * 8 + rulebook.signatures[3].pattern
+        frame = encode_frame(E2Message(E2MessageKind.INDICATION, 2, payload))
+        guarded = RicPipeline(SimClock(), rulebook=rulebook)
+        guarded.process_tick(0, [frame, frame])
+        log = guarded.mitigation.log.reports
+        assert [(r.subject, r.evidence) for r in log] == [("node:2", "sig:3")] * rows
+        assert guarded.mitigation.blocklist.blocked_nodes == blocked
+        assert len(guarded.store) == 0
 
     @staticmethod
     def _raw_kpm_frame(t, values, node=7, ue=999_999):

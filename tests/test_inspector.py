@@ -38,7 +38,7 @@ class TestInspect:
 
     def test_blocklisted_node_short_circuited_without_scan(self):
         blocklist = Blocklist()
-        blocklist.block_node(9)
+        blocklist.blocked_nodes.add(9)
         inspector = IngressInspector(make_matcher(b"EVIL44"), blocklist)
         outcome = inspector.inspect(msg(b"EVIL44", node=9))
         assert outcome.verdict is Verdict.BLOCKED

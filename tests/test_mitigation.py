@@ -145,13 +145,12 @@ class TestApply:
         apply_actions(state, event(ue_id=4), frozenset({X, R}))
         assert len(state.log) == 1
 
-    def test_idempotent_per_event(self):
+    def test_each_call_applies_its_actions(self):
         state = MitigationState()
         ev = event(node_id=3)
-        first = apply_actions(state, ev, frozenset({B, R}))
-        second = apply_actions(state, ev, frozenset({B, R}))
-        assert first and second == []
-        assert len(state.log) == 1
+        assert apply_actions(state, ev, frozenset({B, R})) is None
+        apply_actions(state, ev, frozenset({B, R}))
+        assert [r.event_id for r in state.log.reports] == [0, 1]
         assert state.blocklist.blocked_nodes == {3}
 
     def test_distinct_events_both_logged(self):
@@ -161,42 +160,42 @@ class TestApply:
         assert len(state.log) == 2
         assert [r.event_id for r in state.log.reports] == [0, 1]
 
-    def test_dedup_keys_bounded_to_the_newest_tick(self):
+    def test_state_holds_only_the_blocklist_and_log(self):
         state = MitigationState()
-        for tick in range(200):
-            flagged = 3 + tick % 5
-            for ue in range(flagged):
-                ev = event(ts=1000 * tick, ue_id=ue, node_id=ue % 3)
-                apply_actions(state, ev, frozenset({X, B, R}))
-                apply_actions(state, ev, frozenset({X, B, R}))  # replay: a no-op
-            assert len(state._applied) <= flagged
-        assert len(state.log) == sum(3 + tick % 5 for tick in range(200))
+        for tick in range(20):
+            apply_actions(state, event(ts=1000 * tick, ue_id=1, node_id=2),
+                          frozenset({X, B, R}))
+        assert set(vars(state)) == {"blocklist", "log"}
+        assert len(state.log) == 20
 
     def test_event_older_than_the_newest_is_still_applied(self):
         state = MitigationState()
         apply_actions(state, event(ts=2000, ue_id=1), frozenset({R}))
-        late = apply_actions(state, event(ts=1000, node_id=7), frozenset({B, R}))
-        assert late and state.blocklist.blocked_nodes == {7}
-        assert [r.timestamp_ms for r in state.log.reports] == [2000, 1000]
-        # the newest tick's dedup still holds
-        assert apply_actions(state, event(ts=2000, ue_id=1), frozenset({R})) == []
+        apply_actions(state, event(ts=1000, node_id=7), frozenset({B, R}))
+        apply_actions(state, event(ts=2000, ue_id=1), frozenset({R}))
+        assert state.blocklist.blocked_nodes == {7}
+        assert [r.timestamp_ms for r in state.log.reports] == [2000, 1000, 2000]
 
     def test_block_requires_subject(self):
-        with pytest.raises(ValueError):
-            apply_actions(MitigationState(), event(ue_id=1), frozenset({B}))
+        state = MitigationState()
+        for actions in ({B, R}, {K, R}, {V, R}):
+            with pytest.raises(ValueError):
+                apply_actions(state, event(ue_id=1), frozenset(actions))
+        assert len(state.log) == 0  # checked before anything is applied
 
     def test_report_precedes_block_effects(self):
         state = MitigationState()
-        effects = apply_actions(state, event(node_id=5), frozenset({B, R}))
-        assert effects[0].startswith("incident")
-        assert any("blocked" in e for e in effects)
+        apply_actions(state, event(node_id=5), frozenset({B, R}))
+        [row] = state.log.reports
+        assert (row.subject, row.actions) == ("node:5", frozenset({B, R}))
+        assert state.blocklist.blocked_nodes == {5}
 
     def test_xapp_actions(self):
         state = MitigationState()
         apply_actions(state, event(detector="attestation", xapp_id="x1"),
                       frozenset({K, V, R}))
-        assert state.blocklist.is_xapp_blocked("x1")
-        assert state.blocklist.is_xapp_revoked("x1")
+        assert state.blocklist.blocked_xapps == {"x1"}
+        assert state.blocklist.revoked_xapps == {"x1"}
 
     def test_empty_action_set_rejected(self):
         with pytest.raises(ValueError):
@@ -206,11 +205,13 @@ class TestApply:
 class TestBlocklist:
     def test_idempotent_insertion(self):
         blocklist = Blocklist()
-        blocklist.block_node(4)
-        blocklist.block_node(4)
+        blocklist.blocked_nodes.add(4)
+        blocklist.blocked_nodes.add(4)
         assert blocklist.blocked_nodes == {4}
-        assert blocklist.is_node_blocked(4)
-        assert not blocklist.is_node_blocked(5)
+        assert not blocklist.blocked_xapps and not blocklist.revoked_xapps
+        # three public sets and no methods of its own
+        assert not [name for name, value in vars(Blocklist).items()
+                    if callable(value) and not name.startswith("__")]
 
 
 class TestIncidentLog:

@@ -262,6 +262,19 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             train_model(np.empty((0, 10, 6)), np.empty((0, 6)), TrainConfig(hidden_size=4))
 
+    @pytest.mark.parametrize("where", ["inputs", "targets"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_rejected_before_training(self, monkeypatch, where, value):
+        import ricguard.recurrent as recurrent
+
+        batch = {"inputs": np.zeros((4, 10, 6)), "targets": np.zeros((4, 6))}
+        batch[where].flat[5] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            loss_and_grads(init_model(4, np.random.default_rng(0)), **batch)
+        monkeypatch.setattr(recurrent, "loss_and_grads", lambda *args: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="non-finite"):
+            train_model(batch["inputs"], batch["targets"], TrainConfig(hidden_size=4))
+
     @pytest.mark.parametrize("targets_shape", [(6,), (3,), (3, 1), (3, 6, 1), (2, 6)])
     def test_loss_rejects_targets_of_another_shape(self, targets_shape):
         """(6,) targets would broadcast against the (3, 6) predictions."""
