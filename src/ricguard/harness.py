@@ -688,9 +688,9 @@ class RicPipeline:
     Built with a rulebook and a detector bundle it is the guarded arm of the
     use case; built without them, the baseline that decodes and stores. A
     KPM record is fresh only when it is stamped ``t * TICK_MS`` and its UE
-    has not yet reported in tick ``t``. Frames and KPM payloads that fail to
-    decode, and stale KPM records, are dropped and counted; no per-record
-    state outlives the tick.
+    has not yet reported in tick ``t``. Frames that fail to decode or that
+    inspection stops, KPM payloads that fail to decode, and stale KPM
+    records are dropped and counted; no per-record state outlives the tick.
     """
 
     def __init__(self, clock: SimClock, cost_model: CostModel | None = None, *,
@@ -710,6 +710,10 @@ class RicPipeline:
         self.replays = 0
         #: KPM records the detector flagged; they are mitigated, not stored
         self.flagged = 0
+        #: frames the inspector diverted: a signature matched
+        self.diverted = 0
+        #: frames dropped unscanned because their node is on the blocklist
+        self.blocked = 0
         # one inspector for every E2 connection, on the pipeline's blocklist
         self.inspector = (None if rulebook is None else
                           IngressInspector(NaiveMatcher(rulebook), self.mitigation.blocklist))
@@ -737,8 +741,11 @@ class RicPipeline:
                     )
                     apply_actions(self.mitigation, event,
                                   resolve_inspector_event(outcome.match, self.policy))
-                if outcome.verdict is not Verdict.BENIGN:
-                    continue  # diverted or blocked: never reaches dispatch
+                    self.diverted += 1
+                    continue  # never reaches dispatch
+                if outcome.verdict is Verdict.BLOCKED:
+                    self.blocked += 1
+                    continue
             decoded = self._kpm_records(msg, t * TICK_MS, seen)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))

@@ -4,11 +4,11 @@ Patterns are opaque byte strings matched against raw payloads ahead of any
 decoding. Two interchangeable matchers are provided:
 
 * :func:`scan_naive` — the reference matcher: per signature, the first
-  occurrence, found by ``bytes.find``. When the payload is short next to the
-  rulebook, only signatures whose 4-byte prefix occurs in the payload are
-  searched (a prefilter-then-verify scan). Its byte-comparison count is that
-  of the canonical per-byte double loop, computed by a separate oracle on
-  first read only, since only the deterministic cost model needs it.
+  occurrence, found by ``bytes.find``. A 2-byte prefilter runs first: only
+  the signatures whose first two bytes occur in the payload are searched,
+  each once. Its byte-comparison count is that of the canonical per-byte
+  double loop, computed by a separate oracle on first read only, since only
+  the deterministic cost model needs it.
 * :class:`AhoCorasickMatcher` — goto/failure-link automaton built once per
   rulebook version, scanning all patterns in a single pass.
 
@@ -23,7 +23,6 @@ mitigation module (D drop, B block node, R report).
 from __future__ import annotations
 
 import logging
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -37,17 +36,6 @@ from .timing import wall_ns
 logger = logging.getLogger(__name__)
 
 MIN_PATTERN_LENGTH = 4  # guards against degenerate universal matches
-
-# The prefix index keys each signature by its first _PREFIX_BYTES bytes, read
-# as a native-order unsigned int: the "I" format, which is 4 bytes wide.
-_PREFIX_BYTES = 4
-assert _PREFIX_BYTES <= MIN_PATTERN_LENGTH
-
-# Prefilter through the payload's 4-grams when collecting them costs less
-# than one bytes.find per signature. Measured (CPython 3.11, x86-64): a gram
-# costs about as much as a find call's fixed part, and a find's scan costs as
-# much again every _FIND_FIXED_BYTES payload bytes.
-_FIND_FIXED_BYTES = 650
 
 
 @dataclass(frozen=True)
@@ -85,13 +73,16 @@ class SignatureSet:
         return len(self.signatures)
 
     @cached_property
-    def _prefix_index(self) -> dict[int, tuple[Signature, ...]]:
-        """Signatures grouped by their prefix, keyed as :func:`_grams` keys it."""
+    def _two_grams(self) -> tuple[np.ndarray, dict[int, tuple[Signature, ...]]]:
+        """The prefilter: a table over all 65,536 2-byte values, read
+        little-endian, true where a signature begins with the value, and the
+        signatures under each such 2-gram."""
         index: dict[int, list[Signature]] = {}
         for sig in self.signatures:
-            prefix = int.from_bytes(sig.pattern[:_PREFIX_BYTES], sys.byteorder)
-            index.setdefault(prefix, []).append(sig)
-        return {prefix: tuple(sigs) for prefix, sigs in index.items()}
+            index.setdefault(int.from_bytes(sig.pattern[:2], "little"), []).append(sig)
+        table = np.zeros(1 << 16, dtype=bool)
+        table[list(index)] = True
+        return table, {gram: tuple(sigs) for gram, sigs in index.items()}
 
 
 class MatchResult:
@@ -159,15 +150,6 @@ def _naive_single(payload: bytes, pattern: bytes, candidates: Sequence[int]) -> 
     return comparisons + len(payload) - m + 1 - next_window
 
 
-def _grams(payload: bytes) -> set[int]:
-    """Every ``_PREFIX_BYTES``-byte substring of the payload, as an int."""
-    view, n = memoryview(payload), len(payload)
-    grams: set[int] = set()
-    for start in range(_PREFIX_BYTES):
-        grams.update(view[start:start + (n - start) // _PREFIX_BYTES * _PREFIX_BYTES].cast("I"))
-    return grams
-
-
 def _canonical_comparisons(payload: bytes, signatures: SignatureSet) -> int:
     """Byte comparisons of the canonical per-signature double loop."""
     if not payload:
@@ -189,24 +171,27 @@ def _canonical_comparisons(payload: bytes, signatures: SignatureSet) -> int:
 def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
     """Scan with the naive per-signature search; empty payloads allowed.
 
-    Every signature's first occurrence comes from ``bytes.find``. A payload
-    short next to the rulebook is first cut into its 4-grams, and only the
-    signatures whose prefix is among them are searched: the others cannot
-    occur. ``comparisons`` is the canonical search's count, computed only
-    when read, outside ``scan_latency_ns``.
+    Every signature's first occurrence comes from ``bytes.find``, run only
+    for the signatures whose first two bytes occur in the payload: the
+    others cannot occur. The payload's overlapping 2-grams are read as one
+    zero-copy view and looked up in the rulebook's 65,536-entry table, and
+    each signature under a 2-gram present is searched once. ``comparisons``
+    is the canonical search's count, computed only when read, outside
+    ``scan_latency_ns``.
     """
     started = wall_ns()
     n = len(payload)
-    if n < len(signatures) * (1 + n / _FIND_FIXED_BYTES):
-        index = signatures._prefix_index
-        candidates = [sig for gram in _grams(payload) if gram in index for sig in index[gram]]
-    else:
-        candidates = signatures.signatures
     hits = []
-    for sig in candidates:
-        offset = payload.find(sig.pattern)
-        if offset >= 0:
-            hits.append((sig.sig_id, offset))
+    if n >= MIN_PATTERN_LENGTH:
+        table, index = signatures._two_grams
+        grams = np.ndarray((n - 1,), "<u2", payload, 0, (1,))
+        # np.unique, not a set: a payload made of signature 2-grams would
+        # cost one Python int per byte
+        for gram in np.unique(grams[table.take(grams)]).tolist():
+            for sig in index[gram]:
+                offset = payload.find(sig.pattern)
+                if offset >= 0:
+                    hits.append((sig.sig_id, offset))
     hits.sort()
     return MatchResult(hits=tuple(hits), scan_latency_ns=wall_ns() - started,
                        comparisons=partial(_canonical_comparisons, payload, signatures))

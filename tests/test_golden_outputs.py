@@ -6,13 +6,16 @@ keep these exact bytes: a change to the emulator's seeded stream (payload
 bytes, injections, poison plan) or to the cost model's charges shows here.
 ``detector.csv`` and the use-case CSVs go through the trained LSTM, whose
 float sums follow the BLAS build, so criterion 11 checks them only for
-repeatability.
+repeatability. The KPM values the emulator writes into its frames are pinned
+apart from the CSVs, rounded so that LAPACK's last bits cannot move them.
 """
 
 import hashlib
 
 import pytest
 
+from ricguard.e2 import E2MessageKind, decode_frame, decode_kpm_payload
+from ricguard.emulator import RanEmulator, ScenarioConfig
 from ricguard.harness import (
     detector_preset,
     inspector_preset,
@@ -47,3 +50,28 @@ def outputs(quick_bundle, rulebook, tmp_path_factory):
 def test_csv_bytes_match_golden(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+#: 12 UEs over 16 ticks; half are poison targets, attacked from tick 12 on.
+KPM_SCENARIO = ScenarioConfig(node_count=2, cells_per_node=2, ues_per_cell=3,
+                              poison_target_fraction=0.5, amplification_factor=1.5,
+                              loops=16, rng_seed=5)
+KPM_GOLDEN_SHA256 = "9fb5a183cf9d2b6119399863bb102a45382c527d1a542ace226ef973de8e1ec5"
+
+
+def test_emulated_kpm_values_match_golden():
+    """The decoded records of every indication, features to 9 significant
+    digits: ``psd_factor``'s eigendecomposition may differ between LAPACK
+    builds in the last bits, far below the ninth digit."""
+    emulator = RanEmulator(KPM_SCENARIO)
+    lines, poisoned = [], 0
+    for t in range(KPM_SCENARIO.loops):
+        for emitted in emulator.step(t):
+            msg = decode_frame(emitted.frame)
+            if msg.kind is E2MessageKind.INDICATION:
+                poisoned += sum(label.poisoned for label in emitted.labels)
+                lines += [",".join([str(r.timestamp), str(r.ue_id), *(f"{v:.9g}" for v in r[2:])])
+                          for r in decode_kpm_payload(msg.payload)]
+    assert len(lines) == 12 * KPM_SCENARIO.loops and poisoned
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == KPM_GOLDEN_SHA256

@@ -488,7 +488,8 @@ class TestGuardedPass:
         """Node 2 sends two frames carrying signature 3 in one tick. Each is
         a detection with its own incident row; when the policy also blocks
         the node, the first hit blocks it and the second frame goes
-        unscanned, so it logs no row."""
+        unscanned, so it logs no row. Each frame is counted as diverted or
+        blocked."""
         rulebook = synthetic_rulebook(10, seed=1, action_codes=codes)
         payload = b"\x00" * 8 + rulebook.signatures[3].pattern
         frame = encode_frame(E2Message(E2MessageKind.INDICATION, 2, payload))
@@ -497,6 +498,7 @@ class TestGuardedPass:
         log = guarded.mitigation.log.reports
         assert [(r.subject, r.evidence) for r in log] == [("node:2", "sig:3")] * rows
         assert guarded.mitigation.blocklist.blocked_nodes == blocked
+        assert (guarded.diverted, guarded.blocked) == (rows, 2 - rows)
         assert len(guarded.store) == 0
 
     @staticmethod

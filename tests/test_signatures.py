@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ricguard import signatures
+from ricguard.e2 import MAX_PAYLOAD_BYTES
 from ricguard.mitigation import parse_action_codes
 from ricguard.signatures import (
     AhoCorasickMatcher,
@@ -72,6 +73,11 @@ class TestNaiveScan:
 
     def test_empty_payload(self):
         assert scan_naive(b"", sigset(sig(1, b"ABCD"))).hits == ()
+
+    @pytest.mark.parametrize("size", range(4))
+    def test_payload_shorter_than_any_pattern(self, size):
+        result = scan_naive(b"ABCD"[:size], sigset(sig(1, b"ABCD"), sig(2, b"ABCE")))
+        assert result.hits == () and result.comparisons == 0
 
     def test_first_occurrence_only(self):
         payload = b"..ABCD..ABCD.."
@@ -200,8 +206,9 @@ def test_soundness_and_equivalence_property(payload, data):
     assert auto.hits == expected
 
 
-# Every 5- and 6-byte string over "ab": 96 signatures sharing 16 prefixes,
-# more than the longest payload below, so scans take the prefix-index path.
+# Every 5- and 6-byte string over "ab": 96 signatures under the four 2-grams
+# "aa", "ab", "ba" and "bb", so most 2-grams of an "ab" payload pass the
+# prefilter and select many signatures.
 _AB_PATTERNS = [bytes(word) for m in (5, 6) for word in itertools.product(b"ab", repeat=m)]
 
 
@@ -211,17 +218,18 @@ _AB_PATTERNS = [bytes(word) for m in (5, 6) for word in itertools.product(b"ab",
                       st.lists(st.sampled_from(b"ab\x00"), max_size=64).map(bytes)),
     data=st.data(),
 )
-def test_prefix_index_scan_matches_oracles(payload, data):
-    """Patterns cut from the payload (a match at its end included) and
-    patterns sharing its first 4 bytes, among many overlapping "ab" patterns."""
+def test_shared_prefix_scan_matches_oracles(payload, data):
+    """Patterns cut from the payload (a match at its end included), patterns
+    sharing its first 2 or 4 bytes, and many "ab" patterns sharing 2-byte
+    prefixes: hits are brute force's and the automaton's."""
     cuts = data.draw(st.lists(st.tuples(st.integers(0, 64), st.integers(4, 12)), max_size=5))
     patterns = [payload[at:at + m] for at, m in cuts if at + m <= len(payload)]
     tails = data.draw(st.lists(st.binary(max_size=4), max_size=3))
     patterns += [payload[:4].ljust(4, b"a") + tail for tail in tails]
+    patterns += [payload[:2].ljust(2, b"a") + tail.ljust(2, b"b") for tail in tails]
     if len(payload) >= 4:
         patterns.append(payload[-data.draw(st.integers(4, len(payload))):])
     book = sigset(*(sig(i, p) for i, p in enumerate(dict.fromkeys(patterns + _AB_PATTERNS))))
-    assert len(book) > len(payload)
 
     naive = scan_naive(payload, book)
     expected = brute_force_hits(payload, book)
@@ -229,6 +237,24 @@ def test_prefix_index_scan_matches_oracles(payload, data):
     assert AhoCorasickMatcher(book).scan(payload).hits == expected
     assert naive.comparisons == sum(canonical_comparisons(payload, s.pattern)
                                     for s in book.signatures)
+
+
+def test_hostile_megabyte_payload_matches_find():
+    """A 1 MiB payload that begins with the first 4 bytes of each of 1000
+    signatures, so every signature passes the prefilter, and carries a few
+    whole ones later on: hits are those of ``bytes.find`` per signature."""
+    book = synthetic_rulebook(1000)
+    payload = bytearray(b"".join(s.pattern[:4] for s in book.signatures))
+    payload += np.random.default_rng(21).bytes(MAX_PAYLOAD_BYTES - len(payload))
+    for sig_id, at in ((7, 10_000), (500, 600_000), (999, MAX_PAYLOAD_BYTES - 40), (7, 900_000)):
+        pattern = book.signatures[sig_id].pattern
+        payload[at:at + len(pattern)] = pattern
+    payload = bytes(payload)
+    assert len(payload) == MAX_PAYLOAD_BYTES
+    expected = tuple((s.sig_id, payload.find(s.pattern)) for s in book.signatures
+                     if s.pattern in payload)
+    assert {sig_id for sig_id, _ in expected} >= {7, 500, 999}
+    assert scan_naive(payload, book).hits == expected
 
 
 class TestValidation:
