@@ -40,7 +40,6 @@ from .detector import (
 from .e2 import (
     E2Message,
     E2MessageKind,
-    KpmReportPayload,
     calibrated_indication_size,
     decode_frame,
     decode_kpm_payload,

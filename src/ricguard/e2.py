@@ -31,7 +31,7 @@ import struct
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,32 +155,17 @@ def calibrated_indication_size(ue_count: int) -> int:
     return round(100 + 5.3 * (ue_count - 1))
 
 
-@dataclass(frozen=True)
-class KpmReportPayload:
-    """One cell's telemetry report for one tick.
-
-    node/cell ids route the report in-process; the wire encoding carries the
-    records only (the frame header already names the source node).
-    """
-
-    node_id: int
-    cell_id: int
-    records: tuple[KpmRecord, ...]
-
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise ValueError("KPM reports carry at least one record")
-        stamps = {r.timestamp for r in self.records}
-        if len(stamps) != 1:
-            raise ValueError("all records of one report share one reporting timestamp")
-
-
-def encode_kpm_payload(report: KpmReportPayload) -> bytes:
-    """Full-fidelity payload: 2-byte count then 60 bytes per record."""
-    if len(report.records) > MAX_KPM_RECORDS:
-        raise EncodeError(f"record count {len(report.records)} exceeds the 16-bit capacity")
-    parts = [_KPM_COUNT.pack(len(report.records))]
-    for rec in report.records:
+def encode_kpm_payload(records: Sequence[KpmRecord]) -> bytes:
+    """One cell's report for one tick, with full fidelity: a 2-byte count,
+    then 60 bytes per record. The frame header names the source node."""
+    if not records:
+        raise ValueError("KPM reports carry at least one record")
+    if len({r.timestamp for r in records}) != 1:
+        raise ValueError("all records of one report share one reporting timestamp")
+    if len(records) > MAX_KPM_RECORDS:
+        raise EncodeError(f"record count {len(records)} exceeds the 16-bit capacity")
+    parts = [_KPM_COUNT.pack(len(records))]
+    for rec in records:
         parts.append(_KPM_RECORD.pack(rec.ue_id, rec.timestamp, *rec.feature_values()))
     return b"".join(parts)
 

@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .e2 import (
     E2Message,
     E2MessageKind,
-    KpmReportPayload,
     calibrated_indication_payload,
     encode_frame,
     encode_kpm_payload,
@@ -178,7 +177,7 @@ def poison_records(
     records: Sequence[KpmRecord],
     targets: set[int],
     af: float,
-    profiles: Mapping[int, UeProfile],
+    profiles: Sequence[UeProfile],
     rng: np.random.Generator,
 ) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
     """Resample targeted records from the amplified distribution.
@@ -186,6 +185,7 @@ def poison_records(
     Targeted records are redrawn i.i.d. from N(af*mu, af*cov) and clipped
     at zero; labels mark every record, poisoned or not. af = 1 leaves the
     distribution unchanged but the window is still labelled as attacked.
+    ``profiles`` is indexed by UE id.
     """
     out: list[KpmRecord] = []
     labels: list[GroundTruthLabel] = []
@@ -283,8 +283,8 @@ class RanEmulator:
                     cov=default_covariance(mu),
                 )
             )
+        #: indexed by UE id
         self.profiles: tuple[UeProfile, ...] = tuple(profiles)
-        self.profile_by_ue = {p.ue_id: p for p in profiles}
 
         self._mu = np.stack([p.mu for p in profiles])
         self._factor = np.stack([p.factor for p in profiles])
@@ -350,7 +350,7 @@ class RanEmulator:
             records,
             targets_now,
             self.config.amplification_factor,
-            self.profile_by_ue,
+            self.profiles,
             self._rng,
         )
         return records, labels
@@ -391,7 +391,7 @@ class RanEmulator:
         records, labels = self.generate_tick(t)
         by_cell: dict[int, list[int]] = {}
         for idx, rec in enumerate(records):
-            by_cell.setdefault(self.profile_by_ue[rec.ue_id].cell_id, []).append(idx)
+            by_cell.setdefault(self.profiles[rec.ue_id].cell_id, []).append(idx)
 
         for node_id, cell_id in self.cells:
             indices = by_cell.get(cell_id)
@@ -402,9 +402,7 @@ class RanEmulator:
             if cfg.size_calibrated:
                 payload = calibrated_indication_payload(len(indices), self._rng)
             else:
-                payload = encode_kpm_payload(
-                    KpmReportPayload(node_id=node_id, cell_id=cell_id, records=cell_records)
-                )
+                payload = encode_kpm_payload(cell_records)
             out.append(self._emit(E2MessageKind.INDICATION, node_id, payload,
                                   cell_id=cell_id, records=cell_records, labels=cell_labels))
 

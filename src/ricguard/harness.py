@@ -10,7 +10,7 @@ Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
 safeguards time themselves by wall clock, which is hardware-dependent; the
 detector's time is taken once per tick around the call, warm-up ticks
 included. Pass a :class:`CostModel` and the runners here charge it for the
-work counts the safeguards report instead (scan comparisons, scored
+work done instead (the textbook byte comparisons of each scan, scored
 records, attested bytes, decoded and stored data), for deterministic
 (byte-identical) CSV output. The near-RT loop budget is always checked
 against real wall time.
@@ -76,7 +76,7 @@ from .mitigation import (
     resolve_kpm_event,
 )
 from .recurrent import TrainConfig, train_model
-from .signatures import MatchResult, NaiveMatcher, SignatureSet
+from .signatures import MatchResult, NaiveMatcher, SignatureSet, canonical_comparisons
 from .timing import CostModel, SimClock, wall_ns
 
 LOOP_BUDGET_MS = 1000.0
@@ -268,10 +268,12 @@ def _hit_ids(match: MatchResult | None) -> str:
 
 def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
              cost_model: CostModel | None) -> InspectionOutcome:
-    """Inspect one message; the cost model, when given, charges its scan."""
+    """Inspect one message; the cost model, when given, charges its scan for
+    the textbook search's byte comparisons."""
     outcome = inspector.inspect(msg, loop=loop)
     if cost_model is not None and outcome.match is not None:
-        outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(outcome.match.comparisons))
+        comparisons = canonical_comparisons(msg.payload, inspector.matcher.signatures)
+        outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(comparisons))
     return outcome
 
 
@@ -341,13 +343,10 @@ def run_inspector_experiment(
 
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
-        clock = SimClock()
         outcomes: list[InspectionOutcome] = []
         for t in range(config.loops):
-            clock.advance_to_ns(t * 1_000_000_000)
             for emitted in emulator.step(t):
-                clock.advance_ns(1_000)
-                msg = decode_frame(emitted.frame, clock=clock.now_ns)
+                msg = decode_frame(emitted.frame)
                 outcome = _inspect(inspector, msg, t, cost_model)
                 outcomes.append(outcome)
                 diverted = outcome.verdict is Verdict.MALICIOUS
@@ -691,12 +690,13 @@ class RicPipeline:
     has not yet reported in tick ``t``. Frames that fail to decode or that
     inspection stops, KPM payloads that fail to decode, and stale KPM
     records are dropped and counted; no per-record state outlives the tick.
+    Incidents are stamped with the tick's time, ``t * TICK_MS``.
     """
 
-    def __init__(self, clock: SimClock, cost_model: CostModel | None = None, *,
+    def __init__(self, cost_model: CostModel | None = None, *,
                  size_calibrated: bool = False, rulebook: SignatureSet | None = None,
                  bundle: DetectorBundle | None = None) -> None:
-        self.clock, self.cost_model = clock, cost_model
+        self.cost_model = cost_model
         # size-calibrated indications carry stand-in bytes, not a KPM report
         self.size_calibrated = size_calibrated
         self.policy = experiment_policy(rulebook)
@@ -720,14 +720,14 @@ class RicPipeline:
         self.detector = None if bundle is None else StreamingDetector(bundle)
 
     def process_tick(self, t: int, frames: Sequence[bytes]) -> TickReport:
-        started, now_ms = wall_ns(), self.clock.now_ms()
+        started, tick_ms = wall_ns(), t * TICK_MS
         inspect_ns = detect_ns = stored = 0
         records: list[KpmRecord] = []
         sources: list[int] = []  # the sending node of each record
         seen: set[int] = set()  # the UEs that reported in the tick
         for frame in frames:
             try:
-                msg = decode_frame(frame, clock=self.clock.now_ns)
+                msg = decode_frame(frame)
             except E2CodecError:
                 self.codec_errors += 1
                 continue
@@ -737,7 +737,7 @@ class RicPipeline:
                 if outcome.verdict is Verdict.MALICIOUS:
                     event = DetectionEvent(
                         detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
-                        timestamp_ms=now_ms, node_id=msg.source_node_id,
+                        timestamp_ms=tick_ms, node_id=msg.source_node_id,
                     )
                     apply_actions(self.mitigation, event,
                                   resolve_inspector_event(outcome.match, self.policy))
@@ -746,7 +746,7 @@ class RicPipeline:
                 if outcome.verdict is Verdict.BLOCKED:
                     self.blocked += 1
                     continue
-            decoded = self._kpm_records(msg, t * TICK_MS, seen)
+            decoded = self._kpm_records(msg, tick_ms, seen)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
@@ -759,7 +759,7 @@ class RicPipeline:
                 self.flagged += 1
                 event = DetectionEvent(
                     detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
-                    timestamp_ms=now_ms, node_id=node_id, ue_id=verdict.ue_id,
+                    timestamp_ms=tick_ms, node_id=node_id, ue_id=verdict.ue_id,
                 )
                 apply_actions(self.mitigation, event,
                               resolve_kpm_event(verdict, node_id, self.policy))
@@ -856,24 +856,24 @@ def run_use_case(
     reports, arms, attestation_outcomes = [], [], []
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
-        clock = SimClock()
-        guarded = RicPipeline(clock, cost_model, size_calibrated=config.size_calibrated,
+        guarded = RicPipeline(cost_model, size_calibrated=config.size_calibrated,
                               rulebook=rulebook, bundle=bundle)
-        baseline = RicPipeline(clock, cost_model, size_calibrated=config.size_calibrated)
+        baseline = RicPipeline(cost_model, size_calibrated=config.size_calibrated)
         engine = None
         if attest_reference is not None:
+            clock = SimClock()
             engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(config.rng_seed))
             engine.register("consumer-xapp", attest_reference)
             reference = attest_reference.read_bytes()
             image = XappImage("consumer-xapp", bytearray(reference), len(reference))
         with _gc_paused():
             for t in range(config.loops):
-                clock.advance_to_ns(t * 1_000_000_000)
                 frames = [em.frame for em in emulator.step(t)]
                 reports.append((guarded.process_tick(t, frames),
                                 baseline.process_tick(t, frames)))
                 # Attestation runs outside the control loop, between ticks.
                 if engine is not None and t % DEFAULT_ATTESTATION_PERIOD_S == 0:
+                    clock.advance_to_ns(t * 1_000_000_000)
                     attestation_outcomes.append(
                         _attestation_round(engine, image, cost_model).outcome)
         arms.append((guarded, baseline))

@@ -6,14 +6,14 @@ decoding. Two interchangeable matchers are provided:
 * :func:`scan_naive` — the reference matcher: per signature, the first
   occurrence, found by ``bytes.find``. A 2-byte prefilter runs first: only
   the signatures whose first two bytes occur in the payload are searched,
-  each once. Its byte-comparison count is that of the canonical per-byte
-  double loop, computed by a separate oracle on first read only, since only
-  the deterministic cost model needs it.
+  each once.
 * :class:`AhoCorasickMatcher` — goto/failure-link automaton built once per
   rulebook version, scanning all patterns in a single pass.
 
 Both report each matched signature once, at its smallest occurrence offset,
-with hits sorted by signature id.
+with hits sorted by signature id, and the scan's wall time.
+:func:`canonical_comparisons` counts the byte comparisons of the textbook
+per-signature search, the work the deterministic cost model charges a scan.
 
 Rulebook file format: one rule per line, ``id,hex(pattern),action_codes,label``;
 ``#`` begins a comment, blank lines are ignored. Action codes as in the
@@ -25,8 +25,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -86,86 +85,44 @@ class SignatureSet:
 
 
 class MatchResult:
-    """Scan outcome: first-occurrence hits plus measured scan cost.
+    """Scan outcome: ``hits`` holds (signature_id, first_offset) pairs sorted
+    by signature id; ``scan_latency_ns`` is the scan's wall time."""
 
-    ``hits`` holds (signature_id, first_offset) pairs sorted by signature
-    id. ``comparisons`` counts byte comparisons for the naive matcher and
-    state transitions for the automaton; the harness charges its
-    deterministic cost model from it. It may be given as a zero-argument
-    callable, which runs on first read and is then cached: the naive
-    matcher's canonical count costs far more than its scan.
-    """
+    __slots__ = ("hits", "scan_latency_ns")
 
-    __slots__ = ("hits", "scan_latency_ns", "_comparisons")
-
-    def __init__(self, hits: tuple[tuple[int, int], ...], scan_latency_ns: int,
-                 comparisons: int | Callable[[], int] = 0) -> None:
+    def __init__(self, hits: tuple[tuple[int, int], ...], scan_latency_ns: int) -> None:
         self.hits = hits
         self.scan_latency_ns = scan_latency_ns
-        self._comparisons = comparisons
-
-    @property
-    def comparisons(self) -> int:
-        if callable(self._comparisons):
-            self._comparisons = self._comparisons()
-        return self._comparisons
 
     @property
     def matched(self) -> bool:
         return bool(self.hits)
 
 
-def _first_byte_positions(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sorted payload positions grouped by byte value.
+def canonical_comparisons(payload: bytes, signatures: SignatureSet) -> int:
+    """Byte comparisons of the textbook per-signature double loop.
 
-    Returns (order, boundaries): positions with byte value b are
-    order[boundaries[b]:boundaries[b+1]], ascending.
+    That loop tries each window left to right, compares bytes until the
+    first mismatch, and stops a signature at its first hit. So a window
+    before the hit costs one comparison plus its matched prefix, which is
+    nonzero only where the window starts with the pattern's first byte, and
+    the hit costs the pattern length.
     """
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    order = np.argsort(arr, kind="stable")
-    boundaries = np.searchsorted(arr[order], np.arange(257), side="left")
-    return order, boundaries
-
-
-def _naive_single(payload: bytes, pattern: bytes, candidates: Sequence[int]) -> int:
-    """Exact comparison count of the canonical first-match search.
-
-    ``candidates`` are the window positions whose first byte matches the
-    pattern, ascending; the payload holds at least one full window. Every
-    other window costs exactly one comparison; candidate windows cost the
-    matched prefix length plus the mismatching comparison (or the full
-    pattern length on a hit, which ends the search).
-    """
-    m = len(pattern)
-    comparisons = next_window = 0
-    for j in candidates:
-        comparisons += j - next_window  # first-byte mismatches in between
-        k = 1
-        while k < m and payload[j + k] == pattern[k]:
-            k += 1
-        if k == m:
-            return comparisons + m
-        comparisons += k + 1
-        next_window = j + 1
-    return comparisons + len(payload) - m + 1 - next_window
-
-
-def _canonical_comparisons(payload: bytes, signatures: SignatureSet) -> int:
-    """Byte comparisons of the canonical per-signature double loop."""
-    if not payload:
-        return 0
-    order, boundaries = _first_byte_positions(payload)
-    comparisons = 0
+    count = 0
     for sig in signatures.signatures:
-        windows = len(payload) - len(sig.pattern) + 1
-        if windows <= 0:
-            continue
-        first = sig.pattern[0]
-        positions = order[boundaries[first]:boundaries[first + 1]]
-        # only positions that start a full window qualify as candidates
-        cut = int(np.searchsorted(positions, windows, side="left"))
-        comparisons += _naive_single(payload, sig.pattern, positions[:cut].tolist())
-    return comparisons
+        pattern, m = sig.pattern, len(sig.pattern)
+        hit = payload.find(pattern)
+        examined = hit if hit >= 0 else max(len(payload) - m + 1, 0)
+        count += examined + (m if hit >= 0 else 0)
+        first = pattern[0]
+        j = payload.find(first, 0, examined)
+        while j >= 0:
+            k = 1  # no window before the hit matches, so k stops below m
+            while payload[j + k] == pattern[k]:
+                k += 1
+            count += k
+            j = payload.find(first, j + 1, examined)
+    return count
 
 
 def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
@@ -175,9 +132,7 @@ def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
     for the signatures whose first two bytes occur in the payload: the
     others cannot occur. The payload's overlapping 2-grams are read as one
     zero-copy view and looked up in the rulebook's 65,536-entry table, and
-    each signature under a 2-gram present is searched once. ``comparisons``
-    is the canonical search's count, computed only when read, outside
-    ``scan_latency_ns``.
+    each signature under a 2-gram present is searched once.
     """
     started = wall_ns()
     n = len(payload)
@@ -193,8 +148,7 @@ def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
                 if offset >= 0:
                     hits.append((sig.sig_id, offset))
     hits.sort()
-    return MatchResult(hits=tuple(hits), scan_latency_ns=wall_ns() - started,
-                       comparisons=partial(_canonical_comparisons, payload, signatures))
+    return MatchResult(tuple(hits), wall_ns() - started)
 
 
 class NaiveMatcher:
@@ -262,20 +216,17 @@ class AhoCorasickMatcher:
         started = wall_ns()
         root = self._root
         state = root
-        steps = 0
         first_offset: dict[int, int] = {}
         for i, byte in enumerate(payload):
             while state is not root and byte not in state.children:
                 state = state.fail
-                steps += 1
             state = state.children.get(byte, root)
-            steps += 1
             if state.outputs:
                 for sig_id, length in state.outputs:
                     if sig_id not in first_offset:
                         first_offset[sig_id] = i - length + 1
         hits = tuple(sorted(first_offset.items()))
-        return MatchResult(hits=hits, scan_latency_ns=wall_ns() - started, comparisons=steps)
+        return MatchResult(hits, wall_ns() - started)
 
 
 def load_rulebook(path) -> SignatureSet:

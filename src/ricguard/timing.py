@@ -1,13 +1,13 @@
 """Timing support: wall-clock measurement and a deterministic cost model.
 
 The safeguards time their own work by wall clock only
-(``time.perf_counter_ns``) and report the work counts behind it: byte
-comparisons per scan, scored records per tick, image length and cold start
-per attestation round. In deterministic mode the experiment runners in
+(``time.perf_counter_ns``). In deterministic mode the experiment runners in
 :mod:`ricguard.harness` replace those wall latencies with a
-:class:`CostModel` charge for the same counts. Cost-model runs are
-bit-reproducible, which is what makes CSV outputs byte-identical across
-executions with the same seed.
+:class:`CostModel` charge for the work done: the textbook byte comparisons
+of a scan (:func:`ricguard.signatures.canonical_comparisons`), scored
+records per tick, image length and cold start per attestation round.
+Cost-model runs are bit-reproducible, which is what makes CSV outputs
+byte-identical across executions with the same seed.
 
 The default constants are calibration units, not measurements: they were
 picked so that a cost-model run lands in the same shape as real hardware
@@ -63,9 +63,8 @@ DEFAULT_COST_MODEL = CostModel()
 class SimClock:
     """Monotonic simulated clock, advanced explicitly by the scenario runner.
 
-    All in-model timestamps (message ingress, incident rows, challenge
-    freshness) are read from this clock so that runs are independent of wall
-    time.
+    The experiments' attestation engines read challenge freshness from this
+    clock, so that runs are independent of wall time.
     """
 
     def __init__(self, start_ns: int = 0) -> None:

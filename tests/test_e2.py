@@ -10,7 +10,6 @@ from ricguard.e2 import (
     EncodeError,
     FeatureValueError,
     FramingError,
-    KpmReportPayload,
     MAX_PAYLOAD_BYTES,
     ProtocolError,
     TruncationError,
@@ -151,7 +150,7 @@ def _record(ts=1000, ue=4, values=(1.5, 2.0, 3.25, 4.0, 5.5, 6.0)):
 class TestKpmPayload:
     def test_single_record_is_62_bytes(self):
         # 2-byte count + ue_id(4) + timestamp(8) + six 8-byte doubles
-        payload = encode_kpm_payload(KpmReportPayload(1, 2, (_record(),)))
+        payload = encode_kpm_payload((_record(),))
         assert len(payload) == 2 + 60
 
     def test_round_trip_bit_exact(self):
@@ -159,25 +158,25 @@ class TestKpmPayload:
             _record(ts=5000, ue=u, values=(0.1 * u, u, 3.14159 * u, 0.0, 7.0, u * u))
             for u in range(1, 6)
         )
-        payload = encode_kpm_payload(KpmReportPayload(9, 3, records))
+        payload = encode_kpm_payload(records)
         assert decode_kpm_payload(payload) == records
 
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
-            KpmReportPayload(1, 2, ())
+            encode_kpm_payload(())
 
     def test_mixed_timestamps_rejected(self):
         with pytest.raises(ValueError):
-            KpmReportPayload(1, 2, (_record(ts=1000), _record(ts=2000, ue=5)))
+            encode_kpm_payload((_record(ts=1000), _record(ts=2000, ue=5)))
 
     def test_truncated_payload_rejected(self):
-        payload = encode_kpm_payload(KpmReportPayload(1, 2, (_record(),)))
+        payload = encode_kpm_payload((_record(),))
         with pytest.raises(TruncationError):
             decode_kpm_payload(payload[:-1])
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_negative_or_non_finite_feature_is_codec_error(self, bad):
-        payload = bytearray(encode_kpm_payload(KpmReportPayload(1, 2, (_record(),))))
+        payload = bytearray(encode_kpm_payload((_record(),)))
         payload[-16:-8] = struct.pack(">d", bad)  # the fifth feature
         with pytest.raises(FeatureValueError):
             decode_kpm_payload(bytes(payload))
@@ -217,7 +216,7 @@ class TestKpmPayload:
         assert record == KpmRecord.from_features(1000, 5, values)
         assert record == KpmRecord._make([1000, 5, *values])
         assert record == KpmRecord(1000, 5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)._replace(**{field: -0.0})
-        payload = encode_kpm_payload(KpmReportPayload(1, 2, (record,)))
+        payload = encode_kpm_payload((record,))
         (decoded,) = decode_kpm_payload(payload)
         assert decoded == record
         assert math.copysign(1.0, decoded[2 + position]) == -1.0  # sign bit kept
@@ -225,7 +224,7 @@ class TestKpmPayload:
     def test_decode_yields_exact_python_types(self):
         records = tuple(KpmRecord(7000, ue, 0.5 * ue, 1.0, 2.0, 3.0, 4.0, float(ue))
                         for ue in (0, 3, 0xFFFFFFFF))
-        decoded = decode_kpm_payload(encode_kpm_payload(KpmReportPayload(1, 2, records)))
+        decoded = decode_kpm_payload(encode_kpm_payload(records))
         assert decoded == records
         assert type(decoded) is tuple
         for record in decoded:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ricguard import harness
 from ricguard.cli import main as cli_main
 from ricguard.e2 import (
     FRAME_HEADER_SIZE,
     E2CodecError,
     E2Message,
     E2MessageKind,
-    KpmReportPayload,
     decode_frame,
     decode_kpm_payload,
     encode_frame,
@@ -46,7 +46,7 @@ from ricguard.kpm import KpmRecord
 from ricguard.mitigation import Magnitude, MitigationAction, MitigationPolicy
 from ricguard.recurrent import TrainConfig
 from ricguard.signatures import synthetic_rulebook
-from ricguard.timing import DEFAULT_COST_MODEL, SimClock
+from ricguard.timing import DEFAULT_COST_MODEL
 
 
 BENCH_BUNDLE = Path(__file__).resolve().parent.parent / "bench" / "detector-h32.kpmd"
@@ -230,6 +230,26 @@ class TestInspectorExperiment:
         with pytest.raises(ConfigError):
             run_inspector_experiment(config, rulebook, runs=1)
 
+    def test_comparison_count_only_in_deterministic_mode(self, quick_bundle, rulebook,
+                                                         monkeypatch):
+        """Wall-mode runs never count the textbook search's comparisons; a
+        deterministic run does, to charge the cost model."""
+        class Counted(Exception):
+            pass
+
+        def count(payload, signatures):
+            raise Counted
+
+        monkeypatch.setattr(harness, "canonical_comparisons", count)
+        config = inspector_preset(seed=3, loops=3)
+        run_inspector_experiment(config, rulebook, runs=1)
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+        guarded = RicPipeline(size_calibrated=True, rulebook=rulebook, bundle=quick_bundle)
+        guarded.process_tick(0, [em.frame for em in emulator.step(0)])
+        assert guarded.diverted > 0
+        with pytest.raises(Counted):
+            run_inspector_experiment(config, rulebook, runs=1, cost_model=DEFAULT_COST_MODEL)
+
     def test_deterministic_csv_bytes(self, rulebook, tmp_path):
         config = inspector_preset(seed=3, loops=10)
         first = run_inspector_experiment(config, rulebook, runs=2,
@@ -319,11 +339,9 @@ class TestUseCase:
         monkeypatch.setattr(StreamingDetector, "observe_tick", recording_observe_tick)
         config = use_case_preset(seed=2, total_ues=20, loops=40)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
-        clock = SimClock()
-        safeguarded = RicPipeline(clock, rulebook=rulebook, bundle=quick_bundle)
-        baseline = RicPipeline(clock)
+        safeguarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
+        baseline = RicPipeline()
         for t in range(config.loops):
-            clock.advance_to_ns(t * 1_000_000_000)
             frames = [em.frame for em in emulator.step(t)]
             safeguarded.process_tick(t, frames)
             baseline.process_tick(t, frames)
@@ -449,9 +467,8 @@ class TestConsumerLoop:
 class TestGuardedPass:
     @staticmethod
     def _pipelines(bundle, rulebook):
-        """A guarded and a baseline pipeline on one clock."""
-        clock = SimClock()
-        return RicPipeline(clock, rulebook=rulebook, bundle=bundle), RicPipeline(clock)
+        """A guarded and a baseline pipeline."""
+        return RicPipeline(rulebook=rulebook, bundle=bundle), RicPipeline()
 
     def test_forged_frames_fail_closed(self, quick_bundle, rulebook):
         """Forged frames from node 7: a UE the emulator never created warms
@@ -463,7 +480,7 @@ class TestGuardedPass:
 
         def frame(t, values, node=7, ue=999_999):
             record = KpmRecord.from_features(t * 1000, ue, values)
-            payload = encode_kpm_payload(KpmReportPayload(node, 0, (record,)))
+            payload = encode_kpm_payload((record,))
             return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
 
         for t in range(10):
@@ -478,6 +495,7 @@ class TestGuardedPass:
         assert guarded.store.records_at(10_000) == []
         (incident,) = guarded.mitigation.log.reports
         assert (incident.detector, incident.subject) == ("kpm", "ue:999999")
+        assert incident.timestamp_ms == 10_000  # the tick's time
         # the block lands on the node that sent the spike
         assert 7 in guarded.mitigation.blocklist.blocked_nodes
         assert guarded.mitigation.blocklist.blocked_nodes.isdisjoint(range(3))
@@ -493,7 +511,7 @@ class TestGuardedPass:
         rulebook = synthetic_rulebook(10, seed=1, action_codes=codes)
         payload = b"\x00" * 8 + rulebook.signatures[3].pattern
         frame = encode_frame(E2Message(E2MessageKind.INDICATION, 2, payload))
-        guarded = RicPipeline(SimClock(), rulebook=rulebook)
+        guarded = RicPipeline(rulebook=rulebook)
         guarded.process_tick(0, [frame, frame])
         log = guarded.mitigation.log.reports
         assert [(r.subject, r.evidence) for r in log] == [("node:2", "sig:3")] * rows
@@ -551,15 +569,13 @@ class TestGuardedPass:
         config = use_case_preset(seed=1, total_ues=50)
         rulebook = synthetic_rulebook(100)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
-        clock = SimClock()
-        guarded = RicPipeline(clock, rulebook=rulebook, bundle=load_bundle(BENCH_BUNDLE))
+        guarded = RicPipeline(rulebook=rulebook, bundle=load_bundle(BENCH_BUNDLE))
         for t in range(16):
-            clock.advance_to_ns(t * 1_000_000_000)
             frames = [em.frame for em in emulator.step(t)]
             if t == 14:
                 (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
                 forged = genuine._replace(timestamp=15_000)
-                payload = encode_kpm_payload(KpmReportPayload(99, 0, (forged,)))
+                payload = encode_kpm_payload((forged,))
                 frames.append(encode_frame(E2Message(E2MessageKind.INDICATION, 99, payload)))
             guarded.process_tick(t, frames)
         (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
@@ -632,13 +648,11 @@ class TestHostileTicks:
         each tick leaves only finite rows of its own, one per UE, and the
         baseline accounts for every decodable record as off-tick, replay or
         stored."""
-        clock = SimClock()
-        guarded = RicPipeline(clock, rulebook=rulebook, bundle=quick_bundle)
-        baseline = RicPipeline(clock)
+        guarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
+        baseline = RicPipeline()
         mean = tuple(quick_bundle.scaler.mean)
         warm = [[(0, [(ue, 0, mean, None) for ue in range(6)], None)]] * self.WARM_TICKS
         for t, specs in enumerate(warm + ticks):
-            clock.advance_to_ns(t * 1_000_000_000)
             frames = [_hostile_frame(spec, t) for spec in specs]
             before = baseline.off_tick + baseline.replays + len(baseline.store)
             for pipeline in (guarded, baseline):

@@ -5,7 +5,13 @@ from ricguard.emulator import RanEmulator
 from ricguard.harness import inspector_preset, run_inspector_experiment
 from ricguard.inspector import IngressInspector, InspectionOutcome, Verdict, latency_summary
 from ricguard.mitigation import Blocklist, parse_action_codes
-from ricguard.signatures import MatchResult, NaiveMatcher, Signature, SignatureSet
+from ricguard.signatures import (
+    MatchResult,
+    NaiveMatcher,
+    Signature,
+    SignatureSet,
+    canonical_comparisons,
+)
 from ricguard.timing import DEFAULT_COST_MODEL
 
 
@@ -64,9 +70,8 @@ class TestInspect:
 
     def test_deterministic_latency_from_cost_model(self, rulebook, tmp_path):
         # the inspector times scans by wall clock; a deterministic run charges
-        # the cost model for the comparisons each scan reports
+        # the cost model for the textbook search's comparisons on each payload
         config = inspector_preset(seed=3, loops=3)
-        matcher = NaiveMatcher(rulebook)
         run_inspector_experiment(config, rulebook, runs=1,
                                  cost_model=DEFAULT_COST_MODEL, out_dir=tmp_path)
         rows = (tmp_path / "inspector.csv").read_text().splitlines()[1:]
@@ -75,7 +80,7 @@ class TestInspect:
                     for t in range(config.loops) for em in emulator.step(t)]
         assert len(rows) == len(payloads)
         for row, payload in zip(rows, payloads):
-            expected = DEFAULT_COST_MODEL.scan_ns(matcher.scan(payload).comparisons)
+            expected = DEFAULT_COST_MODEL.scan_ns(canonical_comparisons(payload, rulebook))
             assert int(row.split(",")[5]) == expected
 
     def test_outcome_invariants_enforced(self):

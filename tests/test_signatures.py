@@ -76,8 +76,9 @@ class TestNaiveScan:
 
     @pytest.mark.parametrize("size", range(4))
     def test_payload_shorter_than_any_pattern(self, size):
-        result = scan_naive(b"ABCD"[:size], sigset(sig(1, b"ABCD"), sig(2, b"ABCE")))
-        assert result.hits == () and result.comparisons == 0
+        book = sigset(sig(1, b"ABCD"), sig(2, b"ABCE"))
+        assert scan_naive(b"ABCD"[:size], book).hits == ()
+        assert signatures.canonical_comparisons(b"ABCD"[:size], book) == 0
 
     def test_first_occurrence_only(self):
         payload = b"..ABCD..ABCD.."
@@ -99,35 +100,34 @@ class TestNaiveScan:
                 for i in range(4)
             ]
             payload = bytes(rng.integers(0, 4, size=120).tolist())
-            result = scan_naive(payload, sigset(*patterns))
+            book = sigset(*patterns)
             expected = sum(canonical_comparisons(payload, s.pattern) for s in patterns)
-            assert result.comparisons == expected
-            assert result.hits == brute_force_hits(payload, sigset(*patterns))
+            assert signatures.canonical_comparisons(payload, book) == expected
+            assert scan_naive(payload, book).hits == brute_force_hits(payload, book)
+
+    @pytest.mark.parametrize("payload, pattern", [
+        (b"ABCDxxxx", b"ABCD"),  # hit at offset 0
+        (b"xAxxABCD", b"ABCD"),  # hit in the last window
+        (b"ABC", b"ABCD"),  # one byte shorter than the pattern
+        (b"aaaaaab", b"aaab"),  # self-overlapping prefix
+    ])
+    def test_comparison_count_edge_cases(self, payload, pattern):
+        expected = canonical_comparisons(payload, pattern)
+        assert signatures.canonical_comparisons(payload, sigset(sig(1, pattern))) == expected
 
     def test_later_match_costs_more_comparisons(self):
         pattern = b"NEEDLE42"
-        early = scan_naive(b"." * 5 + pattern + b"." * 400, sigset(sig(1, pattern)))
-        late = scan_naive(b"." * 400 + pattern + b"." * 5, sigset(sig(1, pattern)))
-        assert late.comparisons > early.comparisons
+        book = sigset(sig(1, pattern))
+        early = signatures.canonical_comparisons(b"." * 5 + pattern + b"." * 400, book)
+        late = signatures.canonical_comparisons(b"." * 400 + pattern + b"." * 5, book)
+        assert late > early
 
     def test_comparisons_monotone_in_payload_size(self):
         book = synthetic_rulebook(count=30, seed=5)
         rng = np.random.default_rng(6)
-        small = scan_naive(rng.bytes(100), book)
-        large = scan_naive(rng.bytes(1000), book)
-        assert large.comparisons > small.comparisons
-
-    def test_comparison_count_runs_only_when_read(self, monkeypatch):
-        calls = []
-        count = signatures._canonical_comparisons
-        monkeypatch.setattr(signatures, "_canonical_comparisons",
-                            lambda *args: calls.append(args) or count(*args))
-        payload = b"..ABCD..ABCE.."
-        result = scan_naive(payload, sigset(sig(1, b"ABCD"), sig(2, b"ABCE")))
-        assert result.hits == ((1, 2), (2, 8)) and calls == []
-        expected = canonical_comparisons(payload, b"ABCD") + canonical_comparisons(payload, b"ABCE")
-        assert result.comparisons == expected
-        assert result.comparisons == expected and len(calls) == 1
+        small = signatures.canonical_comparisons(rng.bytes(100), book)
+        large = signatures.canonical_comparisons(rng.bytes(1000), book)
+        assert large > small
 
 
 class TestAutomaton:
@@ -235,8 +235,8 @@ def test_shared_prefix_scan_matches_oracles(payload, data):
     expected = brute_force_hits(payload, book)
     assert naive.hits == expected
     assert AhoCorasickMatcher(book).scan(payload).hits == expected
-    assert naive.comparisons == sum(canonical_comparisons(payload, s.pattern)
-                                    for s in book.signatures)
+    assert signatures.canonical_comparisons(payload, book) == sum(
+        canonical_comparisons(payload, s.pattern) for s in book.signatures)
 
 
 def test_hostile_megabyte_payload_matches_find():
