@@ -30,6 +30,7 @@ import random
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -750,11 +751,11 @@ class RicPipeline:
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
-        verdicts = [None] * len(records)
-        if self.detector is not None:
+        if self.detector is None:
+            scored = zip(records, repeat(None))
+        else:
             scored, detect_ns = _score_tick(self.detector, records, self.cost_model)
-            verdicts = [item.verdict for item in scored]
-        for record, verdict, node_id in zip(records, verdicts, sources):
+        for (record, verdict), node_id in zip(scored, sources):
             if verdict is not None and verdict.is_anomalous:
                 self.flagged += 1
                 event = DetectionEvent(

@@ -31,7 +31,7 @@ import configparser
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -204,8 +204,7 @@ def resolve_attestation_event(xapp_id: str, tier, policy: MitigationPolicy) -> f
     return frozenset(bound | {MitigationAction.REPORT})
 
 
-@dataclass(frozen=True)
-class IncidentReport:
+class IncidentReport(NamedTuple):
     """One audit row; event ids increase monotonically within a log."""
 
     event_id: int
@@ -264,8 +263,7 @@ class Blocklist:
     revoked_xapps: set[str] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
+class DetectionEvent(NamedTuple):
     """Context handed to mitigation alongside the resolved action set."""
 
     detector: str  # "inspector" | "kpm" | "attestation"

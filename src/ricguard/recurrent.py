@@ -11,8 +11,11 @@ stacked row-wise in ``w_x``/``w_h``/``b``, in that order. Training is
 full-batch and fully deterministic for a fixed seed. Both passes run the
 batch in blocks of :func:`_block_rows` rows, small enough that a block's
 scratch stays in cache. Inference (:func:`predict`) keeps nothing of a
-block; training (:func:`loss_and_grads`) keeps a block's steps only until
-it has backpropagated through them, before it moves to the next block.
+block: it holds the block's state transposed, as one (features, rows)
+buffer ``[x_t; 1; 2h]``, so each step is one matmul with the stacked
+``[w_x | b | w_h]`` weights. Training (:func:`loss_and_grads`) keeps a
+block's steps only until it has backpropagated through them, before it
+moves to the next block.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
 
-#: Scratch bytes of one block of the inference pass: 256 rows at H=32, which
-#: keeps a block's gates and state in cache. Training uses the same rows per
-#: block.
+#: Sets the rows per block of both LSTM passes: 256 at H=32, in inverse
+#: proportion to H (see :func:`_block_rows`). At H=32 the scratch of an
+#: inference block, about 0.5 MB, stays in cache.
 INFERENCE_BLOCK_BYTES = 640 << 10
 
 
@@ -119,47 +122,58 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
 
     The inference pass: the LSTM of :func:`loss_and_grads`, run over blocks
     of at most :func:`_block_rows` rows so that a block's scratch stays in
-    cache, and keeping nothing. Each step projects its inputs straight into
-    the block's (rows, 4H) gate buffer, a strided view of ``inputs`` that is
-    never copied or written.
-    The gate columns are reordered to i, f, o, g, so the three sigmoid
-    gates are one slice, and every factor 0.5 is deferred, which is exact:
-    the gates hold 2·sigma, h is carried as 2h (0.5 folded into ``w_h`` and
-    ``w_out``) and c = 0.5·(f'·c + i'·g). Step 0 skips the terms of the zero
-    h and c. Scratch is allocated per call.
+    cache, and keeping nothing. A block's state is transposed, one
+    (F+1+H, rows) buffer holding ``[x_t; 1; 2h]``, and the weights are one
+    (4H, F+1+H) matrix ``[w_x | b | w_h]`` stacked once per call, so each
+    step is one matmul into the (4H, rows) gate buffer (Appleyard et al.,
+    arXiv:1604.01946) plus the element-wise gate arithmetic; step 0 reads
+    only the first F+1 columns, as h is zero. Each step copies x_t out of
+    ``inputs``, which is never written, and writes 2h = 2·o·tanh(c) straight
+    into the state; the block's readout is one (F, H) @ (H, rows) product,
+    stored transposed into the C-contiguous (n, F) result.
+    The gate rows are reordered to i, f, o, g, so the three sigmoid gates
+    are one contiguous slice, and every factor 0.5 is deferred, which is
+    exact: the gates hold 2·sigma, h is carried as 2h (0.5 folded into the
+    recurrent columns and ``w_out``) and c = 0.5·(f'·c + i'·g). Step 0
+    skips the terms of the zero c. Scratch is allocated per call.
     """
     _check_inputs(inputs)
-    n, t_len, _ = inputs.shape
+    n, t_len, f = inputs.shape
     h_size = model.hidden_size
     order = np.r_[: 2 * h_size, 3 * h_size : 4 * h_size, 2 * h_size : 3 * h_size]
-    scale = np.full(4 * h_size, 0.5)
+    scale = np.full((4 * h_size, 1), 0.5)
     scale[3 * h_size :] = 1.0
-    w_x = model.w_x[order].T * scale
-    b = model.b[order] * scale
-    w_h = model.w_h[order].T * (0.5 * scale)
+    weights = np.hstack([model.w_x[order], model.b[order, None],
+                         0.5 * model.w_h[order]]) * scale
+    w_step0 = weights[:, : f + 1]
+    w_out = 0.5 * model.w_out
     block = _block_rows(model)
     rows = min(n, block)
-    z_buf, recur_buf = np.empty((rows, 4 * h_size)), np.empty((rows, 4 * h_size))
-    c_buf, term_buf = np.empty((rows, h_size)), np.empty((rows, h_size))
-    hidden = np.empty((n, h_size))  # 2h of every row after the last step
+    # flat scratch; a block of m rows takes a contiguous prefix of each
+    state_buf, z_buf = np.empty((f + 1 + h_size) * rows), np.empty(4 * h_size * rows)
+    c_buf, term_buf = np.empty(h_size * rows), np.empty(h_size * rows)
+    predictions = np.empty((n, f))
     for start in range(0, n, block):
         stop = min(start + block, n)
         m = stop - start
-        z, recur, c, term = z_buf[:m], recur_buf[:m], c_buf[:m], term_buf[:m]
-        h2 = hidden[start:stop]
+        state = state_buf[: (f + 1 + h_size) * m].reshape(f + 1 + h_size, m)
+        z = z_buf[: 4 * h_size * m].reshape(4 * h_size, m)
+        c = c_buf[: h_size * m].reshape(h_size, m)
+        term = term_buf[: h_size * m].reshape(h_size, m)
+        x, h2 = state[:f], state[f + 1 :]
+        i, fgate = z[:h_size], z[h_size : 2 * h_size]
+        o, g = z[2 * h_size : 3 * h_size], z[3 * h_size :]
+        state[f] = 1.0
         for t in range(t_len):
-            np.matmul(inputs[start:stop, t], w_x, out=z)
-            z += b
+            x[...] = inputs[start:stop, t].T
             if t:
-                np.matmul(h2, w_h, out=recur)
-                z += recur
+                np.matmul(weights, state, out=z)
+            else:
+                np.matmul(w_step0, state[: f + 1], out=z)
             np.tanh(z, out=z)
-            z[:, : 3 * h_size] += 1.0
-            i = z[:, :h_size]
-            o = z[:, 2 * h_size : 3 * h_size]
-            g = z[:, 3 * h_size :]
+            z[: 3 * h_size] += 1.0
             if t:
-                c *= z[:, h_size : 2 * h_size]
+                c *= fgate
                 np.multiply(i, g, out=term)
                 c += term
             else:
@@ -167,18 +181,16 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
             c *= 0.5
             np.tanh(c, out=h2)
             h2 *= o
-    predictions = hidden @ (0.5 * model.w_out.T)
+        np.matmul(h2.T, w_out.T, out=predictions[start:stop])
     predictions += model.b_out
     return predictions
 
 
 def _block_rows(model: SequenceModel) -> int:
-    """Rows per block of both :func:`predict` and :func:`loss_and_grads`: as
-    many as keep a block of the inference pass's scratch (two gate rows of 4H
-    and two state rows of H per row) within :data:`INFERENCE_BLOCK_BYTES`, at
-    least one. Training keeps the T steps of a block of that many rows."""
-    row_bytes = 8 * (2 * 4 + 2) * model.hidden_size
-    return max(1, INFERENCE_BLOCK_BYTES // row_bytes)
+    """Rows per block of both :func:`predict` and :func:`loss_and_grads`:
+    :data:`INFERENCE_BLOCK_BYTES` over 80·H, 256 rows at H=32, and at least
+    one. Training keeps the T steps of a block of that many rows."""
+    return max(1, INFERENCE_BLOCK_BYTES // (80 * model.hidden_size))
 
 
 def loss_and_grads(model: SequenceModel, inputs: np.ndarray,

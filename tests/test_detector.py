@@ -24,7 +24,7 @@ from ricguard.detector import (
 from ricguard.harness import detector_preset, run_detector_experiment
 from ricguard.kpm import SEQUENCE_LENGTH, FeatureScaler, KpmRecord
 from ricguard.mitigation import Magnitude
-from ricguard.recurrent import TrainConfig, train_model
+from ricguard.recurrent import TrainConfig, _block_rows, init_model, train_model
 from ricguard.timing import DEFAULT_COST_MODEL
 
 
@@ -241,6 +241,26 @@ class TestStreamingDetector:
             results.extend(detector.observe_tick([r]))
         direct = score_window(bundle.model, bundle.scaler, records[:10], records[10])
         assert results[-1].verdict.score == pytest.approx(direct, rel=1e-12)
+
+    def test_tick_of_several_blocks_matches_score_window(self):
+        """A tick whose UEs fill more than two blocks of the batched pass
+        scores each UE as its window alone does."""
+        rng = np.random.default_rng(23)
+        model = init_model(32, rng)
+        model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
+        scaler = FeatureScaler(mean=np.full(6, 5.0), std=np.full(6, 2.0))
+        bundle = DetectorBundle(model=model, scaler=scaler, threshold=math.inf)
+        ue_count = 2 * _block_rows(model) + 37
+        streams = [[KpmRecord.from_features(t * 1000, ue, rng.uniform(0.0, 10.0, size=6))
+                    for t in range(SEQUENCE_LENGTH + 1)] for ue in range(ue_count)]
+        detector = StreamingDetector(bundle)
+        for t in range(SEQUENCE_LENGTH):
+            detector.observe_tick([records[t] for records in streams])
+        results = detector.observe_tick([records[-1] for records in streams])
+        assert [item.record for item in results] == [records[-1] for records in streams]
+        for item, records in zip(results, streams):
+            expected = score_window(model, scaler, records[:-1], records[-1])
+            assert item.verdict.score == pytest.approx(expected, rel=1e-12), item.record.ue_id
 
     def test_cost_model_latency(self, tmp_path):
         # the detector times scoring by wall clock; a deterministic run

@@ -217,6 +217,38 @@ class TestBlockedInference:
         model, _ = h32_model()
         assert predict(model, np.empty((0, 10, 6))).shape == (0, 6)
 
+    def test_rows_match_one_row_predict_across_blocks(self):
+        """Every row of a three-block batch scores as its window alone does,
+        and the call writes neither the inputs nor the model."""
+        model, rng = h32_model()
+        n = 2 * _block_rows(model) + 37
+        inputs = rng.standard_normal((n, 10, 6)) * 2.0
+        original_inputs = inputs.copy()
+        original_params = {name: param.copy() for name, param in model.parameters().items()}
+        batch = predict(model, inputs)
+        assert batch.shape == (n, 6)
+        assert batch.dtype == np.float64
+        assert batch.flags.c_contiguous
+        for row in range(n):
+            assert batch[row] == pytest.approx(predict(model, inputs[row : row + 1])[0],
+                                               rel=1e-12), row
+        assert np.array_equal(inputs, original_inputs)
+        for name, param in model.parameters().items():
+            assert np.array_equal(param, original_params[name]), name
+
+    def test_scratch_is_one_block(self):
+        """Projecting every step of every row up front would peak at about
+        205 MB here; the output and one block's scratch take about 1.5 MB."""
+        model, rng = h32_model()
+        inputs = rng.standard_normal((20_000, 10, 6))
+        tracemalloc.start()
+        try:
+            predict(model, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
 
 class TestTraining:
     def test_deterministic_weights_for_fixed_seed(self):
