@@ -37,11 +37,11 @@ image = XappImage("traffic-steering", bytearray(image_bytes), len(image_bytes))
 # Five clean rounds, one per five simulated seconds. Round 1 pays the
 # cold-start read of the reference image from disk.
 print("clean rounds:")
-for _ in range(5):
+for round_number in range(1, 6):
     clock.advance_ns(5_000_000_000)
     outcome = engine.run_round(image)
     tag = " (cold start)" if outcome.cold_start else ""
-    print(f"  round {outcome.round_index}: {outcome.outcome:<9} "
+    print(f"  round {round_number}: {outcome.outcome:<9} "
           f"{outcome.latency_ms:7.2f} ms over {outcome.image_mb:.1f} MB{tag}")
 
 # A replayed response is refused even though its digest was once valid.
@@ -57,7 +57,7 @@ record = inject_code(image, offset=2_000_000, payload=b"\x90" * 64)
 print(f"\ninjected {record.payload_length} bytes at offset {record.offset}")
 clock.advance_ns(5_000_000_000)
 outcome = engine.run_round(image)
-print(f"round {outcome.round_index}: {outcome.outcome}")
+print(f"round {round_number + 1}: {outcome.outcome}")
 assert outcome.outcome == VerificationResult.DIGEST_MISMATCH
 
 # The response is tiered: high-impact xApps are blocked outright, read-only

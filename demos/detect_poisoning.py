@@ -38,13 +38,13 @@ print(f"training windows: {train_x.shape[0]}, validation windows: {val_x.shape[0
 
 result = train_model(train_x, train_y,
                      TrainConfig(hidden_size=16, epochs=80, learning_rate=5e-3,
-                                 rng_seed=5, optimizer="adam"))
+                                 rng_seed=5))
 print(f"loss {result.epoch_losses[0]:.3f} -> {result.epoch_losses[-1]:.3f} "
       f"over {len(result.epoch_losses)} epochs")
 
 # Threshold = 99.5th percentile of benign validation scores, so the
 # false-positive regime is fixed before any attack is seen.
-threshold = calibrate_threshold(result.model, scaler, val_x, val_y, quantile=0.995)
+threshold = calibrate_threshold(result.model, scaler, val_x, val_y)
 bundle = DetectorBundle(model=result.model, scaler=scaler, threshold=threshold)
 print(f"calibrated threshold: {threshold:.4f}")
 

@@ -25,8 +25,7 @@ rulebook = synthetic_rulebook(count=100, seed=1, action_codes="D")
 print("training the detector bundle on a benign run of the same scenario...")
 bundle = train_detector_bundle(
     detector_preset(seed=1),
-    TrainConfig(hidden_size=16, epochs=60, learning_rate=5e-3, rng_seed=5,
-                optimizer="adam"),
+    TrainConfig(hidden_size=16, epochs=60, learning_rate=5e-3, rng_seed=5),
 )
 print(f"threshold: {bundle.threshold:.4f}\n")
 

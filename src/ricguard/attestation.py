@@ -119,8 +119,9 @@ def inject_code(image: XappImage, offset: int, payload: bytes) -> InjectionRecor
 
 @dataclass
 class RoundResult:
-    xapp_id: str
-    round_index: int
+    """One round's verification outcome, its wall-clock latency, the size of
+    the attested image, and whether it paid the reference-image load."""
+
     outcome: str  # VerificationResult value
     latency_ms: float
     image_mb: float
@@ -144,7 +145,6 @@ class AttestationEngine:
         self._references: dict[str, bytes] = {}
         self._outstanding: dict[str, AttestationChallenge] = {}
         self._recent_nonces: dict[str, deque[bytes]] = {}
-        self._round_counts: dict[str, int] = {}
 
     def register(self, xapp_id: str, reference_path: str | Path) -> None:
         """Bind an xApp id to its on-disk reference image (loaded lazily, so
@@ -178,20 +178,21 @@ class AttestationEngine:
     def verify(self, challenge: AttestationChallenge, response: AttestationResponse) -> str:
         """Check a response against the outstanding challenge.
 
-        Responses bound to consumed, expired, or never-issued nonces are
-        replay violations; a live nonce with a digest mismatch is an
-        integrity violation. Either way the challenge is consumed. Freshness
-        is measured from the engine's own record of the issue time, never
-        from the caller's copy of the challenge.
+        Responses bound to consumed, expired, or never-issued nonces, and
+        responses naming another xApp, are replay violations; a live nonce
+        with a digest mismatch is an integrity violation. Either way the
+        challenge is consumed. Freshness is measured from the engine's own
+        record of the issue time, never from the caller's copy of the
+        challenge.
         """
         if challenge.xapp_id not in self._paths:
             raise RegistryError(f"no reference image registered for {challenge.xapp_id!r}")
         outstanding = self._outstanding.get(challenge.xapp_id)
         if outstanding is None or outstanding.nonce != challenge.nonce:
             return VerificationResult.REPLAY
+        del self._outstanding[challenge.xapp_id]
         if response.xapp_id != challenge.xapp_id:
             return VerificationResult.REPLAY
-        del self._outstanding[challenge.xapp_id]
         if self._clock() - outstanding.issued_at > CHALLENGE_TTL_NS:
             return VerificationResult.REPLAY
         expected = seeded_digest(challenge.nonce, self._load_reference(challenge.xapp_id))
@@ -210,11 +211,7 @@ class AttestationEngine:
         challenge = self.issue_challenge(image.xapp_id)
         response = attest(image, challenge, clock=self._clock)
         outcome = self.verify(challenge, response)
-        round_index = self._round_counts.get(image.xapp_id, 0) + 1
-        self._round_counts[image.xapp_id] = round_index
         return RoundResult(
-            xapp_id=image.xapp_id,
-            round_index=round_index,
             outcome=outcome,
             latency_ms=(wall_ns() - started) / 1e6,
             image_mb=len(image.live_bytes) / (1024 * 1024),

@@ -3,7 +3,7 @@
 The anomaly score of a record is the mean squared error between the
 sequence model's next-step prediction (from the ten preceding records of
 the same UE) and the record's normalized features. The detection threshold
-is a high quantile of benign validation scores, so the false-positive
+is the 99.5th percentile of benign validation scores, so the false-positive
 regime is fixed by construction; anomalous scores are further classified
 into small/moderate/significant deviation magnitudes for the mitigation
 policy.
@@ -48,6 +48,9 @@ INITIAL_CONTEXT_ROWS = 16
 
 #: Benign validation windows a threshold calibration needs.
 MIN_CALIBRATION_WINDOWS = 500
+
+#: Quantile of benign validation scores taken as the threshold.
+CALIBRATION_QUANTILE = 0.995
 
 
 class CalibrationError(ValueError):
@@ -107,18 +110,16 @@ def score_batch(model: SequenceModel, inputs: np.ndarray,
 
 def calibrate_threshold(model: SequenceModel, scaler: FeatureScaler,
                         validation_inputs: np.ndarray,
-                        validation_targets: np.ndarray,
-                        quantile: float = 0.995) -> float:
-    """Threshold = the given quantile of benign validation scores."""
+                        validation_targets: np.ndarray) -> float:
+    """Threshold = the :data:`CALIBRATION_QUANTILE` of benign validation
+    scores, so at most 0.5% of them lie above it."""
     if validation_inputs.shape[0] < MIN_CALIBRATION_WINDOWS:
         raise CalibrationError(
             f"calibration needs at least {MIN_CALIBRATION_WINDOWS} benign windows, "
             f"got {validation_inputs.shape[0]}"
         )
-    if not 0.0 < quantile <= 1.0:
-        raise CalibrationError("quantile must lie in (0, 1]")
     scores = score_batch(model, validation_inputs, validation_targets)
-    return float(np.quantile(scores, quantile))
+    return float(np.quantile(scores, CALIBRATION_QUANTILE))
 
 
 def classify_magnitude(score: float, threshold: float) -> Magnitude:

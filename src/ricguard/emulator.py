@@ -157,7 +157,6 @@ class EmittedMessage:
     frame: bytes
     kind: E2MessageKind
     node_id: int
-    cell_id: int | None = None
     records: tuple[KpmRecord, ...] = ()
     labels: tuple[GroundTruthLabel, ...] = ()
     injected: InjectedSignature | None = None
@@ -356,7 +355,7 @@ class RanEmulator:
         return records, labels
 
     def _emit(self, kind: E2MessageKind, node_id: int, payload: bytes,
-              cell_id: int | None = None, records: tuple[KpmRecord, ...] = (),
+              records: tuple[KpmRecord, ...] = (),
               labels: tuple[GroundTruthLabel, ...] = ()) -> EmittedMessage:
         msg = E2Message(kind=kind, source_node_id=node_id, payload=payload)
         injected = None
@@ -370,7 +369,6 @@ class RanEmulator:
             frame=encode_frame(msg),
             kind=kind,
             node_id=node_id,
-            cell_id=cell_id,
             records=records,
             labels=labels,
             injected=injected,
@@ -404,7 +402,7 @@ class RanEmulator:
             else:
                 payload = encode_kpm_payload(cell_records)
             out.append(self._emit(E2MessageKind.INDICATION, node_id, payload,
-                                  cell_id=cell_id, records=cell_records, labels=cell_labels))
+                                  records=cell_records, labels=cell_labels))
 
         if t == cfg.loops - 1:
             for node in range(cfg.node_count):

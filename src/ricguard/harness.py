@@ -100,6 +100,13 @@ class ConstraintViolation(AssertionError):
     """A control loop exceeded the one-second near-RT budget (exit code 2)."""
 
 
+def _require_runs(runs: int) -> None:
+    """Every experiment repeats at least once: with no runs it has nothing
+    to report."""
+    if runs < 1:
+        raise ConfigError(f"runs must be at least 1, got {runs}")
+
+
 @contextmanager
 def _gc_paused():
     """Hold cyclic GC during latency-measured loops.
@@ -331,6 +338,7 @@ def run_inspector_experiment(
     out_dir=None,
 ) -> InspectorExperimentResult:
     """Inspect every message of ``runs`` scenarios; verify exact detection."""
+    _require_runs(runs)
     if config.malicious_node_fraction <= 0:
         raise ConfigError("the inspector experiment needs malicious nodes")
 
@@ -395,9 +403,7 @@ def run_inspector_experiment(
 # detector experiment
 
 
-DEFAULT_TRAIN_CONFIG = TrainConfig(
-    hidden_size=32, epochs=150, learning_rate=5e-3, rng_seed=7, optimizer="adam"
-)
+DEFAULT_TRAIN_CONFIG = TrainConfig(hidden_size=32, epochs=150, learning_rate=5e-3, rng_seed=7)
 
 
 def train_detector_bundle(
@@ -459,6 +465,7 @@ def run_detector_experiment(
 ) -> DetectorExperimentResult:
     """Per amplification factor: stream poisoned scenarios through the
     detector and pool ADR/FPR/latency over ``runs`` seeds."""
+    _require_runs(runs)
     require_poisoning(config)
     per_af: dict[float, DetectorMetrics] = {}
     csv_rows: list[str] = []
@@ -540,6 +547,7 @@ def run_attestation_experiment(
     temporary directory removed after the run when it is None; every run
     uses a fresh engine so round 1 always pays the cold-start load.
     """
+    _require_runs(runs)
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="ricguard-attest-") as tmp:
             return run_attestation_experiment(
@@ -642,16 +650,12 @@ def run_attestation_experiment(
 
 @dataclass
 class ConsumerDecision:
-    loop: int
+    """One consumer pass: the tick's verified records it read, its own time,
+    and the wait for the tick's verified data before it could start."""
+
     records_seen: int
     busy_ms: float
     availability_ms: float
-
-    @property
-    def decision_timestamp_ms(self) -> float:
-        """When the decision is out: the tick start, plus the wait for the
-        tick's verified data, plus the consumer's own pass."""
-        return self.loop * TICK_MS + self.availability_ms + self.busy_ms
 
 
 def consumer_xapp_loop(store: TelemetryStore, t: int,
@@ -663,7 +667,7 @@ def consumer_xapp_loop(store: TelemetryStore, t: int,
     if records:
         matrix = records_to_matrix(records)
         float(matrix.mean())  # fixed-cost decision stub
-    return ConsumerDecision(loop=t, records_seen=len(records),
+    return ConsumerDecision(records_seen=len(records),
                             busy_ms=(wall_ns() - started) / 1e6,
                             availability_ms=availability_ms)
 
@@ -823,7 +827,6 @@ class UseCaseResult:
     reports: list[tuple[TickReport, TickReport]]
     #: (guarded, baseline) pipelines per run, in their end state
     arms: list[tuple[RicPipeline, RicPipeline]]
-    attestation_outcomes: list[str]
     csv_rows: list[str]
 
     @property
@@ -848,35 +851,23 @@ def run_use_case(
     rulebook: SignatureSet,
     runs: int = 10,
     cost_model: CostModel | None = None,
-    attest_reference: Path | None = None,
     out_dir=None,
 ) -> UseCaseResult:
     """Each tick, one emulator's frames go through the guarded pipeline and
     then the baseline pipeline, measuring the data-availability shift the
-    safeguards impose on the consumer xApp. Attestation runs between ticks."""
-    reports, arms, attestation_outcomes = [], [], []
+    safeguards impose on the consumer xApp."""
+    _require_runs(runs)
+    reports, arms = [], []
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
         guarded = RicPipeline(cost_model, size_calibrated=config.size_calibrated,
                               rulebook=rulebook, bundle=bundle)
         baseline = RicPipeline(cost_model, size_calibrated=config.size_calibrated)
-        engine = None
-        if attest_reference is not None:
-            clock = SimClock()
-            engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(config.rng_seed))
-            engine.register("consumer-xapp", attest_reference)
-            reference = attest_reference.read_bytes()
-            image = XappImage("consumer-xapp", bytearray(reference), len(reference))
         with _gc_paused():
             for t in range(config.loops):
                 frames = [em.frame for em in emulator.step(t)]
                 reports.append((guarded.process_tick(t, frames),
                                 baseline.process_tick(t, frames)))
-                # Attestation runs outside the control loop, between ticks.
-                if engine is not None and t % DEFAULT_ATTESTATION_PERIOD_S == 0:
-                    clock.advance_to_ns(t * 1_000_000_000)
-                    attestation_outcomes.append(
-                        _attestation_round(engine, image, cost_model).outcome)
         arms.append((guarded, baseline))
     shift_ms = [g.decision.availability_ms - b.decision.availability_ms for g, b in reports]
     inspector_ms = [g.inspector_ms for g, _ in reports]
@@ -899,7 +890,6 @@ def run_use_case(
         real_wall_ms=real_wall_ms,
         reports=reports,
         arms=arms,
-        attestation_outcomes=attestation_outcomes,
         csv_rows=csv_rows,
     )
     if out_dir is not None:

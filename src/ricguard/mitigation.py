@@ -189,10 +189,12 @@ def resolve_inspector_event(match, policy: MitigationPolicy) -> frozenset[Mitiga
 
 
 def resolve_kpm_event(verdict, source_node_id: int, policy: MitigationPolicy) -> frozenset[MitigationAction]:
-    """Action set for an anomalous telemetry verdict, by deviation magnitude."""
-    if not verdict.is_anomalous:
+    """Action set for an anomalous telemetry verdict, by deviation magnitude;
+    a verdict has a magnitude exactly when it is anomalous."""
+    magnitude = verdict.magnitude
+    if magnitude is None:
         raise ValueError("only anomalous verdicts reach mitigation")
-    return policy.magnitude_actions[verdict.magnitude]
+    return policy.magnitude_actions[magnitude]
 
 
 def resolve_attestation_event(xapp_id: str, tier, policy: MitigationPolicy) -> frozenset[MitigationAction]:

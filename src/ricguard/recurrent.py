@@ -8,14 +8,14 @@ anomaly score.
 
 Weight layout: the four gate blocks (input, forget, cell, output) are
 stacked row-wise in ``w_x``/``w_h``/``b``, in that order. Training is
-full-batch and fully deterministic for a fixed seed. Both passes run the
-batch in blocks of :func:`_block_rows` rows, small enough that a block's
-scratch stays in cache. Inference (:func:`predict`) keeps nothing of a
-block: it holds the block's state transposed, as one (features, rows)
-buffer ``[x_t; 1; 2h]``, so each step is one matmul with the stacked
-``[w_x | b | w_h]`` weights. Training (:func:`loss_and_grads`) keeps a
-block's steps only until it has backpropagated through them, before it
-moves to the next block.
+full-batch Adam (Kingma & Ba, arXiv:1412.6980) and fully deterministic for
+a fixed seed. Both passes run the batch in blocks of :func:`_block_rows`
+rows, small enough that a block's scratch stays in cache. Inference
+(:func:`predict`) keeps nothing of a block: it holds the block's state
+transposed, as one (features, rows) buffer ``[x_t; 1; 2h]``, so each step
+is one matmul with the stacked ``[w_x | b | w_h]`` weights. Training
+(:func:`loss_and_grads`) keeps a block's steps only until it has
+backpropagated through them, before it moves to the next block.
 """
 
 from __future__ import annotations
@@ -320,11 +320,12 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Full-batch Adam: model width, epochs, step size and init seed."""
+
     hidden_size: int = 32
     epochs: int = 30
     learning_rate: float = 1e-3
     rng_seed: int = 0
-    optimizer: str = "gd"  # "gd" (full-batch gradient descent) or "adam"
 
 
 @dataclass
@@ -335,13 +336,11 @@ class TrainResult:
 
 def train_model(inputs: np.ndarray, targets: np.ndarray,
                 config: TrainConfig) -> TrainResult:
-    """Full-batch training on benign windows; deterministic for a seed.
+    """Full-batch Adam on benign windows; deterministic for a seed.
 
     ``epoch_losses[k]`` is the loss at the start of epoch k, so a healthy
     run shows a decreasing sequence.
     """
-    if config.optimizer not in ("gd", "adam"):
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
     _check_batch(inputs, targets)
     rng = np.random.default_rng(config.rng_seed)
     model = init_model(config.hidden_size, rng)
@@ -358,17 +357,13 @@ def train_model(inputs: np.ndarray, targets: np.ndarray,
                 f"non-finite loss at epoch {epoch}; lower the learning rate"
             )
         losses.append(loss)
-        if config.optimizer == "gd":
-            for name, param in params.items():
-                param -= config.learning_rate * grads[name]
-        else:
-            step = epoch + 1
-            for name, param in params.items():
-                adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * grads[name]
-                adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * grads[name] ** 2
-                m_hat = adam_m[name] / (1 - beta1**step)
-                v_hat = adam_v[name] / (1 - beta2**step)
-                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        step = epoch + 1
+        for name, param in params.items():
+            adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * grads[name]
+            adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * grads[name] ** 2
+            m_hat = adam_m[name] / (1 - beta1**step)
+            v_hat = adam_v[name] / (1 - beta2**step)
+            param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return TrainResult(model=model, epoch_losses=losses)
 
 

@@ -33,7 +33,6 @@ def quick_bundle():
     """Small, fast bundle for pipeline-shape tests (not for accuracy bands)."""
     return train_detector_bundle(
         detector_preset(seed=1),
-        TrainConfig(hidden_size=8, epochs=12, learning_rate=5e-3, rng_seed=3,
-                    optimizer="adam"),
+        TrainConfig(hidden_size=8, epochs=12, learning_rate=5e-3, rng_seed=3),
         train_loops=100,
     )

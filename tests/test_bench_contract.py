@@ -2,12 +2,16 @@
 names from ``ricguard``; each must still resolve, so removing one from the
 package cannot silently break them.
 
+Each keyword argument a script passes to such a name must also still be
+accepted, so removing a parameter cannot silently break them either.
+
 The scripts are only parsed, never run. For the two demos that train a
 detector, which the suite does not run, this is the only check.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,38 @@ def test_bench_read_attribute_exists(module, cls, attr):
         f"bench/session.py no longer reads .{attr}; drop it from the list"
     assert hasattr(getattr(importlib.import_module(module), cls), attr), \
         f"bench/session.py reads {cls}.{attr}"
+
+
+def _ricguard_keywords():
+    """(script, module, name, keyword) for every keyword argument passed in
+    a call to a name the script imports from ``ricguard``."""
+    for path in SCRIPTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ricguard":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in imported:
+                module, name = imported[node.func.id]
+                for keyword in node.keywords:
+                    if keyword.arg is not None:  # not a ``**mapping``
+                        yield path.name, module, name, keyword.arg
+
+
+KEYWORDS = sorted(set(_ricguard_keywords()))
+
+
+def test_bench_keywords_found():
+    scripts = {script for script, _, _, _ in KEYWORDS}
+    assert {"detect_poisoning.py", "end_to_end_loop.py", "session.py"} <= scripts
+
+
+@pytest.mark.parametrize("script,module,name,keyword", KEYWORDS,
+                         ids=[f"{s}:{n}({k}=)" for s, _, n, k in KEYWORDS])
+def test_bench_keyword_accepted(script, module, name, keyword):
+    params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    assert keyword in params or any(p.kind is p.VAR_KEYWORD for p in params.values()), \
+        f"{script} passes {keyword}= to {module}.{name}"

@@ -90,27 +90,11 @@ class TestCalibration:
         targets = rng.standard_normal((n, 6)) * 0.1
         return bundle, inputs, targets
 
-    def test_quantile_one_gives_max_and_zero_fpr(self):
-        bundle, inputs, targets = self.make()
-        threshold = calibrate_threshold(bundle.model, bundle.scaler,
-                                        inputs, targets, quantile=1.0)
-        scores = score_batch(bundle.model, inputs, targets)
-        assert threshold == pytest.approx(scores.max())
-        assert np.sum(scores > threshold) == 0
-
     def test_default_quantile_fpr_by_construction(self):
         bundle, inputs, targets = self.make()
         threshold = calibrate_threshold(bundle.model, bundle.scaler, inputs, targets)
         scores = score_batch(bundle.model, inputs, targets)
         assert np.mean(scores > threshold) <= 0.005
-
-    def test_threshold_monotone_in_quantile(self):
-        bundle, inputs, targets = self.make()
-        thresholds = [
-            calibrate_threshold(bundle.model, bundle.scaler, inputs, targets, quantile=q)
-            for q in (0.9, 0.95, 0.99, 0.995, 1.0)
-        ]
-        assert all(b >= a for a, b in zip(thresholds, thresholds[1:]))
 
     def test_too_few_windows_rejected(self):
         bundle, inputs, targets = self.make(n=499)

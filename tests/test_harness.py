@@ -323,6 +323,23 @@ class TestAttestationExperiment:
         assert first.csv_rows == second.csv_rows
 
 
+@pytest.mark.parametrize("runs", [0, -1])
+@pytest.mark.parametrize("runner", ["inspector", "detector", "attestation", "use-case"])
+def test_fewer_than_one_run_is_config_error(runner, runs, quick_bundle, rulebook, tmp_path):
+    experiments = {
+        "inspector": lambda: run_inspector_experiment(inspector_preset(seed=1), rulebook,
+                                                      runs=runs),
+        "detector": lambda: run_detector_experiment(detector_preset(seed=1), quick_bundle,
+                                                    runs=runs),
+        "attestation": lambda: run_attestation_experiment(runs=runs, workdir=tmp_path),
+        "use-case": lambda: run_use_case(use_case_preset(seed=1), quick_bundle, rulebook,
+                                         runs=runs),
+    }
+    with pytest.raises(ConfigError, match="runs must be at least 1"):
+        experiments[runner]()
+    assert not any(tmp_path.iterdir())
+
+
 class TestUseCase:
     def test_pipeline_purity(self, quick_bundle, rulebook, monkeypatch):
         """Per tick, the baseline stores every emitted record and the guarded
@@ -361,31 +378,10 @@ class TestUseCase:
         config = use_case_preset(seed=2, total_ues=20, loops=30)
         result = run_use_case(config, quick_bundle, rulebook, runs=1,
                               cost_model=DEFAULT_COST_MODEL)
-        for t, (report, _) in enumerate(result.reports):
-            decision = report.decision
-            assert decision.loop == t
-            assert decision.decision_timestamp_ms >= t * 1000 + decision.availability_ms
-
-    def test_attestation_rounds_run_clean(self, quick_bundle, rulebook, tmp_path):
-        reference = tmp_path / "consumer.bin"
-        reference.write_bytes(np.random.default_rng(0).bytes(256 * 1024))
-        config = use_case_preset(seed=2, total_ues=20, loops=30)
-        result = run_use_case(config, quick_bundle, rulebook, runs=1,
-                              cost_model=DEFAULT_COST_MODEL,
-                              attest_reference=reference)
-        assert len(result.attestation_outcomes) == 6  # every 5 ticks
-        assert all(o == "valid" for o in result.attestation_outcomes)
-
-    def test_attestation_does_not_touch_loop_costs(self, quick_bundle, rulebook, tmp_path):
-        reference = tmp_path / "consumer.bin"
-        reference.write_bytes(np.random.default_rng(0).bytes(256 * 1024))
-        config = use_case_preset(seed=2, total_ues=20, loops=30)
-        with_attest = run_use_case(config, quick_bundle, rulebook, runs=1,
-                                   cost_model=DEFAULT_COST_MODEL,
-                                   attest_reference=reference)
-        without = run_use_case(config, quick_bundle, rulebook, runs=1,
-                               cost_model=DEFAULT_COST_MODEL)
-        assert with_attest.loop_wall_ms == without.loop_wall_ms
+        for guarded, baseline in result.reports:
+            # each decision reads exactly the records its own tick verified
+            assert guarded.decision.records_seen == guarded.stored
+            assert baseline.decision.records_seen == baseline.stored
 
     def test_csv_schema_and_determinism(self, quick_bundle, rulebook, tmp_path):
         config = use_case_preset(seed=2, total_ues=20, loops=20)
@@ -461,7 +457,6 @@ class TestConsumerLoop:
         store = TelemetryStore()
         decision = consumer_xapp_loop(store, 7, availability_ms=2.0)
         assert decision.records_seen == 0
-        assert decision.decision_timestamp_ms >= 7 * 1000 + 2.0
 
 
 class TestGuardedPass:

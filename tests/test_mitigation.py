@@ -1,6 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ricguard.detector import AnomalyVerdict
 from ricguard.mitigation import (
     FALLBACK_SIGNATURE_ACTIONS,
     Blocklist,
@@ -115,6 +118,15 @@ class TestKpmResolution:
         verdict.is_anomalous = False
         with pytest.raises(ValueError):
             resolve_kpm_event(verdict, 1, MitigationPolicy.default())
+
+    def test_detector_verdicts(self):
+        # a NaN score fails closed: it resolves as a significant deviation
+        policy = MitigationPolicy.default()
+        nan = AnomalyVerdict(ue_id=1, timestamp=0, score=math.nan, threshold=1.0)
+        assert resolve_kpm_event(nan, 1, policy) == {X, B, R}
+        benign = AnomalyVerdict(ue_id=1, timestamp=0, score=1.0, threshold=1.0)
+        with pytest.raises(ValueError):
+            resolve_kpm_event(benign, 1, policy)
 
 
 class TestAttestationResolution:
