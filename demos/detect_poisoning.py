@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from ricguard import RanEmulator, ScenarioConfig, StreamingDetector, evaluate
 from ricguard.detector import DetectorBundle, calibrate_threshold, classify_magnitude
-from ricguard.kpm import build_windows, fit_scaler
+from ricguard.kpm import TICK_MS, build_windows, fit_scaler
 from ricguard.recurrent import TrainConfig, train_model
 
 scenario = ScenarioConfig(
@@ -28,7 +28,7 @@ for t in range(benign.loops):
     tick_records, _ = emulator.generate_tick(t)
     records.extend(tick_records)
 
-split_ms = int(0.8 * benign.loops) * 1000
+split_ms = int(0.8 * benign.loops) * TICK_MS
 train_records = [r for r in records if r.timestamp < split_ms]
 val_records = [r for r in records if r.timestamp >= split_ms]
 scaler = fit_scaler(train_records)

@@ -111,7 +111,10 @@ def _scenario(args, preset_fn, **kwargs):
     """The --config scenario, or the preset for --seed and the flags given;
     a flag that shapes the preset is a usage error next to --config."""
     if args.config is None:
-        return preset_fn(seed=args.seed, **{k: v for k, v in kwargs.items() if v is not None})
+        try:
+            return preset_fn(seed=args.seed, **{k: v for k, v in kwargs.items() if v is not None})
+        except ValueError as exc:  # a flag value the scenario cannot run
+            raise ConfigError(str(exc)) from exc
     for flag in ("ues_per_cell", "ues_total"):
         if getattr(args, flag, None) is not None:
             raise ConfigError(f"--{flag.replace('_', '-')} cannot be combined with --config")

@@ -22,7 +22,7 @@ whole payload.
 Size-calibrated payloads are seeded pseudorandom bytes whose length tracks
 observed indication sizes (~100 B at one UE per cell, ~5.3 B per extra UE);
 they carry no records and exist for inspection-latency benchmarking, where
-only the byte count matters.
+only the byte count matters; :func:`decode_kpm_payload` rejects them.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from .kpm import KpmRecord
 FRAME_MAGIC = 0xE2
 FRAME_VERSION = 0x01
 FRAME_HEADER_SIZE = 11
-MAX_PAYLOAD_BYTES = 1 << 20  # 1 MiB hard cap; ~25 KB setup requests are the largest legitimate frames
-MAX_KPM_RECORDS = 0xFFFF
+MAX_PAYLOAD_BYTES = 1 << 20  # 1 MiB hard cap: one frame holds at most MAX_KPM_RECORDS KPM records
 
 _HEADER = struct.Struct(">BBBII")
 _KPM_RECORD = struct.Struct(">IQ6d")
 _KPM_COUNT = struct.Struct(">H")
+MAX_KPM_RECORDS = (MAX_PAYLOAD_BYTES - _KPM_COUNT.size) // _KPM_RECORD.size  # 17,476
 
 
 class E2CodecError(Exception):
@@ -108,8 +108,6 @@ class E2Message:
 
 def encode_frame(msg: E2Message) -> bytes:
     """Serialize a message; total frame length is 11 + len(payload)."""
-    if len(msg.payload) > MAX_PAYLOAD_BYTES:
-        raise EncodeError("payload over cap")
     header = _HEADER.pack(
         FRAME_MAGIC, FRAME_VERSION, int(msg.kind), msg.source_node_id, len(msg.payload)
     )
@@ -163,7 +161,8 @@ def encode_kpm_payload(records: Sequence[KpmRecord]) -> bytes:
     if len({r.timestamp for r in records}) != 1:
         raise ValueError("all records of one report share one reporting timestamp")
     if len(records) > MAX_KPM_RECORDS:
-        raise EncodeError(f"record count {len(records)} exceeds the 16-bit capacity")
+        raise EncodeError(f"record count {len(records)} exceeds the {MAX_KPM_RECORDS} "
+                          f"records one frame can carry")
     parts = [_KPM_COUNT.pack(len(records))]
     for rec in records:
         parts.append(_KPM_RECORD.pack(rec.ue_id, rec.timestamp, *rec.feature_values()))

@@ -27,9 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .e2 import (
+    MAX_KPM_RECORDS,
+    MAX_PAYLOAD_BYTES,
     E2Message,
     E2MessageKind,
     calibrated_indication_payload,
+    calibrated_indication_size,
     encode_frame,
     encode_kpm_payload,
 )
@@ -113,8 +116,19 @@ class ScenarioConfig:
             raise ValueError(
                 "malicious_message_fraction must stay below 1 when any node is malicious"
             )
-        if self.total_ues is None and self.ues_per_cell < 1:
-            raise ValueError("ues_per_cell must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
+        if self.total_ues is None:
+            if self.ues_per_cell < 1:
+                raise ValueError("ues_per_cell must be positive")
+            # each cell's indication must fit in one frame
+            if self.size_calibrated:
+                fits = calibrated_indication_size(self.ues_per_cell) <= MAX_PAYLOAD_BYTES
+            else:
+                fits = self.ues_per_cell <= MAX_KPM_RECORDS
+            if not fits:
+                raise ValueError(f"ues_per_cell {self.ues_per_cell} overflows the "
+                                 f"{MAX_PAYLOAD_BYTES}-byte indication payload cap")
         if self.total_ues is not None and self.total_ues < 1:
             raise ValueError("total_ues must be positive when set")
 
@@ -163,13 +177,6 @@ class EmittedMessage:
 
 
 GROUND_TRUTH_CSV_HEADER = "ue_id,timestamp_ms,poisoned,af"
-
-
-def write_ground_truth_csv(labels: Sequence[GroundTruthLabel], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(GROUND_TRUTH_CSV_HEADER + "\n")
-        for lab in labels:
-            fh.write(f"{lab.ue_id},{lab.timestamp},{int(lab.poisoned)},{lab.af_used}\n")
 
 
 def poison_records(

@@ -9,18 +9,19 @@ safeguards impose on a consumer xApp: each tick's frames go through a
 Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
 safeguards time themselves by wall clock, which is hardware-dependent; the
 detector's time is taken once per tick around the call, warm-up ticks
-included. Pass a :class:`CostModel` and the runners here charge it for the
-work done instead (the textbook byte comparisons of each scan, scored
-records, attested bytes, decoded and stored data), for deterministic
-(byte-identical) CSV output. The near-RT loop budget is always checked
-against real wall time.
+included. Pass the fixed cost table, :data:`~ricguard.timing.DEFAULT_COST_MODEL`,
+and the runners here charge it for the work done instead (the textbook byte
+comparisons of each scan, scored records, attested bytes, decoded and stored
+data), for deterministic (byte-identical) CSV output. The near-RT loop
+budget is always checked against real wall time.
 
 CSV schemas (exact headers)::
 
-    inspector:   run,loop,msg_kind,node_id,verdict,inspect_ns,hits
-    detector:    af,adr_pct,fpr_pct,latency_ms
-    attestation: size_mb,round,latency_ms,outcome
-    use case:    run,loop,inspector_ms,detector_ms,shift_ms,loop_wall_ms
+    inspector:    run,loop,msg_kind,node_id,verdict,inspect_ns,hits
+    detector:     af,adr_pct,fpr_pct,latency_ms
+    ground truth: ue_id,timestamp_ms,poisoned,af
+    attestation:  size_mb,round,latency_ms,outcome
+    use case:     run,loop,inspector_ms,detector_ms,shift_ms,loop_wall_ms
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import gc
 import random
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -54,7 +55,7 @@ from .detector import (
     evaluate,
 )
 from .e2 import E2CodecError, E2Message, E2MessageKind, decode_frame, decode_kpm_payload
-from .emulator import GroundTruthLabel, RanEmulator, ScenarioConfig, write_ground_truth_csv
+from .emulator import GROUND_TRUTH_CSV_HEADER, GroundTruthLabel, RanEmulator, ScenarioConfig
 from .inspector import (
     IngressInspector,
     InspectionOutcome,
@@ -144,24 +145,22 @@ def inspector_preset(seed: int = 1, ues_per_cell: int = 10, loops: int = 100) ->
     )
 
 
-def detector_preset(seed: int = 1, total_ues: int = 50, loops: int = 80,
-                    amplification_factor: float = 1.5) -> ScenarioConfig:
+def detector_preset(seed: int = 1, total_ues: int = 50, loops: int = 80) -> ScenarioConfig:
     """Three nodes of three cells each, UEs placed randomly, 30% of them
-    targeted by poisoning windows."""
+    targeted by poisoning windows at amplification factor 1.5."""
     return ScenarioConfig(
         node_count=3,
         cells_per_node=3,
         total_ues=total_ues,
         poison_target_fraction=0.3,
-        amplification_factor=amplification_factor,
+        amplification_factor=1.5,
         loops=loops,
         rng_seed=seed,
     )
 
 
 def use_case_preset(seed: int = 1, total_ues: int = 50, loops: int = 100) -> ScenarioConfig:
-    return detector_preset(seed=seed, total_ues=total_ues, loops=loops,
-                           amplification_factor=1.5)
+    return detector_preset(seed=seed, total_ues=total_ues, loops=loops)
 
 
 def experiment_policy(rulebook: SignatureSet | None = None) -> MitigationPolicy:
@@ -487,10 +486,9 @@ def run_detector_experiment(
                 scored.extend(tick_scored)
                 detect_ns += tick_ns
             if run == 0 and out_dir is not None:
-                Path(out_dir).mkdir(parents=True, exist_ok=True)
-                write_ground_truth_csv(
-                    all_labels, Path(out_dir) / f"ground_truth_af{af}.csv"
-                )
+                write_csv(Path(out_dir) / f"ground_truth_af{af}.csv", GROUND_TRUTH_CSV_HEADER,
+                          (f"{lab.ue_id},{lab.timestamp},{int(lab.poisoned)},{lab.af_used}"
+                           for lab in all_labels))
             pooled += evaluate(scored, labels)
         if pooled.adr_pct is None:
             raise ConfigError(f"AF {af}: scenario produced no scored poisoned records")
@@ -548,84 +546,82 @@ def run_attestation_experiment(
     uses a fresh engine so round 1 always pays the cold-start load.
     """
     _require_runs(runs)
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="ricguard-attest-") as tmp:
-            return run_attestation_experiment(
-                sizes_mb=sizes_mb, rounds=rounds, runs=runs, injection_trials=injection_trials,
-                seed=seed, workdir=tmp, cost_model=cost_model, out_dir=out_dir)
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        if workdir is None:
+            workdir = stack.enter_context(tempfile.TemporaryDirectory(prefix="ricguard-attest-"))
+        workdir = Path(workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
 
-    reference_paths: dict[float, Path] = {}
-    reference_bytes: dict[float, bytes] = {}
-    for size in sizes_mb:
-        blob = np.random.default_rng(seed + int(size * 1024)).bytes(int(size * 1024 * 1024))
-        path = workdir / f"reference-{size}mb.bin"
-        path.write_bytes(blob)
-        reference_paths[size] = path
-        reference_bytes[size] = blob
-
-    latencies: dict[float, list[list[float]]] = {size: [] for size in sizes_mb}
-    clean_violations = 0
-    csv_rows: list[str] = []
-
-    for run in range(runs):
-        clock = SimClock()
-        engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(seed + run))
+        reference_paths: dict[float, Path] = {}
+        reference_bytes: dict[float, bytes] = {}
         for size in sizes_mb:
-            xapp_id = f"xapp-{size}mb"
-            engine.register(xapp_id, reference_paths[size])
+            blob = np.random.default_rng(seed + int(size * 1024)).bytes(int(size * 1024 * 1024))
+            path = workdir / f"reference-{size}mb.bin"
+            path.write_bytes(blob)
+            reference_paths[size] = path
+            reference_bytes[size] = blob
+
+        latencies: dict[float, list[list[float]]] = {size: [] for size in sizes_mb}
+        clean_violations = 0
+        csv_rows: list[str] = []
+
+        for run in range(runs):
+            clock = SimClock()
+            engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(seed + run))
+            for size in sizes_mb:
+                xapp_id = f"xapp-{size}mb"
+                engine.register(xapp_id, reference_paths[size])
+                image = XappImage(
+                    xapp_id=xapp_id,
+                    live_bytes=bytearray(reference_bytes[size]),
+                    declared_size=len(reference_bytes[size]),
+                )
+                series: list[float] = []
+                for round_index in range(rounds):
+                    clock.advance_ns(DEFAULT_ATTESTATION_PERIOD_S * 1_000_000_000)
+                    result = _attestation_round(engine, image, cost_model)
+                    series.append(result.latency_ms)
+                    if result.outcome != VerificationResult.VALID:
+                        clean_violations += 1
+                    csv_rows.append(
+                        f"{size},{round_index + 1},{result.latency_ms:.6f},{result.outcome}"
+                    )
+                latencies[size].append(series)
+
+        # Injection trials: each mutates a fresh copy of the smaller image and
+        # must raise a violation on the immediately following round; the
+        # high-impact policy then blocks the xApp.
+        policy = MitigationPolicy.default()
+        detected = 0
+        blocked = 0
+        trial_rng = random.Random(seed ^ 0xA77E57)
+        size = sizes_mb[0]
+        clock = SimClock()
+        engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(seed))
+        engine.register("xapp-trial", reference_paths[size])
+        for trial in range(injection_trials):
             image = XappImage(
-                xapp_id=xapp_id,
+                xapp_id="xapp-trial",
                 live_bytes=bytearray(reference_bytes[size]),
                 declared_size=len(reference_bytes[size]),
             )
-            series: list[float] = []
-            for round_index in range(rounds):
-                clock.advance_ns(DEFAULT_ATTESTATION_PERIOD_S * 1_000_000_000)
-                result = _attestation_round(engine, image, cost_model)
-                series.append(result.latency_ms)
-                if result.outcome != VerificationResult.VALID:
-                    clean_violations += 1
-                csv_rows.append(
-                    f"{size},{round_index + 1},{result.latency_ms:.6f},{result.outcome}"
+            payload = trial_rng.randbytes(trial_rng.randint(1, 64))
+            offset = trial_rng.randint(0, len(image.live_bytes))
+            inject_code(image, offset, payload)
+            clock.advance_ns(DEFAULT_ATTESTATION_PERIOD_S * 1_000_000_000)
+            result = _attestation_round(engine, image, cost_model)
+            if result.outcome == VerificationResult.DIGEST_MISMATCH:
+                detected += 1
+                mitigation = MitigationState()
+                actions = resolve_attestation_event("xapp-trial", XappTier.HIGH_IMPACT, policy)
+                apply_actions(
+                    mitigation,
+                    DetectionEvent(detector="attestation", evidence="digest-mismatch",
+                                   timestamp_ms=clock.now_ms(), xapp_id="xapp-trial"),
+                    actions,
                 )
-            latencies[size].append(series)
-
-    # Injection trials: each mutates a fresh copy of the smaller image and
-    # must raise a violation on the immediately following round; the
-    # high-impact policy then blocks the xApp.
-    policy = MitigationPolicy.default()
-    detected = 0
-    blocked = 0
-    trial_rng = random.Random(seed ^ 0xA77E57)
-    size = sizes_mb[0]
-    clock = SimClock()
-    engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(seed))
-    engine.register("xapp-trial", reference_paths[size])
-    for trial in range(injection_trials):
-        image = XappImage(
-            xapp_id="xapp-trial",
-            live_bytes=bytearray(reference_bytes[size]),
-            declared_size=len(reference_bytes[size]),
-        )
-        payload = trial_rng.randbytes(trial_rng.randint(1, 64))
-        offset = trial_rng.randint(0, len(image.live_bytes))
-        inject_code(image, offset, payload)
-        clock.advance_ns(DEFAULT_ATTESTATION_PERIOD_S * 1_000_000_000)
-        result = _attestation_round(engine, image, cost_model)
-        if result.outcome == VerificationResult.DIGEST_MISMATCH:
-            detected += 1
-            mitigation = MitigationState()
-            actions = resolve_attestation_event("xapp-trial", XappTier.HIGH_IMPACT, policy)
-            apply_actions(
-                mitigation,
-                DetectionEvent(detector="attestation", evidence="digest-mismatch",
-                               timestamp_ms=clock.now_ms(), xapp_id="xapp-trial"),
-                actions,
-            )
-            if "xapp-trial" in mitigation.blocklist.blocked_xapps:
-                blocked += 1
+                if "xapp-trial" in mitigation.blocklist.blocked_xapps:
+                    blocked += 1
 
     result = AttestationExperimentResult(
         latencies_ms=latencies,
@@ -695,15 +691,15 @@ class RicPipeline:
     has not yet reported in tick ``t``. Frames that fail to decode or that
     inspection stops, KPM payloads that fail to decode, and stale KPM
     records are dropped and counted; no per-record state outlives the tick.
-    Incidents are stamped with the tick's time, ``t * TICK_MS``.
+    A size-calibrated indication carries stand-in bytes, not a KPM report,
+    so it counts as a codec error. Incidents are stamped with the tick's
+    time, ``t * TICK_MS``. The cost model, when given, replaces wall times.
     """
 
     def __init__(self, cost_model: CostModel | None = None, *,
-                 size_calibrated: bool = False, rulebook: SignatureSet | None = None,
+                 rulebook: SignatureSet | None = None,
                  bundle: DetectorBundle | None = None) -> None:
         self.cost_model = cost_model
-        # size-calibrated indications carry stand-in bytes, not a KPM report
-        self.size_calibrated = size_calibrated
         self.policy = experiment_policy(rulebook)
         self.store = TelemetryStore()
         self.mitigation = MitigationState()
@@ -777,7 +773,7 @@ class RicPipeline:
         """The message's fresh KPM records: stamped ``tick_ms``, of a UE not in
         ``seen``, which holds the UEs of the tick's records so far and gains
         the ones returned."""
-        if msg.kind is not E2MessageKind.INDICATION or self.size_calibrated:
+        if msg.kind is not E2MessageKind.INDICATION:
             return ()
         try:
             decoded = decode_kpm_payload(msg.payload)
@@ -860,9 +856,8 @@ def run_use_case(
     reports, arms = [], []
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
-        guarded = RicPipeline(cost_model, size_calibrated=config.size_calibrated,
-                              rulebook=rulebook, bundle=bundle)
-        baseline = RicPipeline(cost_model, size_calibrated=config.size_calibrated)
+        guarded = RicPipeline(cost_model, rulebook=rulebook, bundle=bundle)
+        baseline = RicPipeline(cost_model)
         with _gc_paused():
             for t in range(config.loops):
                 frames = [em.frame for em in emulator.step(t)]

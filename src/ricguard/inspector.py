@@ -52,10 +52,6 @@ class InspectionOutcome:
             if (self.verdict is Verdict.MALICIOUS) != self.match.matched:
                 raise ValueError("verdict must agree with the match result")
 
-    @property
-    def blocked_at_ingress(self) -> bool:
-        return self.verdict is Verdict.BLOCKED
-
 
 class IngressInspector:
     """Inspection stage bound to a shared matcher and blocklist; one
@@ -98,7 +94,7 @@ def latency_summary(
     latencies = [
         o.inspect_latency_ns
         for o in outcomes
-        if o.message.kind is kind and not o.blocked_at_ingress
+        if o.message.kind is kind and o.verdict is not Verdict.BLOCKED
     ]
     if not latencies:
         return None

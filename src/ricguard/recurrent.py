@@ -105,8 +105,8 @@ def _check_inputs(inputs: np.ndarray) -> None:
 def _check_batch(inputs: np.ndarray, targets: np.ndarray) -> None:
     """Training batches: windows as :func:`_check_inputs`, one target row of
     F features per window, at least one window (the mean loss of none is
-    undefined), and only finite values (a NaN or inf would surface as a
-    non-finite loss, blamed on the learning rate)."""
+    undefined), and only finite values (a NaN or inf would surface only
+    later, as a non-finite loss)."""
     _check_inputs(inputs)
     if targets.shape != (len(inputs), FEATURE_COUNT):
         raise ValueError(f"targets of shape {targets.shape}, expected "
@@ -353,9 +353,7 @@ def train_model(inputs: np.ndarray, targets: np.ndarray,
     for epoch in range(config.epochs):
         loss, grads = loss_and_grads(model, inputs, targets)
         if not np.isfinite(loss):
-            raise TrainingError(
-                f"non-finite loss at epoch {epoch}; lower the learning rate"
-            )
+            raise TrainingError(f"loss {loss} at epoch {epoch} is not finite")
         losses.append(loss)
         step = epoch + 1
         for name, param in params.items():

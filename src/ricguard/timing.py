@@ -1,39 +1,40 @@
-"""Timing support: wall-clock measurement and a deterministic cost model.
+"""Timing support: wall-clock measurement and a fixed deterministic cost table.
 
 The safeguards time their own work by wall clock only
 (``time.perf_counter_ns``). In deterministic mode the experiment runners in
-:mod:`ricguard.harness` replace those wall latencies with a
-:class:`CostModel` charge for the work done: the textbook byte comparisons
-of a scan (:func:`ricguard.signatures.canonical_comparisons`), scored
-records per tick, image length and cold start per attestation round.
+:mod:`ricguard.harness` replace those wall latencies with a charge from the
+one cost table, :data:`DEFAULT_COST_MODEL`, for the work done: the textbook
+byte comparisons of a scan (:func:`ricguard.signatures.canonical_comparisons`),
+scored records per tick, image length and cold start per attestation round.
 Cost-model runs are bit-reproducible, which is what makes CSV outputs
 byte-identical across executions with the same seed.
 
-The default constants are calibration units, not measurements: they were
-picked so that a cost-model run lands in the same shape as real hardware
-numbers (sub-millisecond indication scans, ~0.7 ms per hashed MB, tens of
+The constants are calibration units, not measurements: they were picked so
+that a cost-model run lands in the same shape as real hardware numbers
+(sub-millisecond indication scans, ~0.7 ms per hashed MB, tens of
 milliseconds of per-loop detector work at 500 UEs).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class CostModel:
-    """Work-unit costs, in nanoseconds, for deterministic timing."""
+    """Fixed work-unit costs, in nanoseconds, for deterministic timing; class
+    constants with no instance slots, so the one table cannot be changed."""
 
-    ns_per_naive_comparison: float = 2.0
-    ns_per_scored_record: float = 140_000.0
-    ns_per_hashed_byte: float = 0.335
-    reference_load_flat_ns: float = 500_000.0
-    reference_load_ns_per_byte: float = 0.2
-    decode_flat_ns: float = 2_000.0
-    ns_per_decoded_byte: float = 0.4
-    ns_per_stored_record: float = 800.0
-    consumer_pass_ns: float = 1_500_000.0
+    __slots__ = ()
+
+    ns_per_naive_comparison = 2.0
+    ns_per_scored_record = 140_000.0
+    ns_per_hashed_byte = 0.335
+    reference_load_flat_ns = 500_000.0
+    reference_load_ns_per_byte = 0.2
+    decode_flat_ns = 2_000.0
+    ns_per_decoded_byte = 0.4
+    ns_per_stored_record = 800.0
+    consumer_pass_ns = 1_500_000.0
 
     def scan_ns(self, comparisons: int) -> int:
         return int(comparisons * self.ns_per_naive_comparison)
@@ -67,8 +68,8 @@ class SimClock:
     clock, so that runs are independent of wall time.
     """
 
-    def __init__(self, start_ns: int = 0) -> None:
-        self._ns = start_ns
+    def __init__(self) -> None:
+        self._ns = 0
 
     def now_ns(self) -> int:
         return self._ns

@@ -46,7 +46,8 @@ def test_bench_import_resolves(script, module, name):
 
 #: Attributes ``bench/session.py`` reads off the objects that ``ricguard``
 #: returns to it: the scored records and their verdicts, the decoded records,
-#: and the verified store.
+#: the verified store, the emulator and its messages and labels, inspection
+#: outcomes, consumer decisions and attestation rounds.
 READ_ATTRIBUTES = [
     ("ricguard.detector", "ScoredRecord", "record"),
     ("ricguard.detector", "ScoredRecord", "verdict"),
@@ -56,6 +57,24 @@ READ_ATTRIBUTES = [
     ("ricguard.kpm", "KpmRecord", "feature_values"),
     ("ricguard.harness", "TelemetryStore", "append"),
     ("ricguard.harness", "TelemetryStore", "records_at"),
+    ("ricguard.emulator", "EmittedMessage", "frame"),
+    ("ricguard.emulator", "EmittedMessage", "injected"),
+    ("ricguard.emulator", "EmittedMessage", "labels"),
+    ("ricguard.emulator", "EmittedMessage", "records"),
+    ("ricguard.emulator", "EmittedMessage", "kind"),
+    ("ricguard.emulator", "EmittedMessage", "node_id"),
+    ("ricguard.emulator", "GroundTruthLabel", "ue_id"),
+    ("ricguard.emulator", "GroundTruthLabel", "timestamp"),
+    ("ricguard.emulator", "GroundTruthLabel", "poisoned"),
+    ("ricguard.emulator", "RanEmulator", "step"),
+    ("ricguard.emulator", "RanEmulator", "generate_tick"),
+    ("ricguard.inspector", "InspectionOutcome", "verdict"),
+    ("ricguard.inspector", "InspectionOutcome", "match"),
+    ("ricguard.signatures", "MatchResult", "hits"),
+    ("ricguard.harness", "ConsumerDecision", "records_seen"),
+    ("ricguard.attestation", "RoundResult", "outcome"),
+    ("ricguard.attestation", "AttestationEngine", "reference_loaded"),
+    ("ricguard.attestation", "AttestationEngine", "run_round"),
 ]
 
 
@@ -64,7 +83,9 @@ READ_ATTRIBUTES = [
 def test_bench_read_attribute_exists(module, cls, attr):
     assert f".{attr}" in (ROOT / "bench" / "session.py").read_text(), \
         f"bench/session.py no longer reads .{attr}; drop it from the list"
-    assert hasattr(getattr(importlib.import_module(module), cls), attr), \
+    owner = getattr(importlib.import_module(module), cls)
+    # a dataclass field without a default is not a class attribute
+    assert hasattr(owner, attr) or attr in getattr(owner, "__dataclass_fields__", {}), \
         f"bench/session.py reads {cls}.{attr}"
 
 

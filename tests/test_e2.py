@@ -10,6 +10,7 @@ from ricguard.e2 import (
     EncodeError,
     FeatureValueError,
     FramingError,
+    MAX_KPM_RECORDS,
     MAX_PAYLOAD_BYTES,
     ProtocolError,
     TruncationError,
@@ -164,6 +165,17 @@ class TestKpmPayload:
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
             encode_kpm_payload(())
+
+    def test_frame_capacity_in_records(self):
+        """17,476 records fill one frame to within a record of the cap; one
+        more is refused by the payload encoder, naming the capacity."""
+        assert MAX_KPM_RECORDS == 17_476
+        records = [_record(ue=u) for u in range(MAX_KPM_RECORDS + 1)]
+        payload = encode_kpm_payload(records[:-1])
+        assert MAX_PAYLOAD_BYTES - 60 < len(payload) <= MAX_PAYLOAD_BYTES
+        E2Message(E2MessageKind.INDICATION, 1, payload)
+        with pytest.raises(EncodeError, match="17477 exceeds the 17476 records"):
+            encode_kpm_payload(records)
 
     def test_mixed_timestamps_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ricguard.e2 import E2MessageKind, decode_frame, decode_kpm_payload
+from ricguard.e2 import MAX_KPM_RECORDS, E2MessageKind, decode_frame, decode_kpm_payload
 from ricguard.emulator import (
     AR_COEFFICIENT,
     EMBB_BASELINE,
-    GroundTruthLabel,
     MIN_POISON_START,
     RanEmulator,
     ScenarioConfig,
@@ -16,7 +15,6 @@ from ricguard.emulator import (
     inject_signature,
     poison_records,
     psd_factor,
-    write_ground_truth_csv,
 )
 from ricguard.kpm import KpmRecord
 from ricguard.signatures import synthetic_rulebook
@@ -40,6 +38,20 @@ class TestConfigValidation:
         for af in (0.9, float("nan"), float("inf")):  # NaN compares false both ways
             with pytest.raises(ValueError):
                 ScenarioConfig(amplification_factor=af)
+
+    def test_negative_seed_rejected(self):
+        ScenarioConfig(rng_seed=0)
+        with pytest.raises(ValueError, match="rng_seed"):
+            ScenarioConfig(rng_seed=-1)
+
+    @pytest.mark.parametrize("size_calibrated,capacity", [
+        (False, MAX_KPM_RECORDS),
+        (True, 197_826),  # round(100 + 5.3 * 197_825) = 1,048,572 bytes
+    ], ids=["kpm", "size-calibrated"])
+    def test_cell_indication_must_fit_one_frame(self, size_calibrated, capacity):
+        ScenarioConfig(ues_per_cell=capacity, size_calibrated=size_calibrated)
+        with pytest.raises(ValueError, match=f"ues_per_cell {capacity + 1} overflows"):
+            ScenarioConfig(ues_per_cell=capacity + 1, size_calibrated=size_calibrated)
 
 
 class TestBenignDynamics:
@@ -183,17 +195,6 @@ class TestPoisoning:
             _, labels = emulator.generate_tick(t)
             if t < MIN_POISON_START:
                 assert not any(lab.poisoned for lab in labels)
-
-    def test_ground_truth_csv(self, tmp_path):
-        labels = [GroundTruthLabel(1, 1000, True, 1.5),
-                  GroundTruthLabel(2, 1000, False, 1.0)]
-        path = tmp_path / "labels.csv"
-        write_ground_truth_csv(labels, path)
-        assert path.read_text().splitlines() == [
-            "ue_id,timestamp_ms,poisoned,af",
-            "1,1000,1,1.5",
-            "2,1000,0,1.0",
-        ]
 
 
 class TestSignatureInjection:

@@ -46,7 +46,7 @@ from ricguard.kpm import KpmRecord
 from ricguard.mitigation import Magnitude, MitigationAction, MitigationPolicy
 from ricguard.recurrent import TrainConfig
 from ricguard.signatures import synthetic_rulebook
-from ricguard.timing import DEFAULT_COST_MODEL
+from ricguard.timing import DEFAULT_COST_MODEL, CostModel
 
 
 BENCH_BUNDLE = Path(__file__).resolve().parent.parent / "bench" / "detector-h32.kpmd"
@@ -244,7 +244,7 @@ class TestInspectorExperiment:
         config = inspector_preset(seed=3, loops=3)
         run_inspector_experiment(config, rulebook, runs=1)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
-        guarded = RicPipeline(size_calibrated=True, rulebook=rulebook, bundle=quick_bundle)
+        guarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
         guarded.process_tick(0, [em.frame for em in emulator.step(0)])
         assert guarded.diverted > 0
         with pytest.raises(Counted):
@@ -270,6 +270,20 @@ class TestDetectorExperiment:
         lines = (tmp_path / "detector.csv").read_text().splitlines()
         assert lines[0] == "af,adr_pct,fpr_pct,latency_ms"
         assert lines[1].startswith("1.5,")
+
+    def test_ground_truth_csv(self, quick_bundle, tmp_path):
+        """One row per label of the first run, in emission order: tick 0's
+        first UE is benign, a poisoned row carries the AF of its file."""
+        config = detector_preset(seed=1, loops=30)
+        run_detector_experiment(config, af_grid=(1.5,), runs=1, bundle=quick_bundle,
+                                out_dir=tmp_path)
+        lines = (tmp_path / "ground_truth_af1.5.csv").read_text().splitlines()
+        emulator = RanEmulator(config, run_seed=config.rng_seed + 100)
+        labels = [lab for t in range(config.loops) for lab in emulator.generate_tick(t)[1]]
+        assert lines[:2] == ["ue_id,timestamp_ms,poisoned,af", "0,0,0,1.0"]
+        assert lines[1:] == [f"{lab.ue_id},{lab.timestamp},1,1.5" if lab.poisoned
+                             else f"{lab.ue_id},{lab.timestamp},0,1.0" for lab in labels]
+        assert any(line.endswith(",1,1.5") for line in lines)
 
     def test_no_poisoning_is_config_error(self, quick_bundle):
         from dataclasses import replace
@@ -298,6 +312,15 @@ class TestDetectorExperiment:
                                          bundle=quick_bundle,
                                          cost_model=DEFAULT_COST_MODEL)
         assert first.csv_rows == second.csv_rows
+
+
+def test_cost_table_is_fixed():
+    """The cost model takes no arguments and its one table cannot change."""
+    with pytest.raises(TypeError):
+        CostModel(ns_per_scored_record=1.0)
+    with pytest.raises(AttributeError):
+        DEFAULT_COST_MODEL.ns_per_scored_record = 1.0
+    assert DEFAULT_COST_MODEL.scoring_ns(3) == 420_000
 
 
 class TestAttestationExperiment:
@@ -496,6 +519,20 @@ class TestGuardedPass:
         assert guarded.mitigation.blocklist.blocked_nodes.isdisjoint(range(3))
         assert len(guarded.store) == 10
 
+    def test_stand_in_indications_are_codec_errors(self, rulebook):
+        """Size-calibrated indications carry seeded bytes, not a KPM report:
+        the baseline counts each one as a codec error and stores nothing."""
+        config = inspector_preset(seed=3, loops=4)
+        emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
+        baseline, indications = RicPipeline(), 0
+        for t in range(config.loops):
+            emitted = emulator.step(t)
+            indications += sum(em.kind is E2MessageKind.INDICATION for em in emitted)
+            baseline.process_tick(t, [em.frame for em in emitted])
+        assert indications == 4 * 12
+        assert baseline.codec_errors == indications
+        assert len(baseline.store) == 0 and baseline.off_tick == baseline.replays == 0
+
     @pytest.mark.parametrize("codes, rows, blocked", [("DR", 2, set()), ("DBR", 1, {2})])
     def test_each_inspector_hit_is_its_own_incident(self, codes, rows, blocked):
         """Node 2 sends two frames carrying signature 3 in one tick. Each is
@@ -686,6 +723,27 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("loops = abc\n")
         assert cli_main(["inspect-bench", "--config", str(bad), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("lines", [
+        "rng_seed = -1\n",
+        # two cells of 18,000 UEs: a 1,080,002-byte indication, over the cap
+        "node_count = 2\ncells_per_node = 1\nues_per_cell = 18000\nloops = 2\n",
+    ], ids=["negative-seed", "indication-over-cap"])
+    def test_scenario_the_emulator_cannot_run_exits_three(self, tmp_path, lines):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("malicious_node_fraction = 0.5\nmalicious_message_fraction = 0.5\n"
+                          + lines)
+        assert cli_main(["inspect-bench", "--config", str(config), "--runs", "1",
+                         "--out", str(tmp_path)]) == 3
+
+    def test_preset_value_error_exits_three(self, tmp_path, monkeypatch):
+        import ricguard.cli as cli
+
+        def preset(**kwargs):
+            raise ValueError("ues_per_cell overflows")
+
+        monkeypatch.setattr(cli, "inspector_preset", preset)
+        assert cli_main(["inspect-bench", "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("text", ["garbage line\n", "# comments only\n"],
                              ids=["malformed", "empty"])

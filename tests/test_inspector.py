@@ -48,7 +48,6 @@ class TestInspect:
         inspector = IngressInspector(make_matcher(b"EVIL44"), blocklist)
         outcome = inspector.inspect(msg(b"EVIL44", node=9))
         assert outcome.verdict is Verdict.BLOCKED
-        assert outcome.blocked_at_ingress
         assert outcome.match is None
         assert outcome.inspect_latency_ns == 0
 
