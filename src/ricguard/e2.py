@@ -83,7 +83,7 @@ class E2MessageKind(IntEnum):
     SUBSCRIPTION_DELETE_RESPONSE = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class E2Message:
     """A framed control-plane message.
 
@@ -153,6 +153,11 @@ def calibrated_indication_size(ue_count: int) -> int:
     return round(100 + 5.3 * (ue_count - 1))
 
 
+def kpm_payload_size(record_count: int) -> int:
+    """Bytes of a full-fidelity KPM payload carrying ``record_count`` records."""
+    return _KPM_COUNT.size + record_count * _KPM_RECORD.size
+
+
 def encode_kpm_payload(records: Sequence[KpmRecord]) -> bytes:
     """One cell's report for one tick, with full fidelity: a 2-byte count,
     then 60 bytes per record. The frame header names the source node."""
@@ -178,7 +183,7 @@ def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
     if len(payload) < _KPM_COUNT.size:
         raise TruncationError("KPM payload shorter than its count field")
     (count,) = _KPM_COUNT.unpack_from(payload)
-    expected = _KPM_COUNT.size + count * _KPM_RECORD.size
+    expected = kpm_payload_size(count)
     if len(payload) != expected:
         raise TruncationError(f"KPM payload of {len(payload)} bytes, expected {expected}")
     body = memoryview(payload)[_KPM_COUNT.size:]

@@ -4,7 +4,10 @@ Simulates E2 nodes, cells, and UEs on a one-second tick. Benign telemetry
 is drawn per UE from a multivariate Gaussian around a per-UE baseline with
 AR(1) temporal correlation (coefficient 0.8), so the sequence model has
 learnable structure; the marginal distribution of each record is
-N(mu, cov). Attacks are reproduced with ground-truth labels:
+N(mu, cov). The baselines of all UEs are built as arrays, one row or
+matrix per UE: one jitter draw, one broadcast product for the covariances
+and one batched eigendecomposition for their factors. Attacks are
+reproduced with ground-truth labels:
 
 * KPM poisoning: targeted UEs' reports are resampled i.i.d. from
   N(af*mu, af*cov) during seeded attack windows (the underlying benign
@@ -21,13 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .e2 import (
-    MAX_KPM_RECORDS,
     MAX_PAYLOAD_BYTES,
     E2Message,
     E2MessageKind,
@@ -35,6 +36,7 @@ from .e2 import (
     calibrated_indication_size,
     encode_frame,
     encode_kpm_payload,
+    kpm_payload_size,
 )
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, KpmRecord
 from .signatures import SignatureSet
@@ -52,6 +54,10 @@ BASELINE_JITTER = 0.1  # per-UE uniform jitter around the slice baseline
 MIN_POISON_START = SEQUENCE_LENGTH + 2
 
 
+class ConfigError(ValueError):
+    """Invalid scenario or experiment configuration (CLI exit code 3)."""
+
+
 class SliceKind(Enum):
     EMBB = "eMBB"
     URLLC = "URLLC"
@@ -64,23 +70,26 @@ EMBB_BASELINE = np.array([20_000.0, 30.0, 50_000.0, 60.0, 1_000.0, 2_000.0])
 URLLC_BASELINE = np.array([4_000.0, 15.0, 10_000.0, 30.0, 2_000.0, 4_000.0])
 
 
-def baseline_for(slice_kind: SliceKind) -> np.ndarray:
-    return EMBB_BASELINE if slice_kind is SliceKind.EMBB else URLLC_BASELINE
+_CORRELATION = np.eye(FEATURE_COUNT)
+_CORRELATION[[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4]] = 0.3  # UL and DL pairs
 
 
 def default_covariance(mu: np.ndarray) -> np.ndarray:
-    """Diagonal-dominant PSD covariance with correlated UL and DL pairs."""
+    """Diagonal-dominant PSD covariance with correlated UL and DL pairs.
+
+    ``mu`` may be one mean vector or a stack of them, (..., 6) to (..., 6, 6).
+    """
     sd = COEFF_OF_VARIATION * mu
-    corr = np.eye(FEATURE_COUNT)
-    for a, b in ((0, 1), (2, 3), (4, 5)):
-        corr[a, b] = corr[b, a] = 0.3
-    return np.outer(sd, sd) * corr
+    return sd[..., :, None] * sd[..., None, :] * _CORRELATION
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """A factor L with L @ L.T = cov for any PSD matrix (handles cov = 0)."""
+    """A factor L with L @ L.T = cov for any PSD matrix (handles cov = 0).
+
+    ``cov`` may be a stack of matrices; each is factored on its own.
+    """
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -122,20 +131,23 @@ class ScenarioConfig:
             if self.ues_per_cell < 1:
                 raise ValueError("ues_per_cell must be positive")
             # each cell's indication must fit in one frame
-            if self.size_calibrated:
-                fits = calibrated_indication_size(self.ues_per_cell) <= MAX_PAYLOAD_BYTES
-            else:
-                fits = self.ues_per_cell <= MAX_KPM_RECORDS
-            if not fits:
+            if self.indication_bytes(self.ues_per_cell) > MAX_PAYLOAD_BYTES:
                 raise ValueError(f"ues_per_cell {self.ues_per_cell} overflows the "
                                  f"{MAX_PAYLOAD_BYTES}-byte indication payload cap")
         if self.total_ues is not None and self.total_ues < 1:
             raise ValueError("total_ues must be positive when set")
 
+    def indication_bytes(self, ue_count: int) -> int:
+        """Payload bytes of the indication of a cell of ``ue_count`` UEs."""
+        if self.size_calibrated:
+            return calibrated_indication_size(ue_count)
+        return kpm_payload_size(ue_count)
+
 
 @dataclass(frozen=True)
 class UeProfile:
-    """Per-UE baseline: slice, placement, mean vector, covariance."""
+    """Per-UE baseline: slice, placement, mean vector, covariance and its
+    factor ``psd_factor(cov)``."""
 
     ue_id: int
     slice_kind: SliceKind
@@ -143,14 +155,10 @@ class UeProfile:
     cell_id: int
     mu: np.ndarray
     cov: np.ndarray
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """``psd_factor(cov)``, computed on first use."""
-        return psd_factor(self.cov)
+    factor: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthLabel:
     ue_id: int
     timestamp: int
@@ -239,6 +247,12 @@ class RanEmulator:
     ``run_seed`` (defaulting to the same value) drives the dynamics: noise,
     attack realisations, payload bytes. Repeating an experiment varies only
     the run seed, so all repetitions observe the same deployed network.
+
+    The UE baselines are built as arrays, each UE's profile holding its rows
+    of them; the poison plan is drawn target by target, as the number of
+    draws depends on the coverage each reaches. A placement whose largest
+    indication cannot be framed is refused with :class:`ConfigError` before
+    any baseline is built.
     """
 
     def __init__(self, config: ScenarioConfig, rulebook: SignatureSet | None = None,
@@ -253,6 +267,7 @@ class RanEmulator:
         )
         self._next_tick = 0
 
+        # cell i is cells[i]: node i // cells_per_node, cell id i
         cells = [
             (node, node * config.cells_per_node + c)
             for node in range(config.node_count)
@@ -262,48 +277,59 @@ class RanEmulator:
 
         if config.total_ues is not None:
             placement = static_rng.integers(0, len(cells), size=config.total_ues)
-            ue_cells = [cells[int(i)] for i in placement]
         else:
-            ue_cells = [cell for cell in cells for _ in range(config.ues_per_cell)]
-        ue_count = len(ue_cells)
+            placement = np.repeat(np.arange(len(cells)), config.ues_per_cell)
+        ue_count = len(placement)
 
-        slice_order = static_rng.permutation(ue_count)
-        slices = [SliceKind.URLLC] * ue_count
-        for rank, ue in enumerate(slice_order):
-            if rank < (ue_count + 1) // 2:
-                slices[int(ue)] = SliceKind.EMBB
+        # the first half of a random order is eMBB, the rest URLLC
+        embb = np.zeros(ue_count, dtype=bool)
+        embb[static_rng.permutation(ue_count)[: (ue_count + 1) // 2]] = True
+        jitter = static_rng.uniform(1.0 - BASELINE_JITTER, 1.0 + BASELINE_JITTER,
+                                    size=(ue_count, FEATURE_COUNT))
 
-        profiles = []
-        for ue_id in range(ue_count):
-            node_id, cell_id = ue_cells[ue_id]
-            jitter = static_rng.uniform(1.0 - BASELINE_JITTER, 1.0 + BASELINE_JITTER,
-                                        size=FEATURE_COUNT)
-            mu = baseline_for(slices[ue_id]) * jitter
-            profiles.append(
-                UeProfile(
-                    ue_id=ue_id,
-                    slice_kind=slices[ue_id],
-                    node_id=node_id,
-                    cell_id=cell_id,
-                    mu=mu,
-                    cov=default_covariance(mu),
-                )
-            )
+        malicious_count = int(round(config.malicious_node_fraction * config.node_count))
+        chosen = static_rng.choice(config.node_count, size=malicious_count, replace=False)
+        self.malicious_nodes = frozenset(int(n) for n in chosen)
+        self._check_capacity(np.bincount(placement, minlength=len(cells)))
+
+        self._mu = np.where(embb[:, None], EMBB_BASELINE, URLLC_BASELINE) * jitter
+        covariances = default_covariance(self._mu)
+        self._factor = psd_factor(covariances)
         #: indexed by UE id
-        self.profiles: tuple[UeProfile, ...] = tuple(profiles)
-
-        self._mu = np.stack([p.mu for p in profiles])
-        self._factor = np.stack([p.factor for p in profiles])
+        self.profiles: tuple[UeProfile, ...] = tuple(
+            UeProfile(ue_id, SliceKind.EMBB if is_embb else SliceKind.URLLC,
+                      cell // config.cells_per_node, cell, mu, cov, factor)
+            for ue_id, (is_embb, cell, mu, cov, factor) in enumerate(zip(
+                embb.tolist(), placement.tolist(), self._mu, covariances, self._factor))
+        )
         # stationary start: deviations begin at the marginal distribution
         self._dev = np.einsum(
             "uij,uj->ui", self._factor, self._rng.standard_normal((ue_count, FEATURE_COUNT))
         )
 
-        malicious_count = int(round(config.malicious_node_fraction * config.node_count))
-        chosen = static_rng.choice(config.node_count, size=malicious_count, replace=False)
-        self.malicious_nodes = frozenset(int(n) for n in chosen)
-
         self._poison = self._build_poison_plan(ue_count)
+
+    def _check_capacity(self, cell_sizes: np.ndarray) -> None:
+        """Refuse a placement whose largest indication overflows one frame,
+        or, on a node that injects, leaves no room for the rulebook's
+        longest pattern; ``cell_sizes`` counts the UEs of each cell."""
+        cfg = self.config
+        largest = cell_sizes.reshape(cfg.node_count, cfg.cells_per_node).max(axis=1)
+        for node, ue_count in enumerate(largest.tolist()):
+            if not ue_count:
+                continue  # empty cells send no indication
+            size = cfg.indication_bytes(ue_count)
+            if size > MAX_PAYLOAD_BYTES:
+                raise ConfigError(
+                    f"a cell of node {node} holds {ue_count} UEs, whose {size}-byte "
+                    f"indication overflows the {MAX_PAYLOAD_BYTES}-byte payload cap")
+            if node in self.malicious_nodes and cfg.malicious_message_fraction > 0:
+                longest = max(len(sig.pattern) for sig in self.rulebook.signatures)
+                if size + longest > MAX_PAYLOAD_BYTES:
+                    raise ConfigError(
+                        f"a cell of malicious node {node} holds {ue_count} UEs: its "
+                        f"{size}-byte indication leaves no room for a {longest}-byte "
+                        f"injected pattern under the {MAX_PAYLOAD_BYTES}-byte payload cap")
 
     def _build_poison_plan(self, ue_count: int) -> _PoisonPlan:
         cfg = self.config
@@ -347,10 +373,7 @@ class RanEmulator:
         values = np.clip(self._mu + self._dev, 0.0, None)
 
         timestamp = t * TICK_MS
-        records = [
-            KpmRecord.from_features(timestamp, ue_id, values[ue_id])
-            for ue_id in range(self.ue_count)
-        ]
+        records = [KpmRecord(timestamp, ue_id, *row) for ue_id, row in enumerate(values.tolist())]
         targets_now = self._poison.targets_at(t)
         records, labels = poison_records(
             records,

@@ -55,7 +55,13 @@ from .detector import (
     evaluate,
 )
 from .e2 import E2CodecError, E2Message, E2MessageKind, decode_frame, decode_kpm_payload
-from .emulator import GROUND_TRUTH_CSV_HEADER, GroundTruthLabel, RanEmulator, ScenarioConfig
+from .emulator import (
+    GROUND_TRUTH_CSV_HEADER,
+    ConfigError,
+    GroundTruthLabel,
+    RanEmulator,
+    ScenarioConfig,
+)
 from .inspector import (
     IngressInspector,
     InspectionOutcome,
@@ -87,10 +93,6 @@ INSPECTOR_CSV_HEADER = "run,loop,msg_kind,node_id,verdict,inspect_ns,hits"
 DETECTOR_CSV_HEADER = "af,adr_pct,fpr_pct,latency_ms"
 ATTESTATION_CSV_HEADER = "size_mb,round,latency_ms,outcome"
 USE_CASE_CSV_HEADER = "run,loop,inspector_ms,detector_ms,shift_ms,loop_wall_ms"
-
-
-class ConfigError(ValueError):
-    """Invalid scenario or experiment configuration (CLI exit code 3)."""
 
 
 class DetectionFailure(AssertionError):

@@ -26,7 +26,7 @@ class Verdict(Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InspectionOutcome:
     """Result of inspecting one inbound message.
 

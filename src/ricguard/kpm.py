@@ -20,6 +20,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FEATURE_NAMES = (
     "UEThpUl",
@@ -143,28 +144,28 @@ def build_windows(records: Sequence[KpmRecord],
     Groups by UE, orders by timestamp, and slides a window over each run of
     consecutive (tick-spaced) records. Returns (inputs, targets) with shapes
     (n, SEQUENCE_LENGTH, 6) and (n, 6); the target is the record following
-    the window.
-    """
-    by_ue: dict[int, list[KpmRecord]] = {}
-    for rec in records:
-        by_ue.setdefault(rec.ue_id, []).append(rec)
+    the window. Windows come out by UE id, then by end timestamp.
 
-    inputs: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for ue_id in sorted(by_ue):
-        stream = sorted(by_ue[ue_id], key=lambda r: r.timestamp)
-        feats = scaler.normalize(records_to_matrix(stream))
-        times = np.array([r.timestamp for r in stream], dtype=np.int64)
-        for end in range(SEQUENCE_LENGTH, len(stream)):
-            start = end - SEQUENCE_LENGTH
-            span = times[start : end + 1]
-            if np.any(np.diff(span) != TICK_MS):
-                continue  # gap in the stream; windows must be consecutive
-            inputs.append(feats[start:end])
-            targets.append(feats[end])
-    if not inputs:
+    One array pass: a stable sort on (UE id, timestamp) orders the rows, so
+    records sharing a UE id and timestamp keep their input order; a step
+    between neighbouring rows counts when both belong to one UE and lie one
+    tick apart (a duplicate is a step of 0, so no window spans it), and a
+    window is kept when all of its SEQUENCE_LENGTH steps count. Inputs and
+    targets are then one gather each from the normalized rows.
+    """
+    n = len(records)
+    ue = np.fromiter((rec.ue_id for rec in records), dtype=np.int64, count=n)
+    ts = np.fromiter((rec.timestamp for rec in records), dtype=np.int64, count=n)
+    order = np.lexsort((ts, ue))
+    ue, ts = ue[order], ts[order]
+    feats = scaler.normalize(records_to_matrix(records)[order])
+    steps = (ue[1:] == ue[:-1]) & (np.diff(ts) == TICK_MS)
+    if len(steps) < SEQUENCE_LENGTH:
         return (
             np.empty((0, SEQUENCE_LENGTH, FEATURE_COUNT)),
             np.empty((0, FEATURE_COUNT)),
         )
-    return np.stack(inputs), np.stack(targets)
+    # window k reads rows k .. k+SEQUENCE_LENGTH-1 and targets the next row
+    ends = np.flatnonzero(sliding_window_view(steps, SEQUENCE_LENGTH).all(axis=1))
+    ends += SEQUENCE_LENGTH
+    return feats[ends[:, None] + np.arange(-SEQUENCE_LENGTH, 0)], feats[ends]

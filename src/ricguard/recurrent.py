@@ -140,11 +140,7 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
     _check_inputs(inputs)
     n, t_len, f = inputs.shape
     h_size = model.hidden_size
-    order = np.r_[: 2 * h_size, 3 * h_size : 4 * h_size, 2 * h_size : 3 * h_size]
-    scale = np.full((4 * h_size, 1), 0.5)
-    scale[3 * h_size :] = 1.0
-    weights = np.hstack([model.w_x[order], model.b[order, None],
-                         0.5 * model.w_h[order]]) * scale
+    weights = _stacked_weights(model)
     w_step0 = weights[:, : f + 1]
     w_out = 0.5 * model.w_out
     block = _block_rows(model)
@@ -184,6 +180,17 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
         np.matmul(h2.T, w_out.T, out=predictions[start:stop])
     predictions += model.b_out
     return predictions
+
+
+def _stacked_weights(model: SequenceModel) -> np.ndarray:
+    """:func:`predict`'s (4H, F+1+H) step weights ``[w_x | b | 0.5·w_h]``,
+    gate blocks reordered from i, f, g, o to i, f, o, g and the three
+    sigmoid blocks halved: one stack, one block gather, one scaling."""
+    h_size = model.hidden_size
+    weights = np.hstack([model.w_x, model.b[:, None], 0.5 * model.w_h])
+    weights = weights.reshape(4, h_size, -1)[[0, 1, 3, 2]]
+    weights[:3] *= 0.5
+    return weights.reshape(4 * h_size, -1)
 
 
 def _block_rows(model: SequenceModel) -> int:

@@ -132,7 +132,9 @@ def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
     for the signatures whose first two bytes occur in the payload: the
     others cannot occur. The payload's overlapping 2-grams are read as one
     zero-copy view and looked up in the rulebook's 65,536-entry table, and
-    each signature under a 2-gram present is searched once.
+    each signature under a 2-gram present is searched once. A payload in
+    which no position starts a signature's 2-gram, the common benign case,
+    costs that lookup alone.
     """
     started = wall_ns()
     n = len(payload)
@@ -140,13 +142,15 @@ def scan_naive(payload: bytes, signatures: SignatureSet) -> MatchResult:
     if n >= MIN_PATTERN_LENGTH:
         table, index = signatures._two_grams
         grams = np.ndarray((n - 1,), "<u2", payload, 0, (1,))
+        candidates = grams[table.take(grams)]
         # np.unique, not a set: a payload made of signature 2-grams would
-        # cost one Python int per byte
-        for gram in np.unique(grams[table.take(grams)]).tolist():
-            for sig in index[gram]:
-                offset = payload.find(sig.pattern)
-                if offset >= 0:
-                    hits.append((sig.sig_id, offset))
+        # cost one Python int per byte; a payload with no candidate skips it
+        if len(candidates):
+            for gram in np.unique(candidates).tolist():
+                for sig in index[gram]:
+                    offset = payload.find(sig.pattern)
+                    if offset >= 0:
+                        hits.append((sig.sig_id, offset))
     hits.sort()
     return MatchResult(tuple(hits), wall_ns() - started)
 

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from ricguard.e2 import MAX_KPM_RECORDS, E2MessageKind, decode_frame, decode_kpm_payload
+from ricguard.e2 import (
+    MAX_KPM_RECORDS,
+    MAX_PAYLOAD_BYTES,
+    E2MessageKind,
+    decode_frame,
+    decode_kpm_payload,
+)
 from ricguard.emulator import (
     AR_COEFFICIENT,
     EMBB_BASELINE,
     MIN_POISON_START,
+    ConfigError,
     RanEmulator,
     ScenarioConfig,
     SliceKind,
@@ -16,8 +23,10 @@ from ricguard.emulator import (
     poison_records,
     psd_factor,
 )
+from ricguard.harness import use_case_preset
 from ricguard.kpm import KpmRecord
-from ricguard.signatures import synthetic_rulebook
+from ricguard.mitigation import parse_action_codes
+from ricguard.signatures import Signature, SignatureSet, synthetic_rulebook
 
 
 def single_ue_config(loops=100, seed=5, **kwargs):
@@ -65,9 +74,7 @@ class TestBenignDynamics:
         config = single_ue_config(loops=10)
         emulator = RanEmulator(config)
         profile = emulator.profiles[0]
-        zero = UeProfile(profile.ue_id, profile.slice_kind, profile.node_id,
-                         profile.cell_id, profile.mu, np.zeros((6, 6)))
-        emulator._factor[0] = psd_factor(zero.cov)
+        emulator._factor[0] = psd_factor(np.zeros((6, 6)))
         emulator._dev[0] = 0.0
         for t in range(10):
             records, _ = emulator.generate_tick(t)
@@ -135,10 +142,70 @@ class TestProfiles:
         assert profile.factor is profile.factor
         assert np.array_equal(profile.factor, psd_factor(profile.cov))
 
+    def test_batched_baselines_equal_per_ue_helpers(self):
+        """The emulator builds every UE's covariance and factor in one
+        batch; each equals the one-UE helpers bit for bit."""
+        profiles = RanEmulator(use_case_preset(seed=1, total_ues=300)).profiles
+        assert len(profiles) == 300
+        for profile in profiles:
+            assert np.array_equal(profile.cov, default_covariance(profile.mu))
+            assert np.array_equal(profile.factor, psd_factor(profile.cov))
+
+    def test_tick_records_equal_from_features(self):
+        config = ScenarioConfig(node_count=2, cells_per_node=2, total_ues=40, loops=3,
+                                rng_seed=2)
+        emulator = RanEmulator(config)
+        for t in range(3):
+            records, _ = emulator.generate_tick(t)
+            values = np.clip(emulator._mu + emulator._dev, 0.0, None)
+            assert records == [KpmRecord.from_features(t * 1000, ue, row)
+                               for ue, row in enumerate(values)]
+            assert all(type(v) is float for rec in records for v in rec[2:])
+
+
+class TestFrameCapacity:
+    """A placement whose largest indication cannot be framed is refused
+    before any baseline is built; one exactly at the limit runs."""
+
+    @staticmethod
+    def one_cell(**kwargs):
+        return ScenarioConfig(node_count=1, cells_per_node=1, loops=1, **kwargs)
+
+    def test_placed_cell_over_one_frame_refused(self):
+        with pytest.raises(ConfigError, match=f"holds {MAX_KPM_RECORDS + 1} UEs"):
+            RanEmulator(self.one_cell(total_ues=MAX_KPM_RECORDS + 1))
+
+    def test_placed_cell_of_one_full_frame_runs(self):
+        emulator = RanEmulator(self.one_cell(total_ues=MAX_KPM_RECORDS))
+        indications = [m for m in emulator.step(0) if m.kind is E2MessageKind.INDICATION]
+        assert [len(m.records) for m in indications] == [MAX_KPM_RECORDS]
+
+    def full_injecting_cell(self, longest):
+        """A full cell's indication leaves 14 bytes under the cap; its node
+        injects from a rulebook whose longest pattern is ``longest`` bytes."""
+        rulebook = SignatureSet((
+            Signature(0, b"\xab" * 8, parse_action_codes("D"), "short"),
+            Signature(1, b"\xcd" * longest, parse_action_codes("D"), "longest"),
+        ))
+        config = self.one_cell(ues_per_cell=MAX_KPM_RECORDS, malicious_node_fraction=1.0,
+                               malicious_message_fraction=0.99)
+        return config, rulebook
+
+    def test_injected_pattern_that_fills_the_frame_runs(self):
+        emulator = RanEmulator(*self.full_injecting_cell(longest=14))
+        sizes = [len(m.frame) for m in emulator.step(0)
+                 if m.kind is E2MessageKind.INDICATION and m.injected is not None]
+        assert sizes == [11 + MAX_PAYLOAD_BYTES]
+
+    def test_injected_pattern_without_room_refused(self):
+        with pytest.raises(ConfigError, match="no room for a 15-byte"):
+            RanEmulator(*self.full_injecting_cell(longest=15))
+
 
 class TestPoisoning:
     def make_profile(self, af_mu=EMBB_BASELINE):
-        return UeProfile(0, SliceKind.EMBB, 0, 0, af_mu, default_covariance(af_mu))
+        cov = default_covariance(af_mu)
+        return UeProfile(0, SliceKind.EMBB, 0, 0, af_mu, cov, psd_factor(cov))
 
     def records(self, n):
         return [KpmRecord.from_features(t * 1000, 0, EMBB_BASELINE) for t in range(n)]

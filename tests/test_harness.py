@@ -728,7 +728,12 @@ class TestCli:
         "rng_seed = -1\n",
         # two cells of 18,000 UEs: a 1,080,002-byte indication, over the cap
         "node_count = 2\ncells_per_node = 1\nues_per_cell = 18000\nloops = 2\n",
-    ], ids=["negative-seed", "indication-over-cap"])
+        # random placement puts 18,156 of the 36,000 UEs in one cell
+        "node_count = 2\ncells_per_node = 1\ntotal_ues = 36000\nloops = 2\n",
+        # a full cell leaves 14 bytes, too few for a malicious node's 8-32 B pattern
+        "node_count = 2\ncells_per_node = 1\nues_per_cell = 17476\nloops = 2\nrng_seed = 4\n",
+    ], ids=["negative-seed", "indication-over-cap", "placed-cell-over-cap",
+            "no-room-to-inject"])
     def test_scenario_the_emulator_cannot_run_exits_three(self, tmp_path, lines):
         config = tmp_path / "scenario.cfg"
         config.write_text("malicious_node_fraction = 0.5\nmalicious_message_fraction = 0.5\n"

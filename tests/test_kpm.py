@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ricguard.kpm import (
     FeatureScaler,
@@ -135,3 +136,69 @@ class TestBuildWindows:
         scaler = fit_scaler(records)
         inputs, _ = build_windows(records, scaler)
         assert inputs.shape[0] == 4  # two windows per UE, never mixed
+
+
+def per_ue_build_windows(records, scaler):
+    """Reference: the per-UE, per-window loop that ``build_windows``
+    replaced. Groups by UE, sorts each stream by timestamp (stable, so
+    duplicates keep input order) and tests each window's steps on its own."""
+    by_ue = {}
+    for r in records:
+        by_ue.setdefault(r.ue_id, []).append(r)
+    inputs, targets = [], []
+    for ue_id in sorted(by_ue):
+        stream = sorted(by_ue[ue_id], key=lambda r: r.timestamp)
+        feats = scaler.normalize(records_to_matrix(stream))
+        times = np.array([r.timestamp for r in stream], dtype=np.int64)
+        for end in range(10, len(stream)):
+            if np.any(np.diff(times[end - 10 : end + 1]) != 1000):
+                continue
+            inputs.append(feats[end - 10 : end])
+            targets.append(feats[end])
+    if not inputs:
+        return np.empty((0, 10, 6)), np.empty((0, 6))
+    return np.stack(inputs), np.stack(targets)
+
+
+SCALER = FeatureScaler(mean=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+                       std=np.array([0.5, 1.5, 2.0, 3.0, 0.25, 7.0]))
+
+
+def assert_same_windows(records):
+    expected = per_ue_build_windows(records, SCALER)
+    got = build_windows(records, SCALER)
+    for want, have in zip(expected, got):
+        assert have.shape == want.shape and have.dtype == want.dtype
+        assert np.array_equal(have, want)
+
+
+# (ue, tick, off-tick) keys: few UEs and ticks, so streams interleave and
+# repeat (ue, t); an off-tick record breaks its UE's run as a gap does
+stream_keys = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 24), st.booleans()),
+                       max_size=80)
+
+
+class TestBuildWindowsMatchesPerUeLoop:
+    @given(keys=stream_keys, seed=st.integers(0, 2**32 - 1))
+    @example(keys=[(0, t, False) for t in range(11)] + [(0, 10, False)], seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_gapped_streams_with_duplicates(self, keys, seed):
+        rng = np.random.default_rng(seed)
+        records = [rec(tick * 1000 + 500 * off, ue=ue, values=rng.exponential(5.0, 6))
+                   for ue, tick, off in keys]
+        assert_same_windows(records)
+
+    @pytest.mark.parametrize("count", range(12))
+    def test_short_streams(self, count):
+        records = [rec(t * 1000, ue=3) for t in range(count)]
+        assert_same_windows(records)
+        assert len(build_windows(records, SCALER)[0]) == max(count - 10, 0)
+
+    def test_duplicate_keeps_input_order(self):
+        """Of two records at one (ue, t), the one given first is the target
+        of the window before it, and no window spans the pair."""
+        first, second = rec(10_000, values=(9.0,) * 6), rec(10_000, values=(7.0,) * 6)
+        stream = [rec(t * 1000) for t in range(10)]
+        for a, b in ((first, second), (second, first)):
+            _, targets = build_windows(stream[5:] + [a] + stream[:5] + [b], SCALER)
+            assert np.array_equal(targets, SCALER.normalize(records_to_matrix([a])))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ricguard import recurrent
 from ricguard.recurrent import (
     SequenceModel,
     TrainConfig,
@@ -235,6 +236,28 @@ class TestBlockedInference:
         assert np.array_equal(inputs, original_inputs)
         for name, param in model.parameters().items():
             assert np.array_equal(param, original_params[name]), name
+
+    @pytest.mark.parametrize("n", [1, 64, 257, 2000])
+    def test_stacked_weights_match_fancy_index_reference(self, monkeypatch, n):
+        """The step weights come from one stack, one gather of the four gate
+        blocks and one scaling; ``predict`` is bit for bit what it was with
+        the per-row index and scale vector."""
+        def reference(model):
+            h = model.hidden_size
+            order = np.r_[: 2 * h, 3 * h : 4 * h, 2 * h : 3 * h]
+            scale = np.full((4 * h, 1), 0.5)
+            scale[3 * h :] = 1.0
+            return np.hstack([model.w_x[order], model.b[order, None],
+                              0.5 * model.w_h[order]]) * scale
+
+        model, rng = h32_model()
+        inputs = rng.standard_normal((n, 10, 6)) * 2.0
+        stacked = recurrent._stacked_weights(model)
+        assert stacked.flags.c_contiguous
+        assert np.array_equal(stacked, reference(model))
+        got = predict(model, inputs)
+        monkeypatch.setattr(recurrent, "_stacked_weights", reference)
+        assert np.array_equal(got, predict(model, inputs))
 
     def test_scratch_is_one_block(self):
         """Projecting every step of every row up front would peak at about

@@ -67,6 +67,24 @@ class TestNaiveScan:
         result = scan_naive(b"Z" * 100, sigset(sig(1, b"ABCD"), sig(2, b"WXYZQ")))
         assert result.hits == ()
 
+    def test_no_candidate_2_gram_skips_the_sort(self, monkeypatch):
+        """A payload starting no signature's 2-gram never reaches np.unique;
+        one that does still reports every signature's first occurrence."""
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        book = synthetic_rulebook(count=1000, seed=3)
+        clean = bytes(62)  # no synthetic pattern starts with two zero bytes
+        assert not any(s.pattern.startswith(b"\0\0") for s in book.signatures)
+        with monkeypatch.context() as patched:
+            patched.setattr(signatures.np, "unique", no_sort)
+            assert scan_naive(clean, book).hits == ()
+        payload = clean + book.signatures[7].pattern + clean + book.signatures[3].pattern
+        expected = tuple(sorted((s.sig_id, payload.find(s.pattern)) for s in book.signatures
+                                if payload.find(s.pattern) >= 0))
+        assert (3, 62 + len(book.signatures[7].pattern) + 62) in expected
+        assert scan_naive(payload, book).hits == expected
+
     def test_payload_equal_to_pattern(self):
         result = scan_naive(b"ABCD", sigset(sig(1, b"ABCD")))
         assert result.hits == ((1, 0),)
