@@ -26,6 +26,7 @@ are immutable named tuples, built in one pass per tick.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import astuple, dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -140,11 +141,20 @@ def classify_magnitude(score: float, threshold: float) -> Magnitude:
 
 @dataclass(frozen=True)
 class DetectorBundle:
-    """Immutable trained artefact: model + scaler + calibrated threshold."""
+    """Immutable trained artefact: model + scaler + calibrated threshold.
+
+    The threshold must be finite and positive: an infinite one flags
+    nothing, and a zero one leaves no magnitude (score / threshold) for the
+    first flagged record.
+    """
 
     model: SequenceModel
     scaler: FeatureScaler
     threshold: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.threshold < math.inf:  # NaN fails too
+            raise ValueError(f"detector threshold {self.threshold} is not finite and positive")
 
 
 def save_bundle(bundle: DetectorBundle, path) -> None:

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from itertools import compress, count, repeat
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,12 +161,15 @@ class UeProfile:
     factor: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruthLabel:
+class GroundTruthLabel(NamedTuple):
     ue_id: int
     timestamp: int
     poisoned: bool
     af_used: float
+
+
+#: Builds a label from one (ue_id, timestamp, poisoned, af_used) tuple in C.
+_label_of = partial(tuple.__new__, GroundTruthLabel)
 
 
 @dataclass(frozen=True)
@@ -199,21 +205,21 @@ def poison_records(
     Targeted records are redrawn i.i.d. from N(af*mu, af*cov) and clipped
     at zero; labels mark every record, poisoned or not. af = 1 leaves the
     distribution unchanged but the window is still labelled as attacked.
-    ``profiles`` is indexed by UE id.
+    ``profiles`` is indexed by UE id. The benign labels are built in one
+    ``map``; only targeted records are visited one by one, in order.
     """
-    out: list[KpmRecord] = []
-    labels: list[GroundTruthLabel] = []
+    out = list(records)
+    ue_ids = list(map(attrgetter("ue_id"), records))
+    labels = list(map(_label_of, zip(ue_ids, map(attrgetter("timestamp"), records),
+                                     repeat(False), repeat(1.0))))
     scale = np.sqrt(af)
-    for rec in records:
-        if rec.ue_id in targets:
-            profile = profiles[rec.ue_id]
-            draw = af * profile.mu + scale * (profile.factor @ rng.standard_normal(FEATURE_COUNT))
-            values = np.clip(draw, 0.0, None)
-            out.append(KpmRecord.from_features(rec.timestamp, rec.ue_id, values))
-            labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, True, af))
-        else:
-            out.append(rec)
-            labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, False, 1.0))
+    for idx in compress(count(), map(targets.__contains__, ue_ids)):
+        rec = records[idx]
+        profile = profiles[rec.ue_id]
+        draw = af * profile.mu + scale * (profile.factor @ rng.standard_normal(FEATURE_COUNT))
+        values = np.clip(draw, 0.0, None)
+        out[idx] = KpmRecord.from_features(rec.timestamp, rec.ue_id, values)
+        labels[idx] = GroundTruthLabel(rec.ue_id, rec.timestamp, True, af)
     return out, labels
 
 

@@ -117,8 +117,10 @@ class FeatureScaler:
     def __post_init__(self) -> None:
         if self.mean.shape != (FEATURE_COUNT,) or self.std.shape != (FEATURE_COUNT,):
             raise ScalerError("scaler statistics must have one entry per measurement feature")
-        if np.any(self.std <= 0):
-            raise ScalerError("scaler standard deviations must be positive")
+        # NaN fails both comparisons, so it is rejected too
+        if not (np.isfinite(self.mean).all() and ((0.0 < self.std) & (self.std < np.inf)).all()):
+            raise ScalerError("scaler means must be finite and standard deviations "
+                              "finite and positive")
 
     def normalize(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std

@@ -10,12 +10,14 @@ Weight layout: the four gate blocks (input, forget, cell, output) are
 stacked row-wise in ``w_x``/``w_h``/``b``, in that order. Training is
 full-batch Adam (Kingma & Ba, arXiv:1412.6980) and fully deterministic for
 a fixed seed. Both passes run the batch in blocks of :func:`_block_rows`
-rows, small enough that a block's scratch stays in cache. Inference
-(:func:`predict`) keeps nothing of a block: it holds the block's state
-transposed, as one (features, rows) buffer ``[x_t; 1; 2h]``, so each step
-is one matmul with the stacked ``[w_x | b | w_h]`` weights. Training
+rows, small enough that a block's scratch stays in cache, and share one
+forward pass: the block's state is transposed, one (features, rows) buffer
+``[x_t; 1; 2h]``, so each step is one matmul with the stacked
+``[w_x | b | w_h]`` weights of :func:`_stacked_weights`. Inference
+(:func:`predict`) keeps nothing of a block. Training
 (:func:`loss_and_grads`) keeps a block's steps only until it has
-backpropagated through them, before it moves to the next block.
+backpropagated through them, with one matmul per backward step and one
+weight-gradient product per block, before it moves to the next block.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
 
 #: Sets the rows per block of both LSTM passes: 256 at H=32, in inverse
 #: proportion to H (see :func:`_block_rows`). At H=32 the scratch of an
-#: inference block, about 0.5 MB, stays in cache.
+#: inference block, about 0.5 MB, stays in cache; a training block keeps
+#: its ten steps, about 5 MB.
 INFERENCE_BLOCK_BYTES = 640 << 10
 
 
@@ -54,6 +57,8 @@ class SequenceModel:
 
     def __post_init__(self) -> None:
         h, f = self.hidden_size, FEATURE_COUNT
+        if h < 1:
+            raise ValueError(f"hidden_size {h}: a model needs at least one hidden unit")
         expected = {
             "w_x": (4 * h, f),
             "w_h": (4 * h, h),
@@ -126,7 +131,8 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
     (F+1+H, rows) buffer holding ``[x_t; 1; 2h]``, and the weights are one
     (4H, F+1+H) matrix ``[w_x | b | w_h]`` stacked once per call, so each
     step is one matmul into the (4H, rows) gate buffer (Appleyard et al.,
-    arXiv:1604.01946) plus the element-wise gate arithmetic; step 0 reads
+    arXiv:1604.01946) plus the element-wise gate arithmetic, both in
+    :func:`_forward_step`, which training shares; step 0 reads
     only the first F+1 columns, as h is zero. Each step copies x_t out of
     ``inputs``, which is never written, and writes 2h = 2·o·tanh(c) straight
     into the state; the block's readout is one (F, H) @ (H, rows) product,
@@ -157,40 +163,56 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
         c = c_buf[: h_size * m].reshape(h_size, m)
         term = term_buf[: h_size * m].reshape(h_size, m)
         x, h2 = state[:f], state[f + 1 :]
-        i, fgate = z[:h_size], z[h_size : 2 * h_size]
-        o, g = z[2 * h_size : 3 * h_size], z[3 * h_size :]
         state[f] = 1.0
         for t in range(t_len):
             x[...] = inputs[start:stop, t].T
             if t:
-                np.matmul(weights, state, out=z)
+                _forward_step(weights, state, z, c, c, term, h2, h2)
             else:
-                np.matmul(w_step0, state[: f + 1], out=z)
-            np.tanh(z, out=z)
-            z[: 3 * h_size] += 1.0
-            if t:
-                c *= fgate
-                np.multiply(i, g, out=term)
-                c += term
-            else:
-                np.multiply(i, g, out=c)
-            c *= 0.5
-            np.tanh(c, out=h2)
-            h2 *= o
+                _forward_step(w_step0, state[: f + 1], z, None, c, term, h2, h2)
         np.matmul(h2.T, w_out.T, out=predictions[start:stop])
     predictions += model.b_out
     return predictions
+
+
+def _forward_step(weights: np.ndarray, state: np.ndarray, z: np.ndarray,
+                  c_prev: np.ndarray | None, c: np.ndarray, term: np.ndarray,
+                  tanh_c: np.ndarray, h2: np.ndarray) -> None:
+    """One LSTM step of both passes on a block's transposed buffers: the
+    (4H, rows) gates ``z = weights @ state``, activated in place to
+    i', f', o' (2·sigma) and g; then c = 0.5·(f'·c_prev + i'·g), tanh(c) and
+    2h = o'·tanh(c). ``c_prev`` is None at step 0, where c is zero; it may
+    be ``c`` itself, and ``tanh_c`` may be ``h2``."""
+    h_size = len(c)
+    np.matmul(weights, state, out=z)
+    np.tanh(z, out=z)
+    z[: 3 * h_size] += 1.0
+    i, fgate = z[:h_size], z[h_size : 2 * h_size]
+    o, g = z[2 * h_size : 3 * h_size], z[3 * h_size :]
+    if c_prev is None:
+        np.multiply(i, g, out=c)
+    else:
+        np.multiply(c_prev, fgate, out=c)
+        np.multiply(i, g, out=term)
+        c += term
+    c *= 0.5
+    np.tanh(c, out=tanh_c)
+    np.multiply(tanh_c, o, out=h2)
 
 
 def _stacked_weights(model: SequenceModel) -> np.ndarray:
     """:func:`predict`'s (4H, F+1+H) step weights ``[w_x | b | 0.5·w_h]``,
     gate blocks reordered from i, f, g, o to i, f, o, g and the three
     sigmoid blocks halved: one stack, one block gather, one scaling."""
-    h_size = model.hidden_size
-    weights = np.hstack([model.w_x, model.b[:, None], 0.5 * model.w_h])
-    weights = weights.reshape(4, h_size, -1)[[0, 1, 3, 2]]
-    weights[:3] *= 0.5
-    return weights.reshape(4 * h_size, -1)
+    weights = _gate_blocks(np.hstack([model.w_x, model.b[:, None], 0.5 * model.w_h]))
+    weights[: 3 * model.hidden_size] *= 0.5
+    return weights
+
+
+def _gate_blocks(rows: np.ndarray) -> np.ndarray:
+    """A copy of a (4H, ...) array with its gate blocks reordered from
+    i, f, g, o to i, f, o, g, or back: the swap is its own inverse."""
+    return rows.reshape(4, len(rows) // 4, -1)[[0, 1, 3, 2]].reshape(len(rows), -1)
 
 
 def _block_rows(model: SequenceModel) -> int:
@@ -205,121 +227,117 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
     """Mean-squared next-step error and analytic gradients (BPTT).
 
     The training pass: one sweep over blocks of at most :func:`_block_rows`
-    rows, the block size of :func:`predict`. A block runs its forward pass,
-    keeping its T steps of gates, h, c and time-major inputs in scratch sized
-    to one block, and writes its predictions; it then backpropagates through
-    the same steps at once, writing dz in place over its gates, and adds its
-    weight gradients to the totals. A prediction's gradient depends on the
-    batch only through the element count, so no block waits for another;
-    the loss is taken once over all predictions.
+    rows. A block runs :func:`predict`'s forward pass, with the same stacked
+    weights, matmuls and element-wise arithmetic, so its predictions and the
+    loss are bit for bit those of :func:`predict`. It keeps its T steps in
+    time-major scratch sized to one block: the states ``[x_t; 1; 2h]`` as
+    (T, F+1+H, rows), the gates as (T, 4H, rows), c and tanh(c) as
+    (T, H, rows). It then backpropagates through the same steps at once, and
+    adds its weight gradients to the totals. A prediction's gradient depends
+    on the batch only through the element count, so no block waits for
+    another; the loss is taken once over all predictions.
 
-    The scratch is gate-major, (4, T, rows, H), so every element-wise step
-    reads and writes whole (rows, H) gates; the input projection of all of
-    a block's steps is one batched matmul (Appleyard et al.,
-    arXiv:1604.01946). The rows of the sigmoid gates are pre-scaled by 0.5,
-    which is exact, so one tanh yields tanh(z/2) for them and
-    sigma(z) = 0.5 * (1 + tanh(z/2)). Scratch is allocated once per call.
+    Each backward step writes dz in place over the gates: the three sigmoid
+    gates, which hold 2·sigma, take their derivative factor s·(2 - s) on one
+    contiguous 3H-row slice. dz carries each gate's gradient times 8 (i, f)
+    or 4 (o, g), and c's gradient is carried times 2; these exact scalings
+    are undone once per call. dh of the previous step is one (H, 4H) @
+    (4H, rows) matmul with recurrent weights divided by those scales, and
+    tanh(c) comes from the forward pass. A block's weight gradients are one
+    batched ``gates @ states^T`` product summed over its steps, which yields
+    ``[dW_x | db | dW_h]`` stacked in predict's gate order (Appleyard et al.,
+    arXiv:1604.01946). Scratch is allocated once per call.
     """
     _check_batch(inputs, targets)
     n, t_len, f = inputs.shape
     h_size = model.hidden_size
-    scale = np.full(4 * h_size, 0.5)
-    scale[2 * h_size : 3 * h_size] = 1.0
-    # gate-major weights: (4, F, H), (4, 1, H) and (4, H, H). w_x and w_h
-    # stay transposed views, so BLAS gets each gate's weights in the layout
-    # of a (F or H, 4H) matmul and a one-row block sums as that would.
-    w_x = (model.w_x * scale[:, None]).reshape(4, h_size, f).transpose(0, 2, 1)
-    b = (model.b * scale).reshape(4, 1, h_size)
-    w_h = (model.w_h * scale[:, None]).reshape(4, h_size, h_size).transpose(0, 2, 1)
+    width = f + 1 + h_size
+    weights = _stacked_weights(model)
+    w_step0 = weights[:, : f + 1]
+    w_out = 0.5 * model.w_out
+    dz_scale = np.repeat([8.0, 8.0, 4.0, 4.0], h_size)[:, None]  # the same in either gate order
+    w_rec = np.ascontiguousarray((_gate_blocks(model.w_h) / dz_scale).T)
     block = _block_rows(model)
     rows = min(n, block)
     # flat scratch; a block of m rows takes a contiguous prefix of each
-    xs_buf, gates_buf = np.empty(t_len * rows * f), np.empty(4 * t_len * rows * h_size)
-    hs_buf, cs_buf = np.empty((t_len + 1) * rows * h_size), np.empty((t_len + 1) * rows * h_size)
-    recur_buf, dz_buf = np.empty(4 * rows * h_size), np.empty((rows, 4 * h_size))
-    dh_buf, dc_buf, a_buf, b_buf, c_buf = (np.empty((rows, h_size)) for _ in range(5))
-    ones = np.ones(t_len * rows)  # sums dz over a block's steps and rows
+    states_buf, gates_buf = np.empty(t_len * width * rows), np.empty(t_len * 4 * h_size * rows)
+    cs_buf, tanh_cs_buf = np.empty(t_len * h_size * rows), np.empty(t_len * h_size * rows)
+    u_buf = np.empty(3 * h_size * rows)
+    h_buf, dh_buf, dc_buf, term_buf = (np.empty(h_size * rows) for _ in range(4))
+    products = np.empty((t_len, 4 * h_size, width))
     predictions = np.empty((n, f))
     denom = predictions.size
-    grads = {name: np.zeros_like(param) for name, param in model.parameters().items()}
+    stacked_grad = np.zeros((4 * h_size, width))
+    w_out_grad, b_out_grad = np.zeros_like(model.w_out), np.zeros_like(model.b_out)
     for start in range(0, n, block):
         stop = min(start + block, n)
         m = stop - start
-        xs = xs_buf[: t_len * m * f].reshape(t_len, m, f)
-        gates = gates_buf[: 4 * t_len * m * h_size].reshape(4, t_len, m, h_size)
-        hs = hs_buf[: (t_len + 1) * m * h_size].reshape(t_len + 1, m, h_size)
-        cs = cs_buf[: (t_len + 1) * m * h_size].reshape(t_len + 1, m, h_size)
-        recur = recur_buf[: 4 * m * h_size].reshape(4, m, h_size)
-        dz, dh, dc = dz_buf[:m], dh_buf[:m], dc_buf[:m]
-        tmp_a, tmp_b, tmp_c = a_buf[:m], b_buf[:m], c_buf[:m]
+        states = states_buf[: t_len * width * m].reshape(t_len, width, m)
+        gates = gates_buf[: t_len * 4 * h_size * m].reshape(t_len, 4 * h_size, m)
+        cs = cs_buf[: t_len * h_size * m].reshape(t_len, h_size, m)
+        tanh_cs = tanh_cs_buf[: t_len * h_size * m].reshape(t_len, h_size, m)
+        u = u_buf[: 3 * h_size * m].reshape(3 * h_size, m)
+        h_last, dh, dc, term = (buf[: h_size * m].reshape(h_size, m)
+                                for buf in (h_buf, dh_buf, dc_buf, term_buf))
 
-        xs[...] = inputs[start:stop].transpose(1, 0, 2)
-        np.matmul(xs.reshape(t_len * m, f), w_x, out=gates.reshape(4, t_len * m, h_size))
-        gates += b[:, None]
-        hs[0] = 0.0
-        cs[0] = 0.0
+        states[:, :f] = inputs[start:stop].transpose(1, 2, 0)
+        states[:, f] = 1.0
+        states[0, f + 1 :] = 0.0  # h before step 0, for the dW_h product
         for t in range(t_len):
-            z = gates[:, t]
+            h2 = states[t + 1, f + 1 :] if t + 1 < t_len else h_last
             if t:
-                np.matmul(hs[t], w_h, out=recur)
-                z += recur
-            np.tanh(z, out=z)
-            for sig in (z[:2], z[3]):
-                sig += 1.0
-                sig *= 0.5
-            i, fgate, g, o = z
-            c_next = cs[t + 1]
-            np.multiply(fgate, cs[t], out=c_next)
-            np.multiply(i, g, out=tmp_a)
-            c_next += tmp_a
-            np.tanh(c_next, out=hs[t + 1])
-            hs[t + 1] *= o
+                _forward_step(weights, states[t], gates[t], cs[t - 1], cs[t], term, tanh_cs[t], h2)
+            else:
+                _forward_step(w_step0, states[0, : f + 1], gates[0], None, cs[0], term,
+                              tanh_cs[0], h2)
         pred = predictions[start:stop]
-        np.matmul(hs[t_len], model.w_out.T, out=pred)
+        np.matmul(h_last.T, w_out.T, out=pred)
         pred += model.b_out
 
-        diff = pred - targets[start:stop]
-        d_pred = 2.0 * diff / denom
-        grads["w_out"] += d_pred.T @ hs[t_len]
-        grads["b_out"] += d_pred.sum(axis=0)
-        np.matmul(d_pred, model.w_out, out=dh)
-        dc[...] = 0.0
+        d_pred = 2.0 * (pred - targets[start:stop]) / denom
+        w_out_grad += d_pred.T @ h_last.T
+        b_out_grad += d_pred.sum(axis=0)
+        np.matmul(model.w_out.T, d_pred.T, out=dh)
+        dc[...] = 0.0  # holds 2·dc
+        u_i, u_f, u_o = u[:h_size], u[h_size : 2 * h_size], u[2 * h_size :]
         for t in range(t_len - 1, -1, -1):
-            i, fgate, g, o = gates[:, t]
-            tanh_c = np.tanh(cs[t + 1], out=tmp_a)
-            do = np.multiply(dh, tanh_c, out=tmp_b)
-            np.multiply(dh, o, out=tmp_c)  # dc += dh * o * (1 - tanh_c^2)
-            tanh_c *= tanh_c
-            np.subtract(1.0, tanh_c, out=tanh_c)
-            tmp_c *= tanh_c
-            dc += tmp_c
-            # dz over the gates, in place: i, then f (dc becomes dc_prev),
-            # then g and o
-            di = np.multiply(dc, g, out=tmp_a)
-            dg = np.multiply(dc, i, out=tmp_c)
-            di *= i
-            np.subtract(1.0, i, out=i)
-            i *= di
-            df = np.multiply(dc, cs[t], out=tmp_a)
-            df *= fgate
-            dc *= fgate
-            np.subtract(1.0, fgate, out=fgate)
-            fgate *= df
-            g *= g
+            # the gates hold i' = 2i, f' = 2f, o' = 2o and g
+            z, tanh_c = gates[t], tanh_cs[t]
+            sig, o, g = z[: 3 * h_size], z[2 * h_size : 3 * h_size], z[3 * h_size :]
+            i, fgate = z[:h_size], z[h_size : 2 * h_size]
+            np.multiply(dh, tanh_c, out=u_o)  # do
+            np.multiply(u_o, tanh_c, out=term)  # 2dc += dh · o' · (1 - tanh(c)^2)
+            np.subtract(dh, term, out=term)
+            term *= o
+            dc += term
+            np.multiply(dc, g, out=u_i)  # 2di
+            if t:
+                np.multiply(dc, cs[t - 1], out=u_f)  # 2df
+            else:
+                u_f[...] = 0.0
+            g *= g  # dz_g = 2dc · i' · (1 - g^2) = 4·dg·(1 - g^2)
             np.subtract(1.0, g, out=g)
-            g *= dg
-            do *= o
-            np.subtract(1.0, o, out=o)
-            o *= do
-            if t:  # dh of step t-1: one (rows, 4H) @ (4H, H) matmul
-                np.copyto(dz.reshape(m, 4, h_size), gates[:, t].transpose(1, 0, 2))
-                np.matmul(dz, model.w_h, out=dh)
-        flat_dz = gates.reshape(4, t_len * m, h_size)
-        grads["w_x"] += (flat_dz.transpose(0, 2, 1)
-                         @ xs.reshape(t_len * m, f)).reshape(4 * h_size, f)
-        grads["w_h"] += (gates[:, 1:].reshape(4, (t_len - 1) * m, h_size).transpose(0, 2, 1)
-                         @ hs[1:t_len].reshape((t_len - 1) * m, h_size)).reshape(4 * h_size, h_size)
-        grads["b"] += (ones[: t_len * m] @ flat_dz).reshape(-1)
+            g *= i
+            g *= dc
+            if t:  # 2dc of step t-1 = 2dc · f' / 2
+                dc *= fgate
+                dc *= 0.5
+            # dz of i, f and o: 2di, 2df or do times s·(2 - s) = 4·sigma·(1 - sigma)
+            u *= sig
+            np.subtract(2.0, sig, out=sig)
+            sig *= u
+            if t:
+                np.matmul(w_rec, z, out=dh)
+        stacked_grad += np.matmul(gates, states.transpose(0, 2, 1), out=products).sum(axis=0)
+    stacked_grad = _gate_blocks(stacked_grad) / dz_scale
+    stacked_grad[:, f + 1 :] *= 0.5  # the states hold 2h
+    grads = {
+        "w_x": np.ascontiguousarray(stacked_grad[:, :f]),
+        "w_h": np.ascontiguousarray(stacked_grad[:, f + 1 :]),
+        "b": stacked_grad[:, f].copy(),
+        "w_out": 0.5 * w_out_grad,
+        "b_out": b_out_grad,
+    }
     diff = predictions - targets
     loss = float(np.sum(diff * diff) / denom)
     return loss, grads
@@ -333,6 +351,11 @@ class TrainConfig:
     epochs: int = 30
     learning_rate: float = 1e-3
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size {self.hidden_size}: a model needs at least one "
+                             f"hidden unit")
 
 
 @dataclass

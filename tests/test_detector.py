@@ -1,5 +1,6 @@
 import functools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -169,6 +170,35 @@ class TestBundlePersistence:
             train_model(rng.random(inputs_shape), rng.random(targets_shape),
                         TrainConfig(hidden_size=4, epochs=2))
 
+    @staticmethod
+    def bundle_blob(hidden=4, threshold=0.125, mean=5.0, std=1.0):
+        """A bundle file's bytes written field by field, so that they can
+        hold values no ``DetectorBundle`` accepts."""
+        weight_count = 4 * hidden * 6 + 4 * hidden * hidden + 4 * hidden + 6 * hidden + 6
+        weights = np.random.default_rng(0).uniform(-0.5, 0.5, weight_count)
+        values = np.concatenate([np.full(6, mean), np.full(6, std), [threshold], weights])
+        return b"KPMD" + struct.pack(">II", 1, hidden) + values.astype(">f8").tobytes()
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"threshold": math.inf}, "threshold inf"),
+        ({"threshold": 0.0}, "threshold 0.0"),
+        ({"threshold": math.nan}, "threshold nan"),
+        ({"hidden": 0}, "hidden unit"),
+        ({"mean": math.nan}, "scaler means"),
+        ({"std": math.nan}, "scaler means"),
+        ({"std": math.inf}, "scaler means"),
+    ], ids=["inf-threshold", "zero-threshold", "nan-threshold", "no-hidden-unit",
+            "nan-mean", "nan-std", "inf-std"])
+    def test_bundle_that_cannot_guard_is_rejected_at_load(self, tmp_path, fields, match):
+        """An infinite threshold would flag nothing, a zero one would divide
+        by zero at the first flagged record, a model without hidden units
+        would fail at the first tick and NaN or infinite scaler statistics
+        would poison every score: each fails at load instead."""
+        path = tmp_path / "model.kpmd"
+        path.write_bytes(self.bundle_blob(**fields))
+        with pytest.raises(ValueError, match=match):
+            load_bundle(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.kpmd"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -233,7 +263,7 @@ class TestStreamingDetector:
         model = init_model(32, rng)
         model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
         scaler = FeatureScaler(mean=np.full(6, 5.0), std=np.full(6, 2.0))
-        bundle = DetectorBundle(model=model, scaler=scaler, threshold=math.inf)
+        bundle = DetectorBundle(model=model, scaler=scaler, threshold=1.0)
         ue_count = 2 * _block_rows(model) + 37
         streams = [[KpmRecord.from_features(t * 1000, ue, rng.uniform(0.0, 10.0, size=6))
                     for t in range(SEQUENCE_LENGTH + 1)] for ue in range(ue_count)]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ricguard.emulator import (
     EMBB_BASELINE,
     MIN_POISON_START,
     ConfigError,
+    GroundTruthLabel,
     RanEmulator,
     ScenarioConfig,
     SliceKind,
@@ -235,6 +238,30 @@ class TestPoisoning:
         poisoned, labels = poison_records(records, set(), 1.5, [profile], rng)
         assert poisoned == records
         assert not any(lab.poisoned for lab in labels)
+
+    def test_matches_per_record_loop(self):
+        """Benign labels are built in one map; targeted records still draw
+        from the generator one by one, in record order."""
+        profiles = [replace(self.make_profile(), ue_id=ue) for ue in range(3)]
+        records = [KpmRecord.from_features(t * 1000, ue, EMBB_BASELINE)
+                   for t in range(4) for ue in (2, 0, 1)]
+        expected_records, expected_labels = [], []
+        rng = np.random.default_rng(6)
+        for rec in records:
+            if rec.ue_id in {0, 2}:
+                draw = 1.5 * EMBB_BASELINE + np.sqrt(1.5) * (profiles[rec.ue_id].factor
+                                                            @ rng.standard_normal(6))
+                expected_records.append(KpmRecord.from_features(rec.timestamp, rec.ue_id,
+                                                                np.clip(draw, 0.0, None)))
+                expected_labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, True, 1.5))
+            else:
+                expected_records.append(rec)
+                expected_labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, False, 1.0))
+        got_records, got_labels = poison_records(records, {0, 2}, 1.5, profiles,
+                                                 np.random.default_rng(6))
+        assert got_records == expected_records
+        assert got_labels == expected_labels
+        assert all(type(lab) is GroundTruthLabel for lab in got_labels)
 
     def test_label_completeness_in_scenario(self):
         config = ScenarioConfig(node_count=3, cells_per_node=3, total_ues=30,

@@ -25,9 +25,10 @@ def tiny_data(n=3, seed=42):
 
 def whole_batch_loss_and_grads(model, inputs, targets):
     """Reference training pass: the whole batch's forward, keeping every
-    step, then BPTT over the whole batch one step at a time, with the
-    element-wise arithmetic of ``loss_and_grads``. Returns the loss, the
-    gradients and the (n, F) predictions."""
+    step, then BPTT over the whole batch one step at a time, in the rows-by-
+    gates layout with the model's own i, f, g, o gate order, and without
+    deferring any factor 0.5. Returns the loss, the gradients and the (n, F)
+    predictions."""
     n, t_len, f = inputs.shape
     h_size = model.hidden_size
     scale = np.full(4 * h_size, 0.5)
@@ -137,6 +138,24 @@ class TestGradients:
         assert loss == ref_loss
         for name, ref in ref_grads.items():
             assert gradient_relative_error({name: grads[name]}, {name: ref}) < 1e-12, name
+
+    @pytest.mark.parametrize("hidden_size", [8, 16, 32])
+    @pytest.mark.parametrize("rows_of_block", [lambda block: 1, lambda block: block - 1,
+                                               lambda block: block, lambda block: block + 1,
+                                               lambda block: 5500],
+                             ids=["1", "block-1", "block", "block+1", "5500"])
+    def test_loss_is_the_loss_of_predict_bit_for_bit(self, hidden_size, rows_of_block):
+        """Training and inference share one forward pass, so the training
+        loss is the mean squared error of ``predict``'s outputs exactly."""
+        rng = np.random.default_rng(hidden_size)
+        model = init_model(hidden_size, rng)
+        model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
+        n = rows_of_block(_block_rows(model))
+        rng = np.random.default_rng(n)
+        inputs = rng.standard_normal((n, 10, 6)) * 2.0
+        targets = rng.standard_normal((n, 6))
+        loss, _ = loss_and_grads(model, inputs, targets)
+        assert loss == float(np.sum((predict(model, inputs) - targets) ** 2) / targets.size)
 
     def test_scratch_is_one_block(self):
         """The whole-batch pass peaks at about 113 MB here, the blocked pass
@@ -282,6 +301,24 @@ class TestTraining:
         for name, param in first.parameters().items():
             assert np.array_equal(param, second.parameters()[name])
 
+    def test_weights_match_an_adam_loop_over_the_whole_batch_reference(self):
+        inputs, targets = tiny_data(n=20, seed=4)
+        config = TrainConfig(hidden_size=8, epochs=3, learning_rate=1e-2, rng_seed=5)
+        trained = train_model(inputs, targets, config).model
+        model = init_model(config.hidden_size, np.random.default_rng(config.rng_seed))
+        params = model.parameters()
+        adam_m = {name: np.zeros_like(param) for name, param in params.items()}
+        adam_v = {name: np.zeros_like(param) for name, param in params.items()}
+        for step in range(1, config.epochs + 1):
+            _, grads, _ = whole_batch_loss_and_grads(model, inputs, targets)
+            for name, param in params.items():
+                adam_m[name] = 0.9 * adam_m[name] + 0.1 * grads[name]
+                adam_v[name] = 0.999 * adam_v[name] + 0.001 * grads[name] ** 2
+                m_hat = adam_m[name] / (1 - 0.9**step)
+                v_hat = adam_v[name] / (1 - 0.999**step)
+                param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert gradient_relative_error(trained.parameters(), params) < 1e-12
+
     def test_loss_decreases_on_fixed_corpus(self):
         inputs, targets = tiny_data(n=50, seed=3)
         result = train_model(inputs, targets,
@@ -362,6 +399,10 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             SequenceModel(w_x=bad, w_h=model.w_h, b=model.b,
                           w_out=model.w_out, b_out=model.b_out, hidden_size=4)
+
+    def test_config_without_hidden_units_rejected(self):
+        with pytest.raises(ValueError, match="at least one hidden unit"):
+            TrainConfig(hidden_size=0)
 
     def test_wrong_window_length_rejected(self):
         rng = np.random.default_rng(0)
