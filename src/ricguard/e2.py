@@ -15,6 +15,12 @@ Full-mode KPM payloads carry telemetry records bit-exactly::
     per record: ue_id 4 B, timestamp_ms 8 B, six features as IEEE-754
     big-endian doubles in the fixed measurement-feature order
 
+Payloads are packed from arrays, a whole tick's cells in one big-endian
+structured array: :func:`encode_kpm_payloads` is the one packer, and
+:func:`encode_kpm_payload` feeds it the columns of a cell's records. A UE id
+or timestamp outside its unsigned field raises :class:`EncodeError`; nothing
+wraps.
+
 A KPM payload decodes in one pass to validated, immutable
 :class:`~ricguard.kpm.KpmRecord` named tuples; one bad feature rejects the
 whole payload.
@@ -35,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kpm import KpmRecord
+from .kpm import FEATURE_COUNT, KpmRecord, records_to_matrix
 
 FRAME_MAGIC = 0xE2
 FRAME_VERSION = 0x01
@@ -46,6 +52,11 @@ _HEADER = struct.Struct(">BBBII")
 _KPM_RECORD = struct.Struct(">IQ6d")
 _KPM_COUNT = struct.Struct(">H")
 MAX_KPM_RECORDS = (MAX_PAYLOAD_BYTES - _KPM_COUNT.size) // _KPM_RECORD.size  # 17,476
+#: ``_KPM_RECORD`` as one row of a structured array
+_KPM_ROW = np.dtype([("ue_id", ">u4"), ("timestamp", ">u8"),
+                     ("features", ">f8", (FEATURE_COUNT,))])
+_MAX_UE_ID = 0xFFFF_FFFF
+_MAX_TIMESTAMP_MS = 0xFFFF_FFFF_FFFF_FFFF
 
 
 class E2CodecError(Exception):
@@ -163,15 +174,54 @@ def encode_kpm_payload(records: Sequence[KpmRecord]) -> bytes:
     then 60 bytes per record. The frame header names the source node."""
     if not records:
         raise ValueError("KPM reports carry at least one record")
-    if len({r.timestamp for r in records}) != 1:
+    timestamps = {r.timestamp for r in records}
+    if len(timestamps) != 1:
         raise ValueError("all records of one report share one reporting timestamp")
-    if len(records) > MAX_KPM_RECORDS:
-        raise EncodeError(f"record count {len(records)} exceeds the {MAX_KPM_RECORDS} "
-                          f"records one frame can carry")
-    parts = [_KPM_COUNT.pack(len(records))]
-    for rec in records:
-        parts.append(_KPM_RECORD.pack(rec.ue_id, rec.timestamp, *rec.feature_values()))
-    return b"".join(parts)
+    for i, rec in enumerate(records):  # the packer's casts would truncate a float
+        if not (hasattr(rec.ue_id, "__index__") and hasattr(rec.timestamp, "__index__")):
+            raise EncodeError(f"record {i} (ue={rec.ue_id!r}, t={rec.timestamp!r}): the UE "
+                              f"id and the timestamp must be integers")
+    # an object array holds any int, so the packer's range check sees it unwrapped
+    ue_ids = np.array([r.ue_id for r in records], dtype=object)
+    (payload,) = encode_kpm_payloads(timestamps.pop(), ue_ids, records_to_matrix(records),
+                                     (len(records),))
+    return payload
+
+
+def encode_kpm_payloads(timestamp: int, ue_ids: np.ndarray, values: np.ndarray,
+                        counts: Sequence[int]) -> list[bytes]:
+    """The reports of one tick: row i is UE ``ue_ids[i]`` with the six
+    features ``values[i]``, and report k holds the next ``counts[k]`` rows.
+    All rows are packed in one structured array; each report is its count
+    and its slice of that array's bytes."""
+    if sum(counts) != len(ue_ids):
+        raise ValueError(f"counts cover {sum(counts)} rows, not the {len(ue_ids)} given")
+    for count in counts:
+        if count < 1:
+            raise ValueError("KPM reports carry at least one record")
+        if count > MAX_KPM_RECORDS:
+            raise EncodeError(f"record count {count} exceeds the {MAX_KPM_RECORDS} "
+                              f"records one frame can carry")
+    if not 0 <= timestamp <= _MAX_TIMESTAMP_MS:
+        raise EncodeError(f"record 0 (ue={ue_ids[0]}): timestamp {timestamp} outside "
+                          f"the unsigned 64-bit range")
+    outside = (ue_ids < 0) | (ue_ids > _MAX_UE_ID)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise EncodeError(f"record {i} (t={timestamp}): ue_id {ue_ids[i]} outside the "
+                          f"unsigned 32-bit range")
+    rows = np.empty(len(ue_ids), dtype=_KPM_ROW)
+    rows["ue_id"] = ue_ids
+    rows["timestamp"] = timestamp
+    rows["features"] = values
+    body = memoryview(rows.tobytes())
+    payloads = []
+    start = 0
+    for count in counts:
+        end = start + count * _KPM_ROW.itemsize
+        payloads.append(_KPM_COUNT.pack(count) + body[start:end])
+        start = end
+    return payloads
 
 
 def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:

@@ -6,13 +6,17 @@ AR(1) temporal correlation (coefficient 0.8), so the sequence model has
 learnable structure; the marginal distribution of each record is
 N(mu, cov). The baselines of all UEs are built as arrays, one row or
 matrix per UE: one jitter draw, one broadcast product for the covariances
-and one batched eigendecomposition for their factors. Attacks are
-reproduced with ground-truth labels:
+and one batched eigendecomposition for their factors. A tick is one
+(UEs, 6) value matrix: its poisoned rows are redrawn in one batch, its
+records and labels are packed into tuples without a constructor call per
+record, and its indications are packed from its rows, cell by cell, by
+:func:`~ricguard.e2.encode_kpm_payloads`. Attacks are reproduced with
+ground-truth labels:
 
 * KPM poisoning: targeted UEs' reports are resampled i.i.d. from
   N(af*mu, af*cov) during seeded attack windows (the underlying benign
   process keeps evolving — a man-in-the-middle rewrites reports in
-  transit).
+  transit). The windows are held as one boolean tick x target matrix.
 * Signature injection: messages from malicious nodes carry one uniformly
   chosen rulebook pattern spliced at a uniform payload offset.
 
@@ -22,12 +26,12 @@ byte-identical frame streams and labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import closing
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from itertools import compress, count, repeat
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,10 +42,10 @@ from .e2 import (
     calibrated_indication_payload,
     calibrated_indication_size,
     encode_frame,
-    encode_kpm_payload,
+    encode_kpm_payloads,
     kpm_payload_size,
 )
-from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, KpmRecord
+from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, KpmRecord, records_to_matrix
 from .signatures import SignatureSet
 
 SETUP_REQUEST_BYTES = 25_000
@@ -55,6 +59,10 @@ BASELINE_JITTER = 0.1  # per-UE uniform jitter around the slice baseline
 #: First tick eligible for poisoning: every poisoned record must arrive
 #: after the detector's per-UE warm-up so it receives a verdict.
 MIN_POISON_START = SEQUENCE_LENGTH + 2
+#: A target's attack windows last 8 to 24 ticks; at most this many are drawn.
+_MAX_WINDOWS = 100
+#: Attack windows drawn per ``integers`` call while the poison plan is built.
+_WINDOW_CHUNK = 1024
 
 
 class ConfigError(ValueError):
@@ -168,8 +176,10 @@ class GroundTruthLabel(NamedTuple):
     af_used: float
 
 
-#: Builds a label from one (ue_id, timestamp, poisoned, af_used) tuple in C.
+#: Build a label from one (ue_id, timestamp, poisoned, af_used) tuple, and a
+#: record from one tuple of its eight fields, in C and without validation.
 _label_of = partial(tuple.__new__, GroundTruthLabel)
+_record_of = partial(tuple.__new__, KpmRecord)
 
 
 @dataclass(frozen=True)
@@ -205,22 +215,55 @@ def poison_records(
     Targeted records are redrawn i.i.d. from N(af*mu, af*cov) and clipped
     at zero; labels mark every record, poisoned or not. af = 1 leaves the
     distribution unchanged but the window is still labelled as attacked.
-    ``profiles`` is indexed by UE id. The benign labels are built in one
-    ``map``; only targeted records are visited one by one, in order.
+    ``profiles`` is indexed by UE id. The records take the array path of an
+    emulated tick: one feature matrix, :func:`_poison_rows`, then
+    :func:`_records_and_labels`.
     """
-    out = list(records)
     ue_ids = list(map(attrgetter("ue_id"), records))
-    labels = list(map(_label_of, zip(ue_ids, map(attrgetter("timestamp"), records),
-                                     repeat(False), repeat(1.0))))
-    scale = np.sqrt(af)
-    for idx in compress(count(), map(targets.__contains__, ue_ids)):
-        rec = records[idx]
-        profile = profiles[rec.ue_id]
-        draw = af * profile.mu + scale * (profile.factor @ rng.standard_normal(FEATURE_COUNT))
-        values = np.clip(draw, 0.0, None)
-        out[idx] = KpmRecord.from_features(rec.timestamp, rec.ue_id, values)
-        labels[idx] = GroundTruthLabel(rec.ue_id, rec.timestamp, True, af)
-    return out, labels
+    poisoned = np.fromiter(map(targets.__contains__, ue_ids), dtype=bool, count=len(ue_ids))
+    rows = np.flatnonzero(poisoned)
+    hit = [profiles[ue_ids[i]] for i in rows.tolist()]
+    mu = np.array([p.mu for p in hit]).reshape(-1, FEATURE_COUNT)
+    factor = np.array([p.factor for p in hit]).reshape(-1, FEATURE_COUNT, FEATURE_COUNT)
+    values = records_to_matrix(records)
+    _poison_rows(values, rows, af, mu, factor, rng)
+    return _records_and_labels(list(map(attrgetter("timestamp"), records)), ue_ids, values,
+                               poisoned, af)
+
+
+def _poison_rows(values: np.ndarray, rows: np.ndarray, af: float, mu: np.ndarray,
+                 factor: np.ndarray, rng: np.random.Generator) -> None:
+    """Redraw ``values[rows]`` in place from N(af*mu, af*cov), clipped at
+    zero, where ``mu`` and ``factor`` are those rows' baselines.
+
+    One ``standard_normal`` draw covers the rows in order and one stacked
+    matmul applies each row's factor: the numbers equal one draw and one
+    ``factor @ z`` per row, bit for bit.
+    """
+    if len(rows):
+        z = rng.standard_normal((len(rows), FEATURE_COUNT))
+        draw = af * mu + np.sqrt(af) * np.matmul(factor, z[..., None])[..., 0]
+        values[rows] = np.clip(draw, 0.0, None)
+
+
+def _records_and_labels(
+    timestamps: Sequence[int],
+    ue_ids: Sequence[int],
+    values: np.ndarray,
+    poisoned: np.ndarray,
+    af: float,
+) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
+    """Row i's record and label. The feature matrix is checked once, as the
+    record constructor checks one record; the tuples are then packed in C."""
+    valid = ((values >= 0.0) & (values < np.inf)).all(axis=1)  # NaN fails both sides
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(f"negative or non-finite KPM feature in record "
+                         f"(ue={ue_ids[i]}, t={timestamps[i]})")
+    records = list(map(_record_of, zip(timestamps, ue_ids, *values.T.tolist())))
+    labels = list(map(_label_of, zip(ue_ids, timestamps, poisoned.tolist(),
+                                     np.where(poisoned, af, 1.0).tolist())))
+    return records, labels
 
 
 def inject_signature(
@@ -236,13 +279,40 @@ def inject_signature(
     )
 
 
-@dataclass
-class _PoisonPlan:
-    targets: tuple[int, ...] = ()
-    ticks_by_ue: dict[int, frozenset[int]] = field(default_factory=dict)
+class _PoisonPlan(NamedTuple):
+    """Which targeted UE is poisoned at which tick: ``attacked[t, j]`` holds
+    for UE ``targets[j]`` at tick ``t``. ``targets`` ascends, so a tick's
+    targets come out of its row in record order."""
 
-    def targets_at(self, t: int) -> set[int]:
-        return {ue for ue in self.targets if t in self.ticks_by_ue[ue]}
+    targets: np.ndarray
+    attacked: np.ndarray  # (loops, targets) bool, tick-major
+
+    def targets_at(self, t: int) -> np.ndarray:
+        return self.targets[self.attacked[t]]
+
+
+def _attack_windows(rng: np.random.Generator, loops: int) -> Iterator[tuple[int, int]]:
+    """An endless stream of attack windows as (start, end) ticks: a start in
+    [MIN_POISON_START, loops) and a length of 8 to 24 ticks, cut at ``loops``.
+
+    The (start, length) pairs are drawn ``_WINDOW_CHUNK`` at a time, in one
+    ``integers`` call with a bound per column. Closing the generator restores
+    the generator state from before the current chunk and redraws only the
+    pairs taken from it, so ``rng`` ends where one call per number, as many
+    calls as windows taken, would leave it. Nothing is drawn before the first
+    window is asked for.
+    """
+    low, high = (MIN_POISON_START, 8), (loops, 25)
+    while True:
+        state = rng.bit_generator.state
+        starts, lengths = rng.integers(low, high, size=(_WINDOW_CHUNK, 2)).T.tolist()
+        for taken, (start, length) in enumerate(zip(starts, lengths), start=1):
+            try:
+                yield start, min(start + length, loops)
+            except GeneratorExit:
+                rng.bit_generator.state = state
+                rng.integers(low, high, size=(taken, 2))
+                raise
 
 
 class RanEmulator:
@@ -255,10 +325,14 @@ class RanEmulator:
     the run seed, so all repetitions observe the same deployed network.
 
     The UE baselines are built as arrays, each UE's profile holding its rows
-    of them; the poison plan is drawn target by target, as the number of
-    draws depends on the coverage each reaches. A placement whose largest
-    indication cannot be framed is refused with :class:`ConfigError` before
-    any baseline is built.
+    of them. The poison plan is one boolean tick x target matrix, filled
+    target by target: a target's (start, length) windows are drawn in
+    bounded chunks, walked until its coverage budget or the window cap is
+    reached, and the generator is then rewound and advanced by exactly the
+    windows used, so its draws are those of one call per number. A
+    placement whose largest indication cannot be framed is refused with
+    :class:`ConfigError` before any baseline is built. Each cell's UEs are
+    listed once, at construction: placement never changes.
     """
 
     def __init__(self, config: ScenarioConfig, rulebook: SignatureSet | None = None,
@@ -296,7 +370,13 @@ class RanEmulator:
         malicious_count = int(round(config.malicious_node_fraction * config.node_count))
         chosen = static_rng.choice(config.node_count, size=malicious_count, replace=False)
         self.malicious_nodes = frozenset(int(n) for n in chosen)
-        self._check_capacity(np.bincount(placement, minlength=len(cells)))
+        cell_sizes = np.bincount(placement, minlength=len(cells))
+        self._check_capacity(cell_sizes)
+        #: UE ids grouped by cell, in UE order within a cell
+        self._cell_order = np.argsort(placement, kind="stable")
+        #: (node id, UE count) of each cell that reports, in cell order
+        self._reporting = [(node, size) for (node, _), size in zip(cells, cell_sizes.tolist())
+                           if size]
 
         self._mu = np.where(embb[:, None], EMBB_BASELINE, URLLC_BASELINE) * jitter
         covariances = default_covariance(self._mu)
@@ -341,30 +421,41 @@ class RanEmulator:
         cfg = self.config
         target_count = int(round(cfg.poison_target_fraction * ue_count))
         if target_count == 0:
-            return _PoisonPlan()
-        targets = tuple(
-            int(u) for u in self._rng.choice(ue_count, size=target_count, replace=False)
-        )
+            return _PoisonPlan(np.zeros(0, dtype=np.intp), np.zeros((cfg.loops, 0), dtype=bool))
+        targets = self._rng.choice(ue_count, size=target_count, replace=False)
         span = cfg.loops - MIN_POISON_START
         budget = int(cfg.poison_time_fraction * max(span, 0))
-        ticks_by_ue: dict[int, frozenset[int]] = {}
-        for ue in targets:
-            covered: set[int] = set()
-            draws = 0
-            while len(covered) < budget and draws < 100:
-                start = int(self._rng.integers(MIN_POISON_START, cfg.loops))
-                length = int(self._rng.integers(8, 25))
-                covered.update(range(start, min(start + length, cfg.loops)))
-                draws += 1
-            ticks_by_ue[ue] = frozenset(covered)
-        return _PoisonPlan(targets=targets, ticks_by_ue=ticks_by_ue)
+        order = np.argsort(targets)
+        column = np.empty_like(order)
+        column[order] = np.arange(target_count)
+        attacked = np.zeros((cfg.loops, target_count), dtype=bool)
+        # each target, in draw order, takes windows until it covers the budget
+        with closing(_attack_windows(self._rng, cfg.loops)) as windows:
+            for j in column.tolist():
+                covered = bytearray(cfg.loops)
+                reached = drawn = 0
+                while reached < budget and drawn < _MAX_WINDOWS:
+                    start, end = next(windows)
+                    reached += covered.count(0, start, end)
+                    covered[start:end] = b"\x01" * (end - start)
+                    drawn += 1
+                attacked[:, j] = np.frombuffer(covered, dtype=bool)
+        return _PoisonPlan(targets[order], attacked)
 
     @property
     def ue_count(self) -> int:
         return len(self.profiles)
 
     def generate_tick(self, t: int) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
-        """All UEs' records for tick ``t``; must be called in tick order."""
+        """All UEs' records for tick ``t``, in UE order, and their labels;
+        must be called in tick order."""
+        values, poisoned = self._tick(t)
+        return _records_and_labels([t * TICK_MS] * len(values), range(len(values)), values,
+                                   poisoned, self.config.amplification_factor)
+
+    def _tick(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tick ``t``'s (UEs, 6) feature matrix, poisoned rows redrawn, and
+        the mask of those rows."""
         if t >= self.config.loops:
             raise ValueError(f"tick {t} outside the configured {self.config.loops} loops")
         if t != self._next_tick:
@@ -378,17 +469,12 @@ class RanEmulator:
         self._dev = AR_COEFFICIENT * self._dev + innovation
         values = np.clip(self._mu + self._dev, 0.0, None)
 
-        timestamp = t * TICK_MS
-        records = [KpmRecord(timestamp, ue_id, *row) for ue_id, row in enumerate(values.tolist())]
-        targets_now = self._poison.targets_at(t)
-        records, labels = poison_records(
-            records,
-            targets_now,
-            self.config.amplification_factor,
-            self.profiles,
-            self._rng,
-        )
-        return records, labels
+        rows = self._poison.targets_at(t)
+        _poison_rows(values, rows, self.config.amplification_factor, self._mu[rows],
+                     self._factor[rows], self._rng)
+        poisoned = np.zeros(len(values), dtype=bool)
+        poisoned[rows] = True
+        return values, poisoned
 
     def _emit(self, kind: E2MessageKind, node_id: int, payload: bytes,
               records: tuple[KpmRecord, ...] = (),
@@ -422,23 +508,29 @@ class RanEmulator:
                 out.append(self._emit(E2MessageKind.SUBSCRIPTION_RESPONSE, node,
                                       self._rng.bytes(SUBSCRIPTION_RESPONSE_BYTES)))
 
-        records, labels = self.generate_tick(t)
-        by_cell: dict[int, list[int]] = {}
-        for idx, rec in enumerate(records):
-            by_cell.setdefault(self.profiles[rec.ue_id].cell_id, []).append(idx)
-
-        for node_id, cell_id in self.cells:
-            indices = by_cell.get(cell_id)
-            if not indices:
-                continue  # empty cells have nothing to report
-            cell_records = tuple(records[i] for i in indices)
-            cell_labels = tuple(labels[i] for i in indices)
-            if cfg.size_calibrated:
-                payload = calibrated_indication_payload(len(indices), self._rng)
+        values, poisoned = self._tick(t)
+        # the tick's rows in cell order: each cell's records are one slice
+        order = self._cell_order
+        values = values[order]
+        timestamp = t * TICK_MS
+        records, labels = _records_and_labels([timestamp] * len(values), order.tolist(), values,
+                                              poisoned[order], cfg.amplification_factor)
+        if cfg.size_calibrated:
+            payloads = None
+        else:
+            payloads = encode_kpm_payloads(timestamp, order, values,
+                                           [size for _, size in self._reporting])
+        start = 0
+        for k, (node_id, size) in enumerate(self._reporting):
+            end = start + size
+            if payloads is None:
+                payload = calibrated_indication_payload(size, self._rng)
             else:
-                payload = encode_kpm_payload(cell_records)
+                payload = payloads[k]
             out.append(self._emit(E2MessageKind.INDICATION, node_id, payload,
-                                  records=cell_records, labels=cell_labels))
+                                  records=tuple(records[start:end]),
+                                  labels=tuple(labels[start:end])))
+            start = end
 
         if t == cfg.loops - 1:
             for node in range(cfg.node_count):

@@ -1,8 +1,9 @@
 import math
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ricguard.e2 import (
     E2Message,
@@ -20,6 +21,7 @@ from ricguard.e2 import (
     decode_kpm_payload,
     encode_frame,
     encode_kpm_payload,
+    encode_kpm_payloads,
 )
 from ricguard.kpm import KpmRecord
 
@@ -250,3 +252,69 @@ class TestKpmPayload:
             record.ue_thp_ul = 9.0
         assert not hasattr(record, "__dict__")
         assert record.feature_values() == record[2:] == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+class TestKpmFieldRanges:
+    """A UE id or timestamp that its unsigned wire field cannot hold is a
+    codec error naming the record, from the record path and the array
+    packer alike; the values at the bounds pack and decode unchanged."""
+
+    @pytest.mark.parametrize("ue,ts,match", [
+        (2**32, 1000, "record 1 .*ue_id 4294967296 outside the unsigned 32-bit range"),
+        (-1, 1000, "record 1 .*ue_id -1 outside the unsigned 32-bit range"),
+        (4, -1000, "record 0 .*timestamp -1000 outside the unsigned 64-bit range"),
+        (4, 2**64, "record 0 .*timestamp 18446744073709551616 outside the unsigned 64-bit"),
+    ], ids=["ue-2**32", "ue--1", "ts--1000", "ts-2**64"])
+    def test_out_of_range_record_is_encode_error(self, ue, ts, match):
+        records = (_record(ts=ts, ue=3), _record(ts=ts, ue=ue))
+        with pytest.raises(EncodeError, match=match):
+            encode_kpm_payload(records)
+
+    @pytest.mark.parametrize("ue,ts", [(1.5, 1000), (4, 1000.0)], ids=["ue", "ts"])
+    def test_non_integer_id_or_timestamp_is_encode_error(self, ue, ts):
+        with pytest.raises(EncodeError, match=r"record 1 \(ue=.*\): the UE id and the "
+                                              r"timestamp must be integers"):
+            encode_kpm_payload((_record(ue=3), _record(ue=ue, ts=ts)))
+
+    @pytest.mark.parametrize("ue", [2**32, -1])
+    def test_array_packer_rejects_ue_ids_it_cannot_hold(self, ue):
+        ue_ids = np.array([0, 1, ue], dtype=np.int64)
+        with pytest.raises(EncodeError, match=f"record 2 .*ue_id {ue} outside"):
+            encode_kpm_payloads(1000, ue_ids, np.ones((3, 6)), [1, 2])
+
+    @pytest.mark.parametrize("ts", [-1000, 2**64])
+    def test_array_packer_rejects_timestamps_it_cannot_hold(self, ts):
+        with pytest.raises(EncodeError, match=f"timestamp {ts} outside"):
+            encode_kpm_payloads(ts, np.arange(3), np.ones((3, 6)), [3])
+
+    def test_field_bounds_round_trip(self):
+        records = (_record(ts=0, ue=0), _record(ts=0, ue=0xFFFFFFFF))
+        assert decode_kpm_payload(encode_kpm_payload(records)) == records
+        last = (_record(ts=2**64 - 1, ue=7),)
+        assert decode_kpm_payload(encode_kpm_payload(last)) == last
+
+    def test_packer_splits_rows_into_reports(self):
+        rows = [_record(ue=u, values=(u, 1.0, 2.0, 3.0, 4.0, 5.0)) for u in range(5)]
+        payloads = encode_kpm_payloads(1000, np.arange(5), np.array([r[2:] for r in rows]),
+                                       [2, 1, 2])
+        assert payloads == [encode_kpm_payload(rows[:2]), encode_kpm_payload(rows[2:3]),
+                            encode_kpm_payload(rows[3:])]
+        with pytest.raises(ValueError, match="counts cover 4 rows, not the 5"):
+            encode_kpm_payloads(1000, np.arange(5), np.ones((5, 6)), [2, 2])
+
+
+_features = st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=6, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, MAX_KPM_RECORDS), ts=st.integers(0, 2**64 - 1),
+       first_ue=st.integers(0, 0xFFFFFFFF), rows=st.lists(_features, min_size=1, max_size=4))
+@example(count=1, ts=0, first_ue=0, rows=[[0.0] * 6])
+@example(count=MAX_KPM_RECORDS, ts=2**64 - 1, first_ue=0xFFFFFFFF,
+         rows=[[5e-324, 1.0, 2.5, 1e308, 0.0, 7.0], [3.0, 0.0, 1.0, 2.0, 3.0, 4.0]])
+def test_kpm_payload_round_trip(count, ts, first_ue, rows):
+    """Any report of 1 to MAX_KPM_RECORDS records decodes to itself; the
+    records cycle through a few feature rows and UE ids wrap at 2**32."""
+    records = tuple(KpmRecord(ts, (first_ue + i) % 2**32, *rows[i % len(rows)])
+                    for i in range(count))
+    assert decode_kpm_payload(encode_kpm_payload(records)) == records

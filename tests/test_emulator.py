@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -240,8 +242,9 @@ class TestPoisoning:
         assert not any(lab.poisoned for lab in labels)
 
     def test_matches_per_record_loop(self):
-        """Benign labels are built in one map; targeted records still draw
-        from the generator one by one, in record order."""
+        """The targeted records' draws come from one batched draw and one
+        stacked matmul; they equal one draw and one ``factor @ z`` per
+        targeted record, in record order, bit for bit."""
         profiles = [replace(self.make_profile(), ue_id=ue) for ue in range(3)]
         records = [KpmRecord.from_features(t * 1000, ue, EMBB_BASELINE)
                    for t in range(4) for ue in (2, 0, 1)]
@@ -262,6 +265,21 @@ class TestPoisoning:
         assert got_records == expected_records
         assert got_labels == expected_labels
         assert all(type(lab) is GroundTruthLabel for lab in got_labels)
+
+    def test_batched_draw_equals_per_record_draw_for_any_factor(self):
+        """The stacked matmul equals ``factor @ z`` per record for general
+        factors too, where ``einsum`` would not."""
+        shapes = np.random.default_rng(8)
+        profiles = [UeProfile(ue, SliceKind.EMBB, 0, 0, EMBB_BASELINE * (1 + ue / 100),
+                              np.eye(6), shapes.standard_normal((6, 6)) * 100)
+                    for ue in range(200)]
+        records = [KpmRecord.from_features(5000, ue, EMBB_BASELINE) for ue in range(200)]
+        rng = np.random.default_rng(2)
+        expected = [np.clip(1.5 * p.mu + np.sqrt(1.5) * (p.factor @ rng.standard_normal(6)),
+                            0.0, None).tolist() for p in profiles]
+        poisoned, _ = poison_records(records, set(range(200)), 1.5, profiles,
+                                     np.random.default_rng(2))
+        assert [list(r[2:]) for r in poisoned] == expected
 
     def test_label_completeness_in_scenario(self):
         config = ScenarioConfig(node_count=3, cells_per_node=3, total_ues=30,
@@ -289,6 +307,80 @@ class TestPoisoning:
             _, labels = emulator.generate_tick(t)
             if t < MIN_POISON_START:
                 assert not any(lab.poisoned for lab in labels)
+
+
+def sequential_poison_plan(config, ue_count, rng):
+    """The poison plan as one set of ticks per target, each window drawn by
+    its own pair of ``integers`` calls: the reference the array plan must
+    reproduce, draws and generator state included."""
+    target_count = int(round(config.poison_target_fraction * ue_count))
+    if target_count == 0:
+        return {}
+    targets = [int(u) for u in rng.choice(ue_count, size=target_count, replace=False)]
+    budget = int(config.poison_time_fraction * max(config.loops - MIN_POISON_START, 0))
+    ticks_by_ue = {}
+    for ue in targets:
+        covered = set()
+        draws = 0
+        while len(covered) < budget and draws < 100:
+            start = int(rng.integers(MIN_POISON_START, config.loops))
+            length = int(rng.integers(8, 25))
+            covered.update(range(start, min(start + length, config.loops)))
+            draws += 1
+        ticks_by_ue[ue] = covered
+    return ticks_by_ue
+
+
+class TestPoisonPlan:
+    """The tick x target matrix holds exactly the windows, and leaves the
+    generator exactly where, the sequential set-based builder would."""
+
+    @pytest.mark.parametrize("config", [
+        *(ScenarioConfig(node_count=3, cells_per_node=3, total_ues=ues,
+                         poison_target_fraction=0.3, amplification_factor=1.5,
+                         loops=loops, rng_seed=seed)
+          for ues, loops, seed in [(50, 100, 1), (200, 300, 2), (2000, 1000, 3), (7, 40, 4)]),
+        ScenarioConfig(node_count=2, cells_per_node=2, total_ues=60,
+                       poison_target_fraction=1.0, loops=200, rng_seed=5),
+        # a budget of 0: no window is drawn
+        *(ScenarioConfig(node_count=1, cells_per_node=2, total_ues=20,
+                         poison_target_fraction=0.5, loops=loops, rng_seed=6)
+          for loops in (12, 13, 14, 15)),
+        # a budget of 2988 ticks is beyond 100 windows of at most 24 ticks
+        ScenarioConfig(node_count=1, cells_per_node=1, total_ues=30,
+                       poison_target_fraction=1.0, poison_time_fraction=1.0,
+                       loops=3000, rng_seed=7),
+    ], ids=["random-50", "random-200", "random-2000", "random-7", "all-targeted",
+            "loops-12", "loops-13", "loops-14", "loops-15", "window-cap"])
+    def test_plan_equals_sequential_builder(self, config):
+        emulator = RanEmulator(config, run_seed=config.rng_seed + 10)
+        rng = np.random.default_rng(config.rng_seed + 10)
+        rng.standard_normal((emulator.ue_count, 6))  # the stationary start comes first
+        expected = sequential_poison_plan(config, emulator.ue_count, rng)
+
+        plan = emulator._poison
+        assert plan.attacked.shape == (config.loops, len(expected))
+        assert plan.targets.tolist() == sorted(expected)
+        for j, ue in enumerate(plan.targets.tolist()):
+            assert set(np.flatnonzero(plan.attacked[:, j]).tolist()) == expected[ue]
+        for t in range(config.loops):
+            now = plan.targets_at(t).tolist()
+            assert now == sorted(ue for ue, ticks in expected.items() if t in ticks)
+        assert emulator._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_plan_memory_bounded(self):
+        """Building a 10k-UE emulator over 1000 ticks peaks under 25 MB: the
+        plan is a 3 MB boolean matrix and windows are drawn in bounded
+        chunks."""
+        config = use_case_preset(seed=1, total_ues=10_000, loops=1000)
+        tracemalloc.start()
+        try:
+            emulator = RanEmulator(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emulator._poison.attacked.nbytes == 1000 * 3000
+        assert peak < 25 * 2**20
 
 
 class TestSignatureInjection:
@@ -387,6 +479,37 @@ class TestStep:
             msg = decode_frame(emitted.frame, clock=lambda: 0)
             if msg.kind is E2MessageKind.INDICATION:
                 assert decode_kpm_payload(msg.payload) == emitted.records
+
+    def test_indications_match_struct_layout(self, rulebook):
+        """Each uninjected indication of a poisoned, injecting, multi-cell
+        scenario is the count and one ``>IQ6d`` record per UE of its cell,
+        in UE order; the tick's indications carry every UE once."""
+        config = ScenarioConfig(node_count=3, cells_per_node=3, total_ues=120,
+                                poison_target_fraction=0.4, amplification_factor=1.5,
+                                malicious_node_fraction=0.34,
+                                malicious_message_fraction=0.5, loops=40, rng_seed=3)
+        emulator = RanEmulator(config, rulebook)
+        cell_of = [p.cell_id for p in emulator.profiles]
+        cells = sorted(set(cell_of))
+        checked = poisoned = 0
+        for t in range(config.loops):
+            indications = [m for m in emulator.step(t) if m.kind is E2MessageKind.INDICATION]
+            records = sorted((r for m in indications for r in m.records), key=lambda r: r.ue_id)
+            assert [r.ue_id for r in records] == list(range(120))
+            assert len(indications) == len(cells)
+            for cell, message in zip(cells, indications):
+                expected = [r for r in records if cell_of[r.ue_id] == cell]
+                assert list(message.records) == expected
+                assert [lab.ue_id for lab in message.labels] == [r.ue_id for r in expected]
+                poisoned += sum(lab.poisoned for lab in message.labels)
+                if message.injected is not None:
+                    continue
+                payload = struct.pack(">H", len(expected)) + b"".join(
+                    struct.pack(">IQ6d", r.ue_id, r.timestamp, *r[2:]) for r in expected)
+                assert message.frame[11:] == payload
+                checked += 1
+        assert poisoned > 0
+        assert checked > len(cells) * config.loops // 2
 
     def test_byte_identical_streams_for_identical_configs(self, rulebook):
         config = self.inspector_config(loops=5)
