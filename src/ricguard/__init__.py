@@ -46,7 +46,7 @@ from .e2 import (
     encode_frame,
     encode_kpm_payload,
 )
-from .emulator import RanEmulator, ScenarioConfig, UeProfile, poison_records
+from .emulator import RanEmulator, ScenarioConfig
 from .inspector import IngressInspector, InspectionOutcome, Verdict, latency_summary
 from .kpm import FeatureScaler, KpmRecord, fit_scaler
 from .mitigation import (

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import partial
-from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +43,7 @@ from .e2 import (
     encode_kpm_payloads,
     kpm_payload_size,
 )
-from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, KpmRecord, records_to_matrix
+from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, KpmRecord
 from .signatures import SignatureSet
 
 SETUP_REQUEST_BYTES = 25_000
@@ -67,11 +65,6 @@ _WINDOW_CHUNK = 1024
 
 class ConfigError(ValueError):
     """Invalid scenario or experiment configuration (CLI exit code 3)."""
-
-
-class SliceKind(Enum):
-    EMBB = "eMBB"
-    URLLC = "URLLC"
 
 
 # Measurement-feature order: UEThpUl, PrbUsedUl, UEThpDl, PrbUsedDl,
@@ -155,20 +148,6 @@ class ScenarioConfig:
         return kpm_payload_size(ue_count)
 
 
-@dataclass(frozen=True)
-class UeProfile:
-    """Per-UE baseline: slice, placement, mean vector, covariance and its
-    factor ``psd_factor(cov)``."""
-
-    ue_id: int
-    slice_kind: SliceKind
-    node_id: int
-    cell_id: int
-    mu: np.ndarray
-    cov: np.ndarray
-    factor: np.ndarray
-
-
 class GroundTruthLabel(NamedTuple):
     ue_id: int
     timestamp: int
@@ -201,34 +180,6 @@ class EmittedMessage:
 
 
 GROUND_TRUTH_CSV_HEADER = "ue_id,timestamp_ms,poisoned,af"
-
-
-def poison_records(
-    records: Sequence[KpmRecord],
-    targets: set[int],
-    af: float,
-    profiles: Sequence[UeProfile],
-    rng: np.random.Generator,
-) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
-    """Resample targeted records from the amplified distribution.
-
-    Targeted records are redrawn i.i.d. from N(af*mu, af*cov) and clipped
-    at zero; labels mark every record, poisoned or not. af = 1 leaves the
-    distribution unchanged but the window is still labelled as attacked.
-    ``profiles`` is indexed by UE id. The records take the array path of an
-    emulated tick: one feature matrix, :func:`_poison_rows`, then
-    :func:`_records_and_labels`.
-    """
-    ue_ids = list(map(attrgetter("ue_id"), records))
-    poisoned = np.fromiter(map(targets.__contains__, ue_ids), dtype=bool, count=len(ue_ids))
-    rows = np.flatnonzero(poisoned)
-    hit = [profiles[ue_ids[i]] for i in rows.tolist()]
-    mu = np.array([p.mu for p in hit]).reshape(-1, FEATURE_COUNT)
-    factor = np.array([p.factor for p in hit]).reshape(-1, FEATURE_COUNT, FEATURE_COUNT)
-    values = records_to_matrix(records)
-    _poison_rows(values, rows, af, mu, factor, rng)
-    return _records_and_labels(list(map(attrgetter("timestamp"), records)), ue_ids, values,
-                               poisoned, af)
 
 
 def _poison_rows(values: np.ndarray, rows: np.ndarray, af: float, mu: np.ndarray,
@@ -324,15 +275,16 @@ class RanEmulator:
     attack realisations, payload bytes. Repeating an experiment varies only
     the run seed, so all repetitions observe the same deployed network.
 
-    The UE baselines are built as arrays, each UE's profile holding its rows
-    of them. The poison plan is one boolean tick x target matrix, filled
-    target by target: a target's (start, length) windows are drawn in
-    bounded chunks, walked until its coverage budget or the window cap is
-    reached, and the generator is then rewound and advanced by exactly the
-    windows used, so its draws are those of one call per number. A
-    placement whose largest indication cannot be framed is refused with
-    :class:`ConfigError` before any baseline is built. Each cell's UEs are
-    listed once, at construction: placement never changes.
+    Each UE is one row of the baseline arrays: its mean vector in ``_mu``
+    and its covariance factor in ``_factor``. The poison plan is one
+    boolean tick x target matrix, filled target by target: a target's
+    (start, length) windows are drawn in bounded chunks, walked until its
+    coverage budget or the window cap is reached, and the generator is
+    then rewound and advanced by exactly the windows used, so its draws
+    are those of one call per number. A placement whose largest indication
+    cannot be framed is refused with :class:`ConfigError` before any
+    baseline is built. Each cell's UEs are listed once, at construction:
+    placement never changes.
     """
 
     def __init__(self, config: ScenarioConfig, rulebook: SignatureSet | None = None,
@@ -347,18 +299,11 @@ class RanEmulator:
         )
         self._next_tick = 0
 
-        # cell i is cells[i]: node i // cells_per_node, cell id i
-        cells = [
-            (node, node * config.cells_per_node + c)
-            for node in range(config.node_count)
-            for c in range(config.cells_per_node)
-        ]
-        self.cells = cells
-
+        cell_count = config.node_count * config.cells_per_node
         if config.total_ues is not None:
-            placement = static_rng.integers(0, len(cells), size=config.total_ues)
+            placement = static_rng.integers(0, cell_count, size=config.total_ues)
         else:
-            placement = np.repeat(np.arange(len(cells)), config.ues_per_cell)
+            placement = np.repeat(np.arange(cell_count), config.ues_per_cell)
         ue_count = len(placement)
 
         # the first half of a random order is eMBB, the rest URLLC
@@ -370,24 +315,17 @@ class RanEmulator:
         malicious_count = int(round(config.malicious_node_fraction * config.node_count))
         chosen = static_rng.choice(config.node_count, size=malicious_count, replace=False)
         self.malicious_nodes = frozenset(int(n) for n in chosen)
-        cell_sizes = np.bincount(placement, minlength=len(cells))
+        cell_sizes = np.bincount(placement, minlength=cell_count)
         self._check_capacity(cell_sizes)
         #: UE ids grouped by cell, in UE order within a cell
         self._cell_order = np.argsort(placement, kind="stable")
-        #: (node id, UE count) of each cell that reports, in cell order
-        self._reporting = [(node, size) for (node, _), size in zip(cells, cell_sizes.tolist())
-                           if size]
+        #: (node id, UE count) of each cell that reports, in cell order;
+        #: cell i belongs to node i // cells_per_node
+        self._reporting = [(cell // config.cells_per_node, size)
+                           for cell, size in enumerate(cell_sizes.tolist()) if size]
 
         self._mu = np.where(embb[:, None], EMBB_BASELINE, URLLC_BASELINE) * jitter
-        covariances = default_covariance(self._mu)
-        self._factor = psd_factor(covariances)
-        #: indexed by UE id
-        self.profiles: tuple[UeProfile, ...] = tuple(
-            UeProfile(ue_id, SliceKind.EMBB if is_embb else SliceKind.URLLC,
-                      cell // config.cells_per_node, cell, mu, cov, factor)
-            for ue_id, (is_embb, cell, mu, cov, factor) in enumerate(zip(
-                embb.tolist(), placement.tolist(), self._mu, covariances, self._factor))
-        )
+        self._factor = psd_factor(default_covariance(self._mu))
         # stationary start: deviations begin at the marginal distribution
         self._dev = np.einsum(
             "uij,uj->ui", self._factor, self._rng.standard_normal((ue_count, FEATURE_COUNT))
@@ -444,7 +382,7 @@ class RanEmulator:
 
     @property
     def ue_count(self) -> int:
-        return len(self.profiles)
+        return len(self._mu)
 
     def generate_tick(self, t: int) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
         """All UEs' records for tick ``t``, in UE order, and their labels;

@@ -473,7 +473,10 @@ def run_detector_experiment(
     for af in af_grid:
         pooled, detect_ns = DetectorMetrics(), 0
         for run in range(runs):
-            scenario = replace(config, amplification_factor=af)
+            # the detector reads ticks only, which never inject: the malicious
+            # nodes are drawn after every baseline and need no rulebook here
+            scenario = replace(config, amplification_factor=af, malicious_node_fraction=0.0,
+                               malicious_message_fraction=0.0)
             emulator = RanEmulator(scenario, run_seed=config.rng_seed + 100 + run)
             detector = StreamingDetector(bundle)
             labels: dict[tuple[int, int], bool] = {}
@@ -877,7 +880,7 @@ def run_use_case(
             zip(inspector_ms, detector_ms, shift_ms, loop_wall_ms))
     ]
 
-    ue_label = len(emulator.profiles)
+    ue_label = emulator.ue_count
     result = UseCaseResult(
         total_ues=ue_label,
         shift_ms=shift_ms,

@@ -20,12 +20,11 @@ from ricguard.emulator import (
     GroundTruthLabel,
     RanEmulator,
     ScenarioConfig,
-    SliceKind,
     URLLC_BASELINE,
-    UeProfile,
+    _poison_rows,
+    _records_and_labels,
     default_covariance,
     inject_signature,
-    poison_records,
     psd_factor,
 )
 from ricguard.harness import use_case_preset
@@ -78,24 +77,23 @@ class TestBenignDynamics:
     def test_zero_covariance_pins_records_to_mu(self):
         config = single_ue_config(loops=10)
         emulator = RanEmulator(config)
-        profile = emulator.profiles[0]
         emulator._factor[0] = psd_factor(np.zeros((6, 6)))
         emulator._dev[0] = 0.0
         for t in range(10):
             records, _ = emulator.generate_tick(t)
-            assert np.allclose(records[0].features(), profile.mu)
+            assert np.allclose(records[0].features(), emulator._mu[0])
 
     def test_sample_mean_tracks_mu(self):
         # AR(1)-adjusted standard error: sigma * sqrt((1+a)/(1-a)) / sqrt(n)
         config = single_ue_config(loops=10_000, seed=11)
         emulator = RanEmulator(config)
-        profile = emulator.profiles[0]
+        mu = emulator._mu[0]
         values = np.stack([
             emulator.generate_tick(t)[0][0].features() for t in range(10_000)
         ])
-        sigma = np.sqrt(np.diag(profile.cov))
+        sigma = np.sqrt(np.diag(default_covariance(mu)))
         se = sigma * np.sqrt((1 + AR_COEFFICIENT) / (1 - AR_COEFFICIENT)) / 100.0
-        assert np.all(np.abs(values.mean(axis=0) - profile.mu) < 3 * se)
+        assert np.all(np.abs(values.mean(axis=0) - mu) < 3 * se)
 
     def test_features_never_negative(self):
         config = single_ue_config(loops=500, seed=2)
@@ -114,19 +112,21 @@ class TestBenignDynamics:
         config = single_ue_config()
         first = RanEmulator(config, run_seed=100)
         second = RanEmulator(config, run_seed=200)
-        assert np.array_equal(first.profiles[0].mu, second.profiles[0].mu)
+        assert np.array_equal(first._mu, second._mu)
         a, _ = first.generate_tick(0)
         b, _ = second.generate_tick(0)
         assert a != b
 
 
 class TestProfiles:
+    """Each UE is one row of the emulator's baseline arrays."""
+
     def test_slice_split_even(self):
+        # eMBB throughput is 20k +- 10%, URLLC 4k +- 10%
         config = ScenarioConfig(node_count=3, cells_per_node=3, total_ues=50,
                                 loops=10, rng_seed=1)
         emulator = RanEmulator(config)
-        embb = sum(1 for p in emulator.profiles if p.slice_kind is SliceKind.EMBB)
-        assert embb == 25
+        assert (emulator._mu[:, 0] > 10_000).sum() == 25
 
     def test_slice_separation_by_construction(self):
         # throughput: eMBB above URLLC; packet rate: URLLC above eMBB
@@ -142,19 +142,14 @@ class TestProfiles:
         factor = psd_factor(cov)
         assert np.allclose(factor @ factor.T, cov)
 
-    def test_profile_factor_computed_once(self):
-        profile = RanEmulator(single_ue_config()).profiles[0]
-        assert profile.factor is profile.factor
-        assert np.array_equal(profile.factor, psd_factor(profile.cov))
-
     def test_batched_baselines_equal_per_ue_helpers(self):
-        """The emulator builds every UE's covariance and factor in one
-        batch; each equals the one-UE helpers bit for bit."""
-        profiles = RanEmulator(use_case_preset(seed=1, total_ues=300)).profiles
-        assert len(profiles) == 300
-        for profile in profiles:
-            assert np.array_equal(profile.cov, default_covariance(profile.mu))
-            assert np.array_equal(profile.factor, psd_factor(profile.cov))
+        """The emulator builds every UE's covariance factor in one batch;
+        each equals the one-UE helpers bit for bit."""
+        emulator = RanEmulator(use_case_preset(seed=1, total_ues=300))
+        assert emulator.ue_count == 300
+        assert emulator._mu.shape == (300, 6) and emulator._factor.shape == (300, 6, 6)
+        for mu, factor in zip(emulator._mu, emulator._factor):
+            assert np.array_equal(factor, psd_factor(default_covariance(mu)))
 
     def test_tick_records_equal_from_features(self):
         config = ScenarioConfig(node_count=2, cells_per_node=2, total_ues=40, loops=3,
@@ -208,78 +203,82 @@ class TestFrameCapacity:
 
 
 class TestPoisoning:
-    def make_profile(self, af_mu=EMBB_BASELINE):
-        cov = default_covariance(af_mu)
-        return UeProfile(0, SliceKind.EMBB, 0, 0, af_mu, cov, psd_factor(cov))
+    """``_poison_rows`` is the redraw every tick runs on its targeted rows."""
 
-    def records(self, n):
-        return [KpmRecord.from_features(t * 1000, 0, EMBB_BASELINE) for t in range(n)]
+    FACTOR = psd_factor(default_covariance(EMBB_BASELINE))
+
+    def redraw(self, n, af, rng):
+        """n benign rows of one eMBB baseline, every row redrawn."""
+        values = np.tile(EMBB_BASELINE, (n, 1))
+        _poison_rows(values, np.arange(n), af, np.tile(EMBB_BASELINE, (n, 1)),
+                     np.broadcast_to(self.FACTOR, (n, 6, 6)), rng)
+        return values
 
     def test_af_identity_labels_but_leaves_distribution(self):
-        profile = self.make_profile()
-        rng = np.random.default_rng(0)
-        poisoned, labels = poison_records(self.records(5), {0}, 1.0,
-                                          [profile], rng)
-        assert all(lab.poisoned for lab in labels)
+        emulator = RanEmulator(single_ue_config(loops=60, poison_target_fraction=1.0))
+        labels = [lab for t in range(60) for lab in emulator.generate_tick(t)[1]]
+        assert any(lab.poisoned for lab in labels)
         assert all(lab.af_used == 1.0 for lab in labels)
+        n = 2000
+        values = self.redraw(n, 1.0, np.random.default_rng(0))
+        se = np.sqrt(np.diag(default_covariance(EMBB_BASELINE))) / np.sqrt(n)
+        assert np.all(np.abs(values.mean(axis=0) - EMBB_BASELINE) < 3 * se)
 
     def test_af_15_sample_mean_near_scaled_mu(self):
-        profile = self.make_profile()
-        rng = np.random.default_rng(3)
         n = 2000
-        poisoned, _ = poison_records(self.records(n), {0}, 1.5, [profile], rng)
-        values = np.stack([r.features() for r in poisoned])
-        sigma = np.sqrt(1.5 * np.diag(profile.cov))
+        values = self.redraw(n, 1.5, np.random.default_rng(3))
+        sigma = np.sqrt(1.5 * np.diag(default_covariance(EMBB_BASELINE)))
         se = sigma / np.sqrt(n)
-        assert np.all(np.abs(values.mean(axis=0) - 1.5 * profile.mu) < 3 * se)
+        assert np.all(np.abs(values.mean(axis=0) - 1.5 * EMBB_BASELINE) < 3 * se)
 
     def test_untargeted_records_untouched(self):
-        profile = self.make_profile()
         rng = np.random.default_rng(0)
-        records = self.records(5)
-        poisoned, labels = poison_records(records, set(), 1.5, [profile], rng)
-        assert poisoned == records
-        assert not any(lab.poisoned for lab in labels)
+        state = rng.bit_generator.state
+        values = np.tile(EMBB_BASELINE, (5, 1))
+        _poison_rows(values, np.zeros(0, dtype=np.intp), 1.5, np.zeros((0, 6)),
+                     np.zeros((0, 6, 6)), rng)
+        assert np.array_equal(values, np.tile(EMBB_BASELINE, (5, 1)))
+        assert rng.bit_generator.state == state
 
     def test_matches_per_record_loop(self):
-        """The targeted records' draws come from one batched draw and one
+        """The targeted rows' draws come from one batched draw and one
         stacked matmul; they equal one draw and one ``factor @ z`` per
-        targeted record, in record order, bit for bit."""
-        profiles = [replace(self.make_profile(), ue_id=ue) for ue in range(3)]
-        records = [KpmRecord.from_features(t * 1000, ue, EMBB_BASELINE)
-                   for t in range(4) for ue in (2, 0, 1)]
+        targeted row, in row order, bit for bit."""
+        mu = EMBB_BASELINE * np.array([[1.0], [1.05], [0.95]])
+        factor = psd_factor(default_covariance(mu))
+        ue_ids = [2, 0, 1] * 4
+        timestamps = [t * 1000 for t in range(4) for _ in range(3)]
+        values = mu[ue_ids]
+        poisoned = np.isin(ue_ids, [0, 2])
         expected_records, expected_labels = [], []
         rng = np.random.default_rng(6)
-        for rec in records:
-            if rec.ue_id in {0, 2}:
-                draw = 1.5 * EMBB_BASELINE + np.sqrt(1.5) * (profiles[rec.ue_id].factor
-                                                            @ rng.standard_normal(6))
-                expected_records.append(KpmRecord.from_features(rec.timestamp, rec.ue_id,
-                                                                np.clip(draw, 0.0, None)))
-                expected_labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, True, 1.5))
+        for ts, ue, row in zip(timestamps, ue_ids, values):
+            if ue in {0, 2}:
+                draw = 1.5 * mu[ue] + np.sqrt(1.5) * (factor[ue] @ rng.standard_normal(6))
+                expected_records.append(KpmRecord.from_features(ts, ue, np.clip(draw, 0.0, None)))
+                expected_labels.append(GroundTruthLabel(ue, ts, True, 1.5))
             else:
-                expected_records.append(rec)
-                expected_labels.append(GroundTruthLabel(rec.ue_id, rec.timestamp, False, 1.0))
-        got_records, got_labels = poison_records(records, {0, 2}, 1.5, profiles,
-                                                 np.random.default_rng(6))
+                expected_records.append(KpmRecord.from_features(ts, ue, row))
+                expected_labels.append(GroundTruthLabel(ue, ts, False, 1.0))
+        rows = np.flatnonzero(poisoned)
+        hit = [ue_ids[i] for i in rows]
+        _poison_rows(values, rows, 1.5, mu[hit], factor[hit], np.random.default_rng(6))
+        got_records, got_labels = _records_and_labels(timestamps, ue_ids, values, poisoned, 1.5)
         assert got_records == expected_records
         assert got_labels == expected_labels
         assert all(type(lab) is GroundTruthLabel for lab in got_labels)
 
     def test_batched_draw_equals_per_record_draw_for_any_factor(self):
-        """The stacked matmul equals ``factor @ z`` per record for general
+        """The stacked matmul equals ``factor @ z`` per row for general
         factors too, where ``einsum`` would not."""
-        shapes = np.random.default_rng(8)
-        profiles = [UeProfile(ue, SliceKind.EMBB, 0, 0, EMBB_BASELINE * (1 + ue / 100),
-                              np.eye(6), shapes.standard_normal((6, 6)) * 100)
-                    for ue in range(200)]
-        records = [KpmRecord.from_features(5000, ue, EMBB_BASELINE) for ue in range(200)]
+        mu = EMBB_BASELINE * (1 + np.arange(200)[:, None] / 100)
+        factor = np.random.default_rng(8).standard_normal((200, 6, 6)) * 100
         rng = np.random.default_rng(2)
-        expected = [np.clip(1.5 * p.mu + np.sqrt(1.5) * (p.factor @ rng.standard_normal(6)),
-                            0.0, None).tolist() for p in profiles]
-        poisoned, _ = poison_records(records, set(range(200)), 1.5, profiles,
-                                     np.random.default_rng(2))
-        assert [list(r[2:]) for r in poisoned] == expected
+        expected = [np.clip(1.5 * m + np.sqrt(1.5) * (f @ rng.standard_normal(6)),
+                            0.0, None).tolist() for m, f in zip(mu, factor)]
+        values = np.tile(EMBB_BASELINE, (200, 1))
+        _poison_rows(values, np.arange(200), 1.5, mu, factor, np.random.default_rng(2))
+        assert values.tolist() == expected
 
     def test_label_completeness_in_scenario(self):
         config = ScenarioConfig(node_count=3, cells_per_node=3, total_ues=30,
@@ -489,7 +488,8 @@ class TestStep:
                                 malicious_node_fraction=0.34,
                                 malicious_message_fraction=0.5, loops=40, rng_seed=3)
         emulator = RanEmulator(config, rulebook)
-        cell_of = [p.cell_id for p in emulator.profiles]
+        # the seed's first draw places the UEs
+        cell_of = np.random.default_rng(config.rng_seed).integers(0, 9, size=120).tolist()
         cells = sorted(set(cell_of))
         checked = poisoned = 0
         for t in range(config.loops):

@@ -285,6 +285,25 @@ class TestDetectorExperiment:
                              else f"{lab.ue_id},{lab.timestamp},0,1.0" for lab in labels]
         assert any(line.endswith(",1,1.5") for line in lines)
 
+    def test_malicious_nodes_change_nothing(self, quick_bundle, tmp_path):
+        """The detector reads ticks, which never inject: a scenario with
+        malicious nodes runs without a rulebook and gives the metrics and
+        ground truth of the same scenario without them."""
+        benign = detector_preset(seed=1, loops=30)
+        malicious = dataclasses.replace(benign, malicious_node_fraction=0.34,
+                                        malicious_message_fraction=0.5)
+        results = []
+        for name, config in (("benign", benign), ("malicious", malicious)):
+            (tmp_path / name).mkdir()
+            results.append(run_detector_experiment(
+                config, af_grid=(1.5,), runs=2, bundle=quick_bundle,
+                cost_model=DEFAULT_COST_MODEL, out_dir=tmp_path / name))
+        assert results[0].per_af == results[1].per_af
+        assert results[0].per_af[1.5].scored_poisoned > 0
+        for csv in ("ground_truth_af1.5.csv", "detector.csv"):
+            assert ((tmp_path / "benign" / csv).read_bytes()
+                    == (tmp_path / "malicious" / csv).read_bytes())
+
     def test_no_poisoning_is_config_error(self, quick_bundle):
         from dataclasses import replace
 
@@ -465,6 +484,17 @@ class TestUseCase:
             assert guarded.detector_ms == scored * cost.ns_per_scored_record / 1e6
             assert ns(shift) == (ns(guarded.inspector_ms) + ns(guarded.detector_ms)
                                  - cost.store_ns(lost))
+
+    def test_ues_per_cell_scenario_labelled_by_its_ue_count(self, quick_bundle, rulebook,
+                                                            tmp_path):
+        config = ScenarioConfig(node_count=2, cells_per_node=2, ues_per_cell=3, loops=12)
+        assert config.total_ues is None
+        result = run_use_case(config, quick_bundle, rulebook, runs=1,
+                              cost_model=DEFAULT_COST_MODEL, out_dir=tmp_path)
+        assert result.total_ues == 12
+        lines = (tmp_path / "use_case_12ues.csv").read_text().splitlines()
+        assert lines[0] == USE_CASE_CSV_HEADER
+        assert len(lines) == 1 + config.loops
 
     def test_wall_detector_time_counts_every_tick(self, quick_bundle, rulebook):
         # warm-up ticks score nothing, but the detector still runs on them
@@ -814,6 +844,21 @@ class TestCli:
         config.write_text("total_ues = 50\nloops = 5\npoison_target_fraction = 0.0\n")
         assert cli_main(["detect-bench", "--config", str(config), "--runs", "1",
                          "--out", str(tmp_path)]) == 3
+
+    def test_run_all_on_malicious_poisoned_config_exits_zero(self, tmp_path, monkeypatch,
+                                                             quick_bundle):
+        """One scenario file with malicious nodes and poisoning targets
+        serves every experiment that reads --config."""
+        import ricguard.cli as cli
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: quick_bundle)
+        config = tmp_path / "scenario.cfg"
+        config.write_text("total_ues = 50\nloops = 30\nmalicious_node_fraction = 0.34\n"
+                          "malicious_message_fraction = 0.5\npoison_target_fraction = 0.3\n")
+        assert cli_main(["run-all", "--config", str(config), "--runs", "1", "--af", "1.5",
+                         "--deterministic-timing", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "detector.csv").exists()
+        assert (tmp_path / "use_case_50ues.csv").exists()
 
     def test_use_case_config_runs_once_with_its_ue_count(self, tmp_path, monkeypatch,
                                                           capsys):
