@@ -57,6 +57,7 @@ from .mitigation import (
     MitigationPolicy,
     XappTier,
     apply_actions,
+    apply_kpm_actions,
     resolve_attestation_event,
     resolve_inspector_event,
     resolve_kpm_event,

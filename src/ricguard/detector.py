@@ -20,8 +20,17 @@ array, fed only by records it has verified: flagged records never enter the
 history (nor the store), so scoring context stays clean during an attack.
 After an attack window the history carries a time gap until fresh benign
 records roll it over; the public :func:`score_window` contract (ten
-consecutive one-second records) is unchanged. Verdicts and scored records
-are immutable named tuples, built in one pass per tick.
+consecutive one-second records) is unchanged. :meth:`StreamingDetector.score_tick`
+scores a tick into arrays; :meth:`StreamingDetector.observe_tick` packs
+them into immutable named tuples, verdicts and scored records, in one pass.
+
+Precision is split as in mixed-precision training (Micikevicius et al.,
+ICLR 2018): training, calibration, :func:`score_window`, :func:`score_batch`
+on a trained model and the bundle file are float64, and only streaming
+inference is float32. The streaming detector casts its model to float32
+once and keeps its context in float32; its scores are float64, the float32
+prediction less the float64 normalized record, and so is the threshold
+test.
 """
 
 from __future__ import annotations
@@ -34,18 +43,19 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, FeatureScaler, KpmRecord, records_to_matrix
-from .mitigation import Magnitude
+from .mitigation import MODERATE_EDGE, SIGNIFICANT_EDGE, Magnitude
 from .recurrent import SequenceModel, predict
 
 BUNDLE_MAGIC = b"KPMD"
 BUNDLE_VERSION = 1
 
-#: Magnitude band edges as multiples of the threshold.
-MODERATE_EDGE = 2.0
-SIGNIFICANT_EDGE = 4.0
-
 #: Context rows a streaming detector starts with; the array doubles as UEs join.
 INITIAL_CONTEXT_ROWS = 16
+
+#: Bound on a normalized feature before it is scored or cast to the float32
+#: context: a hostile record cannot overflow the cast or the forward pass,
+#: and a clipped record still scores about 1e35, far above any threshold.
+NORMALIZED_BOUND = 1e18
 
 #: Benign validation windows a threshold calibration needs.
 MIN_CALIBRATION_WINDOWS = 500
@@ -216,47 +226,73 @@ class ScoredRecord(NamedTuple):
     verdict: AnomalyVerdict | None
 
 
+def scored_records(records: Sequence[KpmRecord], scored: np.ndarray, scores: np.ndarray,
+                   threshold: float) -> list[ScoredRecord]:
+    """Each record with its verdict, or None where ``scored`` is false."""
+    # both named tuples only pack their fields; tuple.__new__ packs them
+    # without a Python-level constructor call per record
+    new = tuple.__new__
+    return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, rec.timestamp,
+                                                          score, threshold))
+                               if is_scored else None))
+            for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
+
+
 class StreamingDetector:
-    """Tick-batched scoring over live telemetry.
+    """Tick-batched scoring over live telemetry, in float32.
 
     Records are scored against the UE's last ``SEQUENCE_LENGTH`` verified
     records; all UEs of one tick are scored in a single forward pass.
     Anomalous records are excluded from future history. The caller times
-    the tick.
+    the tick: the pipeline times :meth:`score_tick`, the array call that
+    :meth:`observe_tick` wraps.
 
-    The context of all UEs is one (rows, SEQUENCE_LENGTH, features) array
-    of normalized records, each UE's newest record last, with a per-row
-    fill count; a UE takes the next free row when first seen, and the
-    array doubles when it runs out of rows.
+    The bundle's model is cast to float32 once, here; the bundle itself is
+    not changed. The context of all UEs is one float32 (rows,
+    SEQUENCE_LENGTH, features) array of normalized records, each UE's
+    newest record last, with a per-row fill count; a UE takes the next free
+    row when first seen, and the array doubles when it runs out of rows.
+    Normalized values are clipped to :data:`NORMALIZED_BOUND` before they
+    are scored or stored, so the context stays finite.
     """
 
     def __init__(self, bundle: DetectorBundle) -> None:
         self.bundle = bundle
+        model = bundle.model
+        self._model = SequenceModel(
+            **{name: param.astype(np.float32) for name, param in model.parameters().items()},
+            hidden_size=model.hidden_size)
         self._rows: dict[int, int] = {}
-        self._context = np.empty((INITIAL_CONTEXT_ROWS, SEQUENCE_LENGTH, FEATURE_COUNT))
+        self._context = np.empty((INITIAL_CONTEXT_ROWS, SEQUENCE_LENGTH, FEATURE_COUNT),
+                                 np.float32)
         self._fill = np.zeros(INITIAL_CONTEXT_ROWS, dtype=np.intp)
 
-    def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
-        model, threshold = self.bundle.model, self.bundle.threshold
-        normalized = self.bundle.scaler.normalize(records_to_matrix(records))
+    def score_tick(self, records: Sequence[KpmRecord]) -> tuple[np.ndarray, np.ndarray,
+                                                                 np.ndarray]:
+        """Score one tick and add its kept records to the context; returns
+        three arrays in record order: ``scored`` marks the records past
+        their UE's warm-up, ``scores`` holds their float64 scores (zero for
+        the others), and ``keep`` marks the records that enter the history,
+        the unscored ones and those scored at or under the threshold."""
+        bound = NORMALIZED_BOUND
+        normalized = np.clip(self.bundle.scaler.normalize(records_to_matrix(records)),
+                             -bound, bound)
         rows = self._rows_of(records)
         # every record is scored against the context from before this tick
-        scorable = np.flatnonzero(self._fill[rows] == SEQUENCE_LENGTH)
-        scored = np.zeros(len(records), dtype=bool)
-        scored[scorable] = True
+        scored = self._fill[rows] == SEQUENCE_LENGTH
+        scorable = np.flatnonzero(scored)
         scores = np.zeros(len(records))
         if scorable.size:
-            scores[scorable] = score_batch(model, self._context[rows[scorable]],
+            scores[scorable] = score_batch(self._model, self._context[rows[scorable]],
                                            normalized[scorable])
-        keep = ~scored | (scores <= threshold)  # a NaN score is anomalous
+        keep = ~scored | (scores <= self.bundle.threshold)  # a NaN score is anomalous
         self._append(rows[keep], normalized[keep])
-        # both named tuples only pack their fields; tuple.__new__ packs them
-        # without a Python-level constructor call per record
-        new = tuple.__new__
-        return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, rec.timestamp,
-                                                              score, threshold))
-                                   if is_scored else None))
-                for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
+        return scored, scores, keep
+
+    def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
+        """:meth:`score_tick`, with each record packed with its verdict."""
+        scored, scores, _ = self.score_tick(records)
+        return scored_records(records, scored, scores, self.bundle.threshold)
 
     def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:
         """Context row of each record's UE; a new UE takes the next row."""

@@ -8,7 +8,8 @@ safeguards impose on a consumer xApp: each tick's frames go through a
 
 Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
 safeguards time themselves by wall clock, which is hardware-dependent; the
-detector's time is taken once per tick around the call, warm-up ticks
+detector's time is taken once per tick around its array call,
+:meth:`~ricguard.detector.StreamingDetector.score_tick`, warm-up ticks
 included. Pass the fixed cost table, :data:`~ricguard.timing.DEFAULT_COST_MODEL`,
 and the runners here charge it for the work done instead (the textbook byte
 comparisons of each scan, scored records, attested bytes, decoded and stored
@@ -31,7 +32,7 @@ import random
 import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,6 +54,7 @@ from .detector import (
     StreamingDetector,
     calibrate_threshold,
     evaluate,
+    scored_records,
 )
 from .e2 import E2CodecError, E2Message, E2MessageKind, decode_frame, decode_kpm_payload
 from .emulator import (
@@ -78,10 +80,10 @@ from .mitigation import (
     MitigationState,
     XappTier,
     apply_actions,
+    apply_kpm_actions,
     parse_action_codes,
     resolve_attestation_event,
     resolve_inspector_event,
-    resolve_kpm_event,
 )
 from .recurrent import TrainConfig, train_model
 from .signatures import MatchResult, NaiveMatcher, SignatureSet, canonical_comparisons
@@ -282,19 +284,20 @@ def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
     outcome = inspector.inspect(msg, loop=loop)
     if cost_model is not None and outcome.match is not None:
         comparisons = canonical_comparisons(msg.payload, inspector.matcher.signatures)
-        outcome = replace(outcome, inspect_latency_ns=cost_model.scan_ns(comparisons))
+        outcome = outcome._replace(inspect_latency_ns=cost_model.scan_ns(comparisons))
     return outcome
 
 
 def _score_tick(detector: StreamingDetector, records: Sequence[KpmRecord],
-                cost_model: CostModel | None) -> tuple[list[ScoredRecord], int]:
-    """Score one tick and take its detector time once: the wall time of the
-    call, or the cost model's charge for the records that got a verdict."""
+                cost_model: CostModel | None) -> tuple[tuple[np.ndarray, ...], int]:
+    """Score one tick through the detector's array call and take its time
+    once: the wall time of the call, or the cost model's charge for the
+    records that got a verdict. Returns the call's (scored, scores, keep)."""
     started = wall_ns()
-    scored = detector.observe_tick(records)
+    arrays = detector.score_tick(records)
     if cost_model is None:
-        return scored, wall_ns() - started
-    return scored, cost_model.scoring_ns(sum(item.verdict is not None for item in scored))
+        return arrays, wall_ns() - started
+    return arrays, cost_model.scoring_ns(int(np.count_nonzero(arrays[0])))
 
 
 def _attestation_round(engine: AttestationEngine, image: XappImage,
@@ -487,8 +490,8 @@ def run_detector_experiment(
                 for lab in tick_labels:
                     labels[(lab.ue_id, lab.timestamp)] = lab.poisoned
                 all_labels.extend(tick_labels)
-                tick_scored, tick_ns = _score_tick(detector, records, cost_model)
-                scored.extend(tick_scored)
+                (tick_scored, scores, _), tick_ns = _score_tick(detector, records, cost_model)
+                scored.extend(scored_records(records, tick_scored, scores, bundle.threshold))
                 detect_ns += tick_ns
             if run == 0 and out_dir is not None:
                 write_csv(Path(out_dir) / f"ground_truth_af{af}.csv", GROUND_TRUTH_CSV_HEADER,
@@ -698,7 +701,10 @@ class RicPipeline:
     records are dropped and counted; no per-record state outlives the tick.
     A size-calibrated indication carries stand-in bytes, not a KPM report,
     so it counts as a codec error. Incidents are stamped with the tick's
-    time, ``t * TICK_MS``. The cost model, when given, replaces wall times.
+    time, ``t * TICK_MS``. The detector's time is its array call alone;
+    after it, the tick's flagged records are mitigated in one
+    :func:`~ricguard.mitigation.apply_kpm_actions` call and the kept ones
+    stored. The cost model, when given, replaces wall times.
     """
 
     def __init__(self, cost_model: CostModel | None = None, *,
@@ -727,7 +733,7 @@ class RicPipeline:
 
     def process_tick(self, t: int, frames: Sequence[bytes]) -> TickReport:
         started, tick_ms = wall_ns(), t * TICK_MS
-        inspect_ns = detect_ns = stored = 0
+        inspect_ns = detect_ns = 0
         records: list[KpmRecord] = []
         sources: list[int] = []  # the sending node of each record
         seen: set[int] = set()  # the UEs that reported in the tick
@@ -740,7 +746,8 @@ class RicPipeline:
             if self.inspector is not None:
                 outcome = _inspect(self.inspector, msg, t, self.cost_model)
                 inspect_ns += outcome.inspect_latency_ns
-                if outcome.verdict is Verdict.MALICIOUS:
+                verdict = outcome.verdict
+                if verdict is Verdict.MALICIOUS:
                     event = DetectionEvent(
                         detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
                         timestamp_ms=tick_ms, node_id=msg.source_node_id,
@@ -749,29 +756,30 @@ class RicPipeline:
                                   resolve_inspector_event(outcome.match, self.policy))
                     self.diverted += 1
                     continue  # never reaches dispatch
-                if outcome.verdict is Verdict.BLOCKED:
+                if verdict is Verdict.BLOCKED:
                     self.blocked += 1
                     continue
             decoded = self._kpm_records(msg, tick_ms, seen)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
-        if self.detector is None:
-            scored = zip(records, repeat(None))
-        else:
-            scored, detect_ns = _score_tick(self.detector, records, self.cost_model)
-        for (record, verdict), node_id in zip(scored, sources):
-            if verdict is not None and verdict.is_anomalous:
-                self.flagged += 1
-                event = DetectionEvent(
-                    detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
-                    timestamp_ms=tick_ms, node_id=node_id, ue_id=verdict.ue_id,
-                )
-                apply_actions(self.mitigation, event,
-                              resolve_kpm_event(verdict, node_id, self.policy))
-            else:
-                self.store.append(record)
-                stored += 1
+        kept: Iterable[KpmRecord] = records
+        stored = len(records)
+        if self.detector is not None:
+            (_, scores, keep), detect_ns = _score_tick(self.detector, records, self.cost_model)
+            keep_list = keep.tolist()
+            if not all(keep_list):
+                flagged = np.flatnonzero(~keep)
+                indices = flagged.tolist()
+                self.flagged += len(indices)
+                stored -= len(indices)
+                apply_kpm_actions(self.mitigation, self.policy, scores[flagged],
+                                  self.detector.bundle.threshold,
+                                  [records[i].ue_id for i in indices],
+                                  [sources[i] for i in indices], tick_ms)
+                kept = compress(records, keep_list)
+        for record in kept:
+            self.store.append(record)
         return self._report(t, frames, started, inspect_ns, detect_ns, stored)
 
     def _kpm_records(self, msg: E2Message, tick_ms: int, seen: set[int]) -> Sequence[KpmRecord]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .e2 import E2Message, E2MessageKind
 from .mitigation import Blocklist
@@ -26,31 +26,28 @@ class Verdict(Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(frozen=True, slots=True)
-class InspectionOutcome:
-    """Result of inspecting one inbound message.
+class InspectionOutcome(NamedTuple):
+    """Result of inspecting one inbound message, an immutable named tuple.
 
     ``match`` is present whenever a scan ran (benign outcomes keep their
-    zero-hit result for latency accounting); a blocked outcome means no scan
-    was performed at all. ``loop`` is the control-loop tick the message
-    arrived in.
+    zero-hit result for latency accounting); None means no scan was
+    performed at all, because the source is blocked. The verdict follows
+    from the match. ``loop`` is the control-loop tick the message arrived
+    in.
     """
 
     message: E2Message
-    verdict: Verdict
     inspect_latency_ns: int
     match: MatchResult | None = None
     loop: int = 0
 
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.BLOCKED:
-            if self.match is not None:
-                raise ValueError("blocked messages are never scanned")
-        else:
-            if self.match is None:
-                raise ValueError("scanned outcomes carry their match result")
-            if (self.verdict is Verdict.MALICIOUS) != self.match.matched:
-                raise ValueError("verdict must agree with the match result")
+    @property
+    def verdict(self) -> Verdict:
+        """BLOCKED without a scan, else MALICIOUS when a signature hit."""
+        match = self.match
+        if match is None:
+            return Verdict.BLOCKED
+        return Verdict.MALICIOUS if match.hits else Verdict.BENIGN
 
 
 class IngressInspector:
@@ -63,17 +60,9 @@ class IngressInspector:
 
     def inspect(self, msg: E2Message, loop: int = 0) -> InspectionOutcome:
         if msg.source_node_id in self.blocklist.blocked_nodes:
-            return InspectionOutcome(
-                message=msg, verdict=Verdict.BLOCKED, inspect_latency_ns=0, loop=loop
-            )
+            return InspectionOutcome(msg, 0, None, loop)
         match = self.matcher.scan(msg.payload)
-        return InspectionOutcome(
-            message=msg,
-            verdict=Verdict.MALICIOUS if match.matched else Verdict.BENIGN,
-            inspect_latency_ns=match.scan_latency_ns,
-            match=match,
-            loop=loop,
-        )
+        return InspectionOutcome(msg, match.scan_latency_ns, match, loop)
 
 
 @dataclass(frozen=True)

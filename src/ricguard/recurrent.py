@@ -142,19 +142,26 @@ def predict(model: SequenceModel, inputs: np.ndarray) -> np.ndarray:
     exact: the gates hold 2·sigma, h is carried as 2h (0.5 folded into the
     recurrent columns and ``w_out``) and c = 0.5·(f'·c + i'·g). Step 0
     skips the terms of the zero c. Scratch is allocated per call.
+
+    The pass runs in the dtype of the model's arrays: its scratch, state and
+    predictions take ``model.w_x.dtype``. Training and calibration call it
+    with float64 models; :class:`~ricguard.detector.StreamingDetector` scores
+    with a float32 copy of its model, on a float32 context.
     """
     _check_inputs(inputs)
     n, t_len, f = inputs.shape
     h_size = model.hidden_size
+    dtype = model.w_x.dtype
     weights = _stacked_weights(model)
     w_step0 = weights[:, : f + 1]
     w_out = 0.5 * model.w_out
     block = _block_rows(model)
     rows = min(n, block)
     # flat scratch; a block of m rows takes a contiguous prefix of each
-    state_buf, z_buf = np.empty((f + 1 + h_size) * rows), np.empty(4 * h_size * rows)
-    c_buf, term_buf = np.empty(h_size * rows), np.empty(h_size * rows)
-    predictions = np.empty((n, f))
+    state_buf = np.empty((f + 1 + h_size) * rows, dtype)
+    z_buf = np.empty(4 * h_size * rows, dtype)
+    c_buf, term_buf = np.empty(h_size * rows, dtype), np.empty(h_size * rows, dtype)
+    predictions = np.empty((n, f), dtype)
     for start in range(0, n, block):
         stop = min(start + block, n)
         m = stop - start

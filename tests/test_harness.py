@@ -387,15 +387,16 @@ class TestUseCase:
         """Per tick, the baseline stores every emitted record and the guarded
         arm the same records less exactly the ones the detector flagged."""
         flagged_per_tick = []
-        observe_tick = StreamingDetector.observe_tick
+        score_tick = StreamingDetector.score_tick
 
-        def recording_observe_tick(detector, records):
-            scored = observe_tick(detector, records)
-            flagged_per_tick.append({(v.ue_id, v.timestamp) for _, v in scored
-                                     if v is not None and v.is_anomalous})
-            return scored
+        def recording_score_tick(detector, records):
+            scored, scores, keep = score_tick(detector, records)
+            flagged_per_tick.append({(r.ue_id, r.timestamp)
+                                     for r, is_scored, score in zip(records, scored, scores)
+                                     if is_scored and not score <= detector.bundle.threshold})
+            return scored, scores, keep
 
-        monkeypatch.setattr(StreamingDetector, "observe_tick", recording_observe_tick)
+        monkeypatch.setattr(StreamingDetector, "score_tick", recording_score_tick)
         config = use_case_preset(seed=2, total_ues=20, loops=40)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
         safeguarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
@@ -461,14 +462,14 @@ class TestUseCase:
         compared in whole nanoseconds, the cost model's unit: the millisecond
         floats of its terms round differently from their difference."""
         scored_per_tick = []
-        observe_tick = StreamingDetector.observe_tick
+        score_tick = StreamingDetector.score_tick
 
-        def counting_observe_tick(detector, records):
-            scored = observe_tick(detector, records)
-            scored_per_tick.append(sum(item.verdict is not None for item in scored))
-            return scored
+        def counting_score_tick(detector, records):
+            arrays = score_tick(detector, records)
+            scored_per_tick.append(int(arrays[0].sum()))
+            return arrays
 
-        monkeypatch.setattr(StreamingDetector, "observe_tick", counting_observe_tick)
+        monkeypatch.setattr(StreamingDetector, "score_tick", counting_score_tick)
         cost = DEFAULT_COST_MODEL
         config = use_case_preset(seed=2, total_ues=20, loops=40)
         result = run_use_case(config, quick_bundle, rulebook, runs=1, cost_model=cost)

@@ -82,22 +82,19 @@ class TestInspect:
             expected = DEFAULT_COST_MODEL.scan_ns(canonical_comparisons(payload, rulebook))
             assert int(row.split(",")[5]) == expected
 
-    def test_outcome_invariants_enforced(self):
+    def test_verdict_follows_the_match(self):
         clean = MatchResult(hits=(), scan_latency_ns=5)
-        with pytest.raises(ValueError):
-            InspectionOutcome(message=msg(), verdict=Verdict.MALICIOUS,
-                              inspect_latency_ns=5, match=clean)
-        with pytest.raises(ValueError):
-            InspectionOutcome(message=msg(), verdict=Verdict.BLOCKED,
-                              inspect_latency_ns=0, match=clean)
+        hit = MatchResult(hits=((3, 0),), scan_latency_ns=5)
+        assert InspectionOutcome(msg(), 5, clean).verdict is Verdict.BENIGN
+        assert InspectionOutcome(msg(), 5, hit).verdict is Verdict.MALICIOUS
+        assert InspectionOutcome(msg(), 0).verdict is Verdict.BLOCKED
 
 
 class TestLatencySummary:
     def outcomes(self, *latencies_ns, kind=E2MessageKind.INDICATION):
         clean = MatchResult(hits=(), scan_latency_ns=0)
         return [
-            InspectionOutcome(message=msg(kind=kind), verdict=Verdict.BENIGN,
-                              inspect_latency_ns=ns, match=clean)
+            InspectionOutcome(message=msg(kind=kind), inspect_latency_ns=ns, match=clean)
             for ns in latencies_ns
         ]
 
@@ -113,8 +110,7 @@ class TestLatencySummary:
         assert latency_summary(self.outcomes(100), E2MessageKind.SETUP_REQUEST) is None
 
     def test_blocked_outcomes_excluded(self):
-        blocked = InspectionOutcome(message=msg(node=5), verdict=Verdict.BLOCKED,
-                                    inspect_latency_ns=0)
+        blocked = InspectionOutcome(message=msg(node=5), inspect_latency_ns=0)
         summary = latency_summary(
             self.outcomes(200_000) + [blocked], E2MessageKind.INDICATION
         )
