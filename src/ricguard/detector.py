@@ -43,11 +43,15 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH, TICK_MS, FeatureScaler, KpmRecord, records_to_matrix
-from .mitigation import MODERATE_EDGE, SIGNIFICANT_EDGE, Magnitude
+from .mitigation import Magnitude
 from .recurrent import SequenceModel, predict
 
 BUNDLE_MAGIC = b"KPMD"
 BUNDLE_VERSION = 1
+
+#: Magnitude band edges as multiples of the threshold.
+MODERATE_EDGE = 2.0
+SIGNIFICANT_EDGE = 4.0
 
 #: Context rows a streaming detector starts with; the array doubles as UEs join.
 INITIAL_CONTEXT_ROWS = 16
@@ -226,18 +230,6 @@ class ScoredRecord(NamedTuple):
     verdict: AnomalyVerdict | None
 
 
-def scored_records(records: Sequence[KpmRecord], scored: np.ndarray, scores: np.ndarray,
-                   threshold: float) -> list[ScoredRecord]:
-    """Each record with its verdict, or None where ``scored`` is false."""
-    # both named tuples only pack their fields; tuple.__new__ packs them
-    # without a Python-level constructor call per record
-    new = tuple.__new__
-    return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, rec.timestamp,
-                                                          score, threshold))
-                               if is_scored else None))
-            for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
-
-
 class StreamingDetector:
     """Tick-batched scoring over live telemetry, in float32.
 
@@ -245,7 +237,8 @@ class StreamingDetector:
     records; all UEs of one tick are scored in a single forward pass.
     Anomalous records are excluded from future history. The caller times
     the tick: the pipeline times :meth:`score_tick`, the array call that
-    :meth:`observe_tick` wraps.
+    :meth:`observe_tick` wraps, and the detector experiment times
+    :meth:`observe_tick`.
 
     The bundle's model is cast to float32 once, here; the bundle itself is
     not changed. The context of all UEs is one float32 (rows,
@@ -292,7 +285,14 @@ class StreamingDetector:
     def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
         """:meth:`score_tick`, with each record packed with its verdict."""
         scored, scores, _ = self.score_tick(records)
-        return scored_records(records, scored, scores, self.bundle.threshold)
+        threshold = self.bundle.threshold
+        # both named tuples only pack their fields; tuple.__new__ packs them
+        # without a Python-level constructor call per record
+        new = tuple.__new__
+        return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, rec.timestamp,
+                                                              score, threshold))
+                                   if is_scored else None))
+                for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
 
     def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:
         """Context row of each record's UE; a new UE takes the next row."""

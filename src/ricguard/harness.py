@@ -8,10 +8,12 @@ safeguards impose on a consumer xApp: each tick's frames go through a
 
 Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
 safeguards time themselves by wall clock, which is hardware-dependent; the
-detector's time is taken once per tick around its array call,
-:meth:`~ricguard.detector.StreamingDetector.score_tick`, warm-up ticks
-included. Pass the fixed cost table, :data:`~ricguard.timing.DEFAULT_COST_MODEL`,
-and the runners here charge it for the work done instead (the textbook byte
+detector's time is taken once per tick around the call, warm-up ticks
+included: :meth:`~ricguard.detector.StreamingDetector.observe_tick` in the
+detector experiment, its array call
+:meth:`~ricguard.detector.StreamingDetector.score_tick` in the pipeline.
+Pass the fixed cost table, :data:`~ricguard.timing.DEFAULT_COST_MODEL`, and
+the runners here charge it for the work done instead (the textbook byte
 comparisons of each scan, scored records, attested bytes, decoded and stored
 data), for deterministic (byte-identical) CSV output. The near-RT loop
 budget is always checked against real wall time.
@@ -53,8 +55,8 @@ from .detector import (
     ScoredRecord,
     StreamingDetector,
     calibrate_threshold,
+    classify_magnitude,
     evaluate,
-    scored_records,
 )
 from .e2 import E2CodecError, E2Message, E2MessageKind, decode_frame, decode_kpm_payload
 from .emulator import (
@@ -289,15 +291,14 @@ def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
 
 
 def _score_tick(detector: StreamingDetector, records: Sequence[KpmRecord],
-                cost_model: CostModel | None) -> tuple[tuple[np.ndarray, ...], int]:
-    """Score one tick through the detector's array call and take its time
-    once: the wall time of the call, or the cost model's charge for the
-    records that got a verdict. Returns the call's (scored, scores, keep)."""
+                cost_model: CostModel | None) -> tuple[list[ScoredRecord], int]:
+    """Score one tick and take its detector time once: the wall time of the
+    call, or the cost model's charge for the records that got a verdict."""
     started = wall_ns()
-    arrays = detector.score_tick(records)
+    scored = detector.observe_tick(records)
     if cost_model is None:
-        return arrays, wall_ns() - started
-    return arrays, cost_model.scoring_ns(int(np.count_nonzero(arrays[0])))
+        return scored, wall_ns() - started
+    return scored, cost_model.scoring_ns(sum(item.verdict is not None for item in scored))
 
 
 def _attestation_round(engine: AttestationEngine, image: XappImage,
@@ -490,8 +491,8 @@ def run_detector_experiment(
                 for lab in tick_labels:
                     labels[(lab.ue_id, lab.timestamp)] = lab.poisoned
                 all_labels.extend(tick_labels)
-                (tick_scored, scores, _), tick_ns = _score_tick(detector, records, cost_model)
-                scored.extend(scored_records(records, tick_scored, scores, bundle.threshold))
+                tick_scored, tick_ns = _score_tick(detector, records, cost_model)
+                scored.extend(tick_scored)
                 detect_ns += tick_ns
             if run == 0 and out_dir is not None:
                 write_csv(Path(out_dir) / f"ground_truth_af{af}.csv", GROUND_TRUTH_CSV_HEADER,
@@ -701,10 +702,11 @@ class RicPipeline:
     records are dropped and counted; no per-record state outlives the tick.
     A size-calibrated indication carries stand-in bytes, not a KPM report,
     so it counts as a codec error. Incidents are stamped with the tick's
-    time, ``t * TICK_MS``. The detector's time is its array call alone;
-    after it, the tick's flagged records are mitigated in one
+    time, ``t * TICK_MS``. The detector's time is its array call,
+    :meth:`~ricguard.detector.StreamingDetector.score_tick`, alone; after
+    it, the tick's flagged records are mitigated in one
     :func:`~ricguard.mitigation.apply_kpm_actions` call and the kept ones
-    stored. The cost model, when given, replaces wall times.
+    are stored. The cost model, when given, replaces wall times.
     """
 
     def __init__(self, cost_model: CostModel | None = None, *,
@@ -766,15 +768,19 @@ class RicPipeline:
         kept: Iterable[KpmRecord] = records
         stored = len(records)
         if self.detector is not None:
-            (_, scores, keep), detect_ns = _score_tick(self.detector, records, self.cost_model)
+            detect_started = wall_ns()
+            scored, scores, keep = self.detector.score_tick(records)
+            detect_ns = (wall_ns() - detect_started if self.cost_model is None else
+                         self.cost_model.scoring_ns(int(np.count_nonzero(scored))))
             keep_list = keep.tolist()
             if not all(keep_list):
                 flagged = np.flatnonzero(~keep)
-                indices = flagged.tolist()
+                indices, threshold = flagged.tolist(), self.detector.bundle.threshold
                 self.flagged += len(indices)
                 stored -= len(indices)
-                apply_kpm_actions(self.mitigation, self.policy, scores[flagged],
-                                  self.detector.bundle.threshold,
+                apply_kpm_actions(self.mitigation, self.policy,
+                                  [classify_magnitude(score, threshold)
+                                   for score in scores[flagged].tolist()],
                                   [records[i].ue_id for i in indices],
                                   [sources[i] for i in indices], tick_ms)
                 kept = compress(records, keep_list)

