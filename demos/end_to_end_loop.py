@@ -39,7 +39,7 @@ for total_ues in (50, 500):
     print(f"  data-availability shift  min {min(result.shift_ms):7.3f}  "
           f"max {max(result.shift_ms):7.3f}  avg {result.avg_shift_ms:7.3f} ms")
     print(f"  inspector + detector avg {sum(composed) / len(composed):7.3f} ms "
-          f"(the shift is their sum)")
+          f"(the shift is their sum less the store time of the records the detector dropped)")
     print(f"  store: baseline kept {len(baseline.store)} records, "
           f"safeguarded kept {len(safeguarded.store)} "
           f"({safeguarded.flagged} poisoned records dropped)")

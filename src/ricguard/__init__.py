@@ -44,7 +44,6 @@ from .e2 import (
     decode_frame,
     decode_kpm_payload,
     encode_frame,
-    encode_kpm_payload,
 )
 from .emulator import RanEmulator, ScenarioConfig
 from .inspector import IngressInspector, InspectionOutcome, Verdict, latency_summary
@@ -70,7 +69,6 @@ from .signatures import (
     Signature,
     SignatureSet,
     load_rulebook,
-    save_rulebook,
     scan_naive,
     synthetic_rulebook,
 )

@@ -20,9 +20,12 @@ array, fed only by records it has verified: flagged records never enter the
 history (nor the store), so scoring context stays clean during an attack.
 After an attack window the history carries a time gap until fresh benign
 records roll it over; the public :func:`score_window` contract (ten
-consecutive one-second records) is unchanged. :meth:`StreamingDetector.score_tick`
-scores a tick into arrays; :meth:`StreamingDetector.observe_tick` packs
-them into immutable named tuples, verdicts and scored records, in one pass.
+consecutive one-second records) is unchanged. A UE reports once per second,
+so a tick holds at most one record per UE, and each kept record moves its
+UE's window one step; a tick that repeats a UE is refused whole.
+:meth:`StreamingDetector.score_tick` scores a tick into arrays;
+:meth:`StreamingDetector.observe_tick` packs them into immutable named
+tuples, verdicts and scored records, in one pass.
 
 Precision is split as in mixed-precision training (Micikevicius et al.,
 ICLR 2018): training, calibration, :func:`score_window`, :func:`score_batch`
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -234,7 +238,9 @@ class StreamingDetector:
     """Tick-batched scoring over live telemetry, in float32.
 
     Records are scored against the UE's last ``SEQUENCE_LENGTH`` verified
-    records; all UEs of one tick are scored in a single forward pass.
+    records; all UEs of one tick are scored in a single forward pass. A
+    tick holds at most one record per UE: one that repeats a UE raises
+    ``ValueError`` and changes nothing.
     Anomalous records are excluded from future history. The caller times
     the tick: the pipeline times :meth:`score_tick`, the array call that
     :meth:`observe_tick` wraps, and the detector experiment times
@@ -245,6 +251,7 @@ class StreamingDetector:
     SEQUENCE_LENGTH, features) array of normalized records, each UE's
     newest record last, with a per-row fill count; a UE takes the next free
     row when first seen, and the array doubles when it runs out of rows.
+    A tick's kept records shift into their rows in one array step.
     Normalized values are clipped to :data:`NORMALIZED_BOUND` before they
     are scored or stored, so the context stays finite.
     """
@@ -267,10 +274,10 @@ class StreamingDetector:
         their UE's warm-up, ``scores`` holds their float64 scores (zero for
         the others), and ``keep`` marks the records that enter the history,
         the unscored ones and those scored at or under the threshold."""
+        rows = self._rows_of(records)
         bound = NORMALIZED_BOUND
         normalized = np.clip(self.bundle.scaler.normalize(records_to_matrix(records)),
                              -bound, bound)
-        rows = self._rows_of(records)
         # every record is scored against the context from before this tick
         scored = self._fill[rows] == SEQUENCE_LENGTH
         scorable = np.flatnonzero(scored)
@@ -295,10 +302,15 @@ class StreamingDetector:
                 for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
 
     def _rows_of(self, records: Sequence[KpmRecord]) -> np.ndarray:
-        """Context row of each record's UE; a new UE takes the next row."""
+        """Context row of each record's UE; a new UE takes the next row. A
+        UE with two records in the tick raises ``ValueError`` first."""
+        ue_ids = [rec.ue_id for rec in records]
+        if len(set(ue_ids)) < len(ue_ids):
+            repeated = sorted(ue for ue, n in Counter(ue_ids).items() if n > 1)
+            raise ValueError(f"a tick holds one record per UE; UEs {repeated} repeat")
         index = self._rows
-        rows = np.fromiter((index.setdefault(rec.ue_id, len(index)) for rec in records),
-                           dtype=np.intp, count=len(records))
+        rows = np.fromiter((index.setdefault(ue, len(index)) for ue in ue_ids),
+                           dtype=np.intp, count=len(ue_ids))
         capacity = len(self._fill)
         if len(index) > capacity:
             while capacity < len(index):
@@ -309,18 +321,12 @@ class StreamingDetector:
         return rows
 
     def _append(self, rows: np.ndarray, normalized: np.ndarray) -> None:
-        """Shift each row left by one and put its record last, in record
-        order: a UE with several records takes one per round."""
-        context, seq_len = self._context, self._context.shape[1]
-        while rows.size:
-            _, first = np.unique(rows, return_index=True)
-            now = rows[first]
-            context[now, :-1] = context[now, 1:]
-            context[now, -1] = normalized[first]
-            self._fill[now] = np.minimum(self._fill[now] + 1, seq_len)
-            later = np.ones(rows.size, dtype=bool)
-            later[first] = False
-            rows, normalized = rows[later], normalized[later]
+        """Shift each row left by one and put its record last; the rows are
+        distinct, one per UE."""
+        context = self._context
+        context[rows, :-1] = context[rows, 1:]
+        context[rows, -1] = normalized
+        self._fill[rows] = np.minimum(self._fill[rows] + 1, SEQUENCE_LENGTH)
 
 
 @dataclass

@@ -16,10 +16,9 @@ Full-mode KPM payloads carry telemetry records bit-exactly::
     big-endian doubles in the fixed measurement-feature order
 
 Payloads are packed from arrays, a whole tick's cells in one big-endian
-structured array: :func:`encode_kpm_payloads` is the one packer, and
-:func:`encode_kpm_payload` feeds it the columns of a cell's records. A UE id
-or timestamp outside its unsigned field raises :class:`EncodeError`; nothing
-wraps.
+structured array by :func:`encode_kpm_payloads`, the one packer; it takes
+integer UE ids and one timestamp per tick. A UE id or timestamp outside its
+unsigned field raises :class:`EncodeError`; nothing wraps.
 
 A KPM payload decodes in one pass to validated, immutable
 :class:`~ricguard.kpm.KpmRecord` named tuples; one bad feature rejects the
@@ -41,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kpm import FEATURE_COUNT, KpmRecord, records_to_matrix
+from .kpm import FEATURE_COUNT, KpmRecord
 
 FRAME_MAGIC = 0xE2
 FRAME_VERSION = 0x01
@@ -169,25 +168,6 @@ def kpm_payload_size(record_count: int) -> int:
     return _KPM_COUNT.size + record_count * _KPM_RECORD.size
 
 
-def encode_kpm_payload(records: Sequence[KpmRecord]) -> bytes:
-    """One cell's report for one tick, with full fidelity: a 2-byte count,
-    then 60 bytes per record. The frame header names the source node."""
-    if not records:
-        raise ValueError("KPM reports carry at least one record")
-    timestamps = {r.timestamp for r in records}
-    if len(timestamps) != 1:
-        raise ValueError("all records of one report share one reporting timestamp")
-    for i, rec in enumerate(records):  # the packer's casts would truncate a float
-        if not (hasattr(rec.ue_id, "__index__") and hasattr(rec.timestamp, "__index__")):
-            raise EncodeError(f"record {i} (ue={rec.ue_id!r}, t={rec.timestamp!r}): the UE "
-                              f"id and the timestamp must be integers")
-    # an object array holds any int, so the packer's range check sees it unwrapped
-    ue_ids = np.array([r.ue_id for r in records], dtype=object)
-    (payload,) = encode_kpm_payloads(timestamps.pop(), ue_ids, records_to_matrix(records),
-                                     (len(records),))
-    return payload
-
-
 def encode_kpm_payloads(timestamp: int, ue_ids: np.ndarray, values: np.ndarray,
                         counts: Sequence[int]) -> list[bytes]:
     """The reports of one tick: row i is UE ``ue_ids[i]`` with the six
@@ -225,7 +205,8 @@ def encode_kpm_payloads(timestamp: int, ue_ids: np.ndarray, values: np.ndarray,
 
 
 def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
-    """Inverse of :func:`encode_kpm_payload`; reproduces records bit-exactly.
+    """Inverse of one report of :func:`encode_kpm_payloads`; reproduces
+    records bit-exactly.
 
     Each record is built by the validating :class:`KpmRecord` constructor, so
     a negative or non-finite feature raises :class:`FeatureValueError`.

@@ -290,17 +290,6 @@ def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
     return outcome
 
 
-def _score_tick(detector: StreamingDetector, records: Sequence[KpmRecord],
-                cost_model: CostModel | None) -> tuple[list[ScoredRecord], int]:
-    """Score one tick and take its detector time once: the wall time of the
-    call, or the cost model's charge for the records that got a verdict."""
-    started = wall_ns()
-    scored = detector.observe_tick(records)
-    if cost_model is None:
-        return scored, wall_ns() - started
-    return scored, cost_model.scoring_ns(sum(item.verdict is not None for item in scored))
-
-
 def _attestation_round(engine: AttestationEngine, image: XappImage,
                        cost_model: CostModel | None) -> RoundResult:
     result = engine.run_round(image)
@@ -491,9 +480,10 @@ def run_detector_experiment(
                 for lab in tick_labels:
                     labels[(lab.ue_id, lab.timestamp)] = lab.poisoned
                 all_labels.extend(tick_labels)
-                tick_scored, tick_ns = _score_tick(detector, records, cost_model)
+                started = wall_ns()
+                tick_scored = detector.observe_tick(records)
+                detect_ns += wall_ns() - started
                 scored.extend(tick_scored)
-                detect_ns += tick_ns
             if run == 0 and out_dir is not None:
                 write_csv(Path(out_dir) / f"ground_truth_af{af}.csv", GROUND_TRUTH_CSV_HEADER,
                           (f"{lab.ue_id},{lab.timestamp},{int(lab.poisoned)},{lab.af_used}"
@@ -501,8 +491,10 @@ def run_detector_experiment(
             pooled += evaluate(scored, labels)
         if pooled.adr_pct is None:
             raise ConfigError(f"AF {af}: scenario produced no scored poisoned records")
+        # the cost model charges each scored record alike, so its mean is that charge
         pooled.mean_latency_ms = (
-            detect_ns / (pooled.scored_poisoned + pooled.scored_benign) / 1e6)
+            detect_ns / (pooled.scored_poisoned + pooled.scored_benign) / 1e6
+            if cost_model is None else cost_model.ns_per_scored_record / 1e6)
         per_af[af] = pooled
         csv_rows.append(
             f"{af},{pooled.adr_pct:.4f},{pooled.fpr_pct:.4f},{pooled.mean_latency_ms:.6f}"

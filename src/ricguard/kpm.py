@@ -7,8 +7,11 @@ fixed order:
 
     UEThpUl, PrbUsedUl, UEThpDl, PrbUsedDl, TotNbrUl_per_sec, TotNbrDl_per_sec
 
-Records are validated, immutable named tuples, so the features of a record
-are the slice ``record[2:]`` and a batch stacks into a matrix in one
+Records are validated, immutable named tuples. The ``KpmRecord``
+constructor validates one record, and the E2 decoder builds each decoded
+record through it; the emulator applies the same check to a tick's whole
+feature matrix once, then packs the tuples. The features of a record are
+the slice ``record[2:]``, and a batch stacks into a matrix in one
 ``np.fromiter`` pass.
 """
 
@@ -58,9 +61,9 @@ class KpmRecord(_KpmFields):
     ``timestamp`` is milliseconds since scenario start (simulated clock).
     Measurement features are stored as floats; all must be finite and
     non-negative. A record is an immutable named tuple in field order, so
-    ``record[2:]`` is its six features. Every way of building one validates:
-    the constructor, keywords, :meth:`from_features`, ``_make`` and
-    ``_replace``.
+    ``record[2:]`` is its six features. It is built by its validating
+    constructor, positionally or by keyword; ``_make`` and ``_replace`` go
+    through it too.
     """
 
     __slots__ = ()
@@ -88,12 +91,6 @@ class KpmRecord(_KpmFields):
 
     def features(self) -> np.ndarray:
         return np.array(self[2:], dtype=np.float64)
-
-    @classmethod
-    def from_features(cls, timestamp: int, ue_id: int, values: Sequence[float]) -> "KpmRecord":
-        if len(values) != FEATURE_COUNT:
-            raise ValueError(f"expected {FEATURE_COUNT} features, got {len(values)}")
-        return cls(timestamp, ue_id, *(float(v) for v in values))
 
 
 def records_to_matrix(records: Sequence[KpmRecord]) -> np.ndarray:

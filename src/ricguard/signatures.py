@@ -16,8 +16,10 @@ with hits sorted by signature id, and the scan's wall time.
 per-signature search, the work the deterministic cost model charges a scan.
 
 Rulebook file format: one rule per line, ``id,hex(pattern),action_codes,label``;
-``#`` begins a comment, blank lines are ignored. Action codes as in the
-mitigation module (D drop, B block node, R report).
+``#`` begins a comment, blank lines are ignored, and a ``# version: <name>``
+comment names the rulebook's version. Action codes as in the mitigation
+module (D drop, B block node, R report). Rulebooks are written by their
+authors; :func:`load_rulebook` reads them, and nothing here writes one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mitigation import MitigationAction, format_action_codes, parse_action_codes
+from .mitigation import MitigationAction, parse_action_codes
 from .timing import wall_ns
 
 logger = logging.getLogger(__name__)
@@ -93,10 +95,6 @@ class MatchResult:
     def __init__(self, hits: tuple[tuple[int, int], ...], scan_latency_ns: int) -> None:
         self.hits = hits
         self.scan_latency_ns = scan_latency_ns
-
-    @property
-    def matched(self) -> bool:
-        return bool(self.hits)
 
 
 def canonical_comparisons(payload: bytes, signatures: SignatureSet) -> int:
@@ -259,17 +257,6 @@ def load_rulebook(path) -> SignatureSet:
                 )
             )
     return SignatureSet(signatures=tuple(signatures), version=version)
-
-
-def save_rulebook(signatures: SignatureSet, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# version: {signatures.version}\n")
-        for sig in signatures.signatures:
-            if "," in sig.label or "\n" in sig.label:
-                raise ValueError(f"signature {sig.sig_id}: label may not contain commas")
-            fh.write(
-                f"{sig.sig_id},{sig.pattern.hex()},{format_action_codes(sig.actions)},{sig.label}\n"
-            )
 
 
 def synthetic_rulebook(count: int = 100, seed: int = 0xC0DE,

@@ -46,7 +46,7 @@ def constant_bundle(value=5.0, threshold=1e-4, hidden=6):
 
 def stream(ue=1, start_tick=0, count=11, value=5.0):
     return [
-        KpmRecord.from_features((start_tick + i) * 1000, ue, np.full(6, value))
+        KpmRecord((start_tick + i) * 1000, ue, *np.full(6, value))
         for i in range(count)
     ]
 
@@ -74,7 +74,7 @@ class TestScoreWindow:
     def test_mixed_ue_rejected(self):
         bundle = constant_bundle()
         records = stream()
-        alien = KpmRecord.from_features(3000, 2, np.full(6, 5.0))
+        alien = KpmRecord(3000, 2, *np.full(6, 5.0))
         bad = records[:3] + [alien] + records[4:10]
         with pytest.raises(ValueError):
             score_window(bundle.model, bundle.scaler, bad, records[10])
@@ -224,7 +224,7 @@ class TestStreamingDetector:
         detector = StreamingDetector(constant_bundle(threshold=1e-3))
         for t in range(10):
             detector.observe_tick(stream(count=1, start_tick=t))
-        spike = KpmRecord.from_features(10_000, 1, np.full(6, 50.0))
+        spike = KpmRecord(10_000, 1, *np.full(6, 50.0))
         (scored,) = detector.observe_tick([spike])
         assert scored.verdict.is_anomalous
         # scoring continues against the clean (stale) pre-spike window
@@ -242,7 +242,7 @@ class TestStreamingDetector:
             patch.setattr(detector_module, "score_batch",
                           lambda model, inputs, targets: np.full(len(inputs), math.nan))
             (scored,) = detector.observe_tick(
-                [KpmRecord.from_features(10_000, 1, np.full(6, 9.0))])
+                [KpmRecord(10_000, 1, *np.full(6, 9.0))])
         assert scored.verdict.is_anomalous
         assert scored.verdict.magnitude is Magnitude.SIGNIFICANT
         (after,) = detector.observe_tick(stream(count=1, start_tick=11))
@@ -270,7 +270,7 @@ class TestStreamingDetector:
         bundle = DetectorBundle(model=model, scaler=scaler, threshold=1.0)
         detector = StreamingDetector(bundle)
         ue_count = 2 * _block_rows(detector._model) + 37  # blocks of the float32 pass
-        streams = [[KpmRecord.from_features(t * 1000, ue, rng.uniform(0.0, 10.0, size=6))
+        streams = [[KpmRecord(t * 1000, ue, *rng.uniform(0.0, 10.0, size=6))
                     for t in range(SEQUENCE_LENGTH + 1)] for ue in range(ue_count)]
         for t in range(SEQUENCE_LENGTH):
             detector.observe_tick([records[t] for records in streams])
@@ -314,14 +314,14 @@ def reference_observe(bundle, history, records):
 TICK_VALUES = (5.0, 5.01, 4.98, 50.0)
 UE_POOL = 2 * INITIAL_CONTEXT_ROWS
 # the first rows' UEs fill their context, the rest join past the initial rows
-# (growing the array under them) for eleven ticks; then an empty tick, UE 0
-# three times in one tick (one flagged, two kept) while most UEs are absent,
-# and UE 0 again against the context that produced
+# (growing the array under them) for eleven ticks; then an empty tick, a tick
+# in which UE 0 is flagged and UE 1 kept while most UEs are absent, and both
+# again against the context that produced
 FIRST_ROWS = [(ue, 5.01) for ue in range(INITIAL_CONTEXT_ROWS)]
 EVERY_UE = [(ue, 5.0) for ue in range(UE_POOL)]
-DUPLICATE_TICK = [(0, 50.0), (0, 5.01), (1, 4.98), (0, 5.0)]
+FLAGGED_AND_KEPT = [(0, 50.0), (1, 4.98)]
 COVERING_TICKS = ([FIRST_ROWS] * 10 + [EVERY_UE] * 11
-                  + [[], DUPLICATE_TICK, [(0, 4.98), (1, 5.0)]])
+                  + [[], FLAGGED_AND_KEPT, [(0, 4.98), (1, 5.0)]])
 
 
 @functools.cache
@@ -329,9 +329,14 @@ def flagging_bundle():
     return constant_bundle(threshold=1e-3)
 
 
+def tick_records(t, tick):
+    """Tick ``t``'s records of (UE id, value) pairs, all six features at the value."""
+    return [KpmRecord(t * 1000, ue, *np.full(6, value)) for ue, value in tick]
+
+
 class TestColumnarContext:
     @given(st.lists(st.lists(st.tuples(st.integers(0, UE_POOL - 1), st.sampled_from(TICK_VALUES)),
-                             max_size=UE_POOL + 8),
+                             max_size=UE_POOL, unique_by=lambda pair: pair[0]),
                     min_size=1, max_size=24))
     @example(COVERING_TICKS)
     @settings(max_examples=60, deadline=None)
@@ -340,8 +345,7 @@ class TestColumnarContext:
         detector = StreamingDetector(bundle)
         history = {}
         for t, tick in enumerate(ticks):
-            records = [KpmRecord.from_features(t * 1000, ue, np.full(6, value))
-                       for ue, value in tick]
+            records = tick_records(t, tick)
             expected = reference_observe(bundle, history, records)
             results = detector.observe_tick(records)
             assert [item.record for item in results] == records
@@ -352,15 +356,38 @@ class TestColumnarContext:
 
     def test_covering_ticks_exercise_each_case(self):
         detector = StreamingDetector(flagging_bundle())
-        results = [detector.observe_tick(
-            [KpmRecord.from_features(t * 1000, ue, np.full(6, value)) for ue, value in tick])
-            for t, tick in enumerate(COVERING_TICKS)]
+        results = [detector.observe_tick(tick_records(t, tick))
+                   for t, tick in enumerate(COVERING_TICKS)]
         assert UE_POOL > INITIAL_CONTEXT_ROWS
         assert [item.verdict is not None for item in results[10]] == (
             [True] * INITIAL_CONTEXT_ROWS + [False] * (UE_POOL - INITIAL_CONTEXT_ROWS))
-        assert [item.verdict.is_anomalous for item in results[-2]] == [True, False, False,
-                                                                       False]
+        assert [item.verdict.is_anomalous for item in results[-2]] == [True, False]
         assert all(not item.verdict.is_anomalous for item in results[-1])
+
+
+class TestOneRecordPerUe:
+    def test_repeated_ue_refused_and_changes_nothing(self):
+        """A tick that carries a UE twice raises ``ValueError``; the detector
+        then scores the next ticks bit for bit as one that never saw it."""
+        refusing, fresh = StreamingDetector(flagging_bundle()), StreamingDetector(flagging_bundle())
+        warm_up = [(ue, 5.01) for ue in range(3)]
+        for t in range(SEQUENCE_LENGTH):
+            for detector in (refusing, fresh):
+                detector.score_tick(tick_records(t, warm_up))
+        # a new UE, a flagged one, a kept one and UE 1 twice
+        refused = tick_records(SEQUENCE_LENGTH, [(7, 5.0), (0, 50.0), (1, 4.98), (2, 5.0),
+                                                 (1, 5.0)])
+        with pytest.raises(ValueError, match=r"UEs \[1\] repeat"):
+            refusing.score_tick(refused)
+        ticks = [[(0, 5.0), (1, 4.98), (7, 5.0), (2, 50.0)], [(0, 4.98), (1, 5.0), (2, 5.0)]]
+        for t, tick in enumerate(ticks, start=SEQUENCE_LENGTH):
+            got, want = (d.score_tick(tick_records(t, tick)) for d in (refusing, fresh))
+            for got_array, want_array in zip(got, want):
+                assert got_array.dtype == want_array.dtype
+                assert got_array.tobytes() == want_array.tobytes()
+            if t == SEQUENCE_LENGTH:  # scored: UEs 0-2; kept: all but UE 2's spike
+                assert want[0].tolist() == [True, True, False, True]
+                assert want[2].tolist() == [True, True, True, False]
 
 
 class TestSinglePrecision:
@@ -406,11 +433,11 @@ class TestSinglePrecision:
         hostile = np.array([value, 5.0, 5.0, 5.0, 5.0, 5.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            detector.observe_tick([KpmRecord.from_features(0, 1, hostile)])
+            detector.observe_tick([KpmRecord(0, 1, *hostile)])
             for t in range(SEQUENCE_LENGTH):
                 detector.observe_tick(stream(ue=2, count=1, start_tick=t))
             (scored,) = detector.observe_tick(
-                [KpmRecord.from_features(SEQUENCE_LENGTH * 1000, 2, hostile)])
+                [KpmRecord(SEQUENCE_LENGTH * 1000, 2, *hostile)])
         warmed_up = detector._context[detector._rows[1], -1]  # UE 1's only record
         assert warmed_up.tolist() == [np.float32(NORMALIZED_BOUND), 0, 0, 0, 0, 0]
         assert scored.verdict.is_anomalous
@@ -464,7 +491,7 @@ class TestEvaluate:
     def scored(self, flags, poisons):
         items, labels = [], {}
         for i, (flagged, poisoned) in enumerate(zip(flags, poisons)):
-            record = KpmRecord.from_features(i * 1000, 1, np.full(6, 1.0))
+            record = KpmRecord(i * 1000, 1, *np.full(6, 1.0))
             verdict = AnomalyVerdict(1, i * 1000, 2.0 if flagged else 0.5, 1.0)
             items.append(ScoredRecord(record=record, verdict=verdict))
             labels[(1, i * 1000)] = poisoned
@@ -494,7 +521,7 @@ class TestEvaluate:
         assert evaluate(items, labels).adr_pct is None
 
     def test_unscored_records_excluded(self):
-        record = KpmRecord.from_features(0, 1, np.full(6, 1.0))
+        record = KpmRecord(0, 1, *np.full(6, 1.0))
         items = [ScoredRecord(record=record, verdict=None)]
         metrics = evaluate(items, {(1, 0): True})
         assert metrics.adr_pct is None and metrics.scored_poisoned == 0

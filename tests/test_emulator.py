@@ -158,7 +158,7 @@ class TestProfiles:
         for t in range(3):
             records, _ = emulator.generate_tick(t)
             values = np.clip(emulator._mu + emulator._dev, 0.0, None)
-            assert records == [KpmRecord.from_features(t * 1000, ue, row)
+            assert records == [KpmRecord(t * 1000, ue, *row)
                                for ue, row in enumerate(values)]
             assert all(type(v) is float for rec in records for v in rec[2:])
 
@@ -255,10 +255,10 @@ class TestPoisoning:
         for ts, ue, row in zip(timestamps, ue_ids, values):
             if ue in {0, 2}:
                 draw = 1.5 * mu[ue] + np.sqrt(1.5) * (factor[ue] @ rng.standard_normal(6))
-                expected_records.append(KpmRecord.from_features(ts, ue, np.clip(draw, 0.0, None)))
+                expected_records.append(KpmRecord(ts, ue, *np.clip(draw, 0.0, None)))
                 expected_labels.append(GroundTruthLabel(ue, ts, True, 1.5))
             else:
-                expected_records.append(KpmRecord.from_features(ts, ue, row))
+                expected_records.append(KpmRecord(ts, ue, *row))
                 expected_labels.append(GroundTruthLabel(ue, ts, False, 1.0))
         rows = np.flatnonzero(poisoned)
         hit = [ue_ids[i] for i in rows]
@@ -510,6 +510,26 @@ class TestStep:
                 checked += 1
         assert poisoned > 0
         assert checked > len(cells) * config.loops // 2
+
+    @pytest.mark.parametrize("config", [
+        use_case_preset(seed=1, total_ues=2000),
+        ScenarioConfig(node_count=8, cells_per_node=8, ues_per_cell=1,
+                       malicious_node_fraction=0.25, malicious_message_fraction=0.2,
+                       loops=40, rng_seed=1),
+        ScenarioConfig(node_count=2, cells_per_node=3, ues_per_cell=4, loops=15, rng_seed=4),
+    ], ids=["2000-ues-random-placement", "8x8x1-injecting", "fixed-placement"])
+    def test_each_ue_reports_once_per_tick(self, config, rulebook):
+        """The streaming detector takes at most one record per UE in a tick:
+        on every tick, setup and teardown ticks included, the indications'
+        records name each UE exactly once."""
+        emulator = RanEmulator(config, rulebook)
+        assert emulator.malicious_nodes or config.malicious_node_fraction == 0
+        for t in range(config.loops):
+            ue_ids = [record.ue_id for message in emulator.step(t)
+                      if message.kind is E2MessageKind.INDICATION
+                      for record in message.records]
+            assert len(set(ue_ids)) == len(ue_ids), t
+            assert sorted(ue_ids) == list(range(emulator.ue_count)), t
 
     def test_byte_identical_streams_for_identical_configs(self, rulebook):
         config = self.inspector_config(loops=5)

@@ -18,7 +18,7 @@ from ricguard.e2 import (
     decode_frame,
     decode_kpm_payload,
     encode_frame,
-    encode_kpm_payload,
+    encode_kpm_payloads,
 )
 from ricguard.emulator import RanEmulator, ScenarioConfig
 from ricguard.harness import (
@@ -53,7 +53,7 @@ BENCH_BUNDLE = Path(__file__).resolve().parent.parent / "bench" / "detector-h32.
 
 
 def record(ts=1000, ue=1):
-    return KpmRecord.from_features(ts, ue, (1, 2, 3, 4, 5, 6))
+    return KpmRecord(ts, ue, 1, 2, 3, 4, 5, 6)
 
 
 def _indication_records(frames):
@@ -528,8 +528,7 @@ class TestGuardedPass:
         scaler = quick_bundle.scaler
 
         def frame(t, values, node=7, ue=999_999):
-            record = KpmRecord.from_features(t * 1000, ue, values)
-            payload = encode_kpm_payload((record,))
+            (payload,) = encode_kpm_payloads(t * 1000, np.array([ue]), np.array([values]), [1])
             return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
 
         for t in range(10):
@@ -637,9 +636,9 @@ class TestGuardedPass:
             frames = [em.frame for em in emulator.step(t)]
             if t == 14:
                 (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
-                forged = genuine._replace(timestamp=15_000)
-                payload = encode_kpm_payload((forged,))
-                frames.append(encode_frame(E2Message(E2MessageKind.INDICATION, 99, payload)))
+                (forged,) = encode_kpm_payloads(15_000, np.array([5]), np.array([genuine[2:]]),
+                                                [1])
+                frames.append(encode_frame(E2Message(E2MessageKind.INDICATION, 99, forged)))
             guarded.process_tick(t, frames)
         (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
         (stored,) = (r for r in guarded.store.records_at(15_000) if r.ue_id == 5)

@@ -32,7 +32,7 @@ class TestInspect:
         inspector = IngressInspector(make_matcher(b"EVIL44"), Blocklist())
         outcome = inspector.inspect(msg())
         assert outcome.verdict is Verdict.BENIGN
-        assert outcome.match is not None and not outcome.match.matched
+        assert outcome.match is not None and outcome.match.hits == ()
         assert outcome.inspect_latency_ns >= 0
 
     def test_injected_signature_diverted_with_one_hit(self):

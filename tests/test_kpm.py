@@ -17,12 +17,12 @@ def rec(ts, ue=0, values=None):
         base = ts / 1000
         values = (1.0 + base, 2.0 + 2 * base, 3.0 + base, 4.0 + base,
                   5.0 + 3 * base, 6.0 + base)
-    return KpmRecord.from_features(ts, ue, values)
+    return KpmRecord(ts, ue, *values)
 
 
 class TestKpmRecord:
     def test_feature_order_is_fixed(self):
-        r = KpmRecord.from_features(0, 1, (10, 20, 30, 40, 50, 60))
+        r = KpmRecord(0, 1, 10, 20, 30, 40, 50, 60)
         assert r.ue_thp_ul == 10
         assert r.prb_used_ul == 20
         assert r.ue_thp_dl == 30
@@ -32,17 +32,13 @@ class TestKpmRecord:
 
     def test_negative_feature_rejected(self):
         with pytest.raises(ValueError):
-            KpmRecord.from_features(0, 1, (1, 2, -3, 4, 5, 6))
+            KpmRecord(0, 1, 1, 2, -3, 4, 5, 6)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_feature_rejected(self, bad):
         # not first: min() skips a NaN anywhere but at the front
         with pytest.raises(ValueError):
-            KpmRecord.from_features(0, 1, (1, 2, bad, 4, 5, 6))
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            KpmRecord.from_features(0, 1, (1, 2, 3))
+            KpmRecord(0, 1, 1, 2, bad, 4, 5, 6)
 
 
 class TestRecordsToMatrix:
@@ -52,7 +48,7 @@ class TestRecordsToMatrix:
 
     def test_equals_row_by_row_stack(self):
         rng = np.random.default_rng(4)
-        records = [KpmRecord.from_features(t * 1000, ue, rng.exponential(10.0, 6))
+        records = [KpmRecord(t * 1000, ue, *rng.exponential(10.0, 6))
                    for t in range(5) for ue in range(40)]
         reference = np.array([rec.feature_values() for rec in records], dtype=np.float64)
         matrix = records_to_matrix(records)
@@ -66,8 +62,8 @@ class TestScaler:
         records = [rec(0, values=(0, 1, 1, 1, 1, 1)), rec(1000, values=(2, 1.5, 1, 1, 1, 1))]
         # avoid constant features
         records = [
-            KpmRecord.from_features(0, 1, (0, 1, 2, 3, 4, 5)),
-            KpmRecord.from_features(1000, 1, (2, 3, 4, 5, 6, 7)),
+            KpmRecord(0, 1, 0, 1, 2, 3, 4, 5),
+            KpmRecord(1000, 1, 2, 3, 4, 5, 6, 7),
         ]
         scaler = fit_scaler(records)
         assert scaler.mean[0] == pytest.approx(1.0)
@@ -76,7 +72,7 @@ class TestScaler:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(0)
         records = [
-            KpmRecord.from_features(t * 1000, 1, np.abs(rng.standard_normal(6)) + 0.1)
+            KpmRecord(t * 1000, 1, *(np.abs(rng.standard_normal(6)) + 0.1))
             for t in range(20)
         ]
         scaler = fit_scaler(records)
@@ -86,8 +82,8 @@ class TestScaler:
 
     def test_constant_feature_named_in_error(self):
         records = [
-            KpmRecord.from_features(0, 1, (1, 5, 2, 3, 4, 5)),
-            KpmRecord.from_features(1000, 1, (2, 5, 4, 5, 6, 7)),
+            KpmRecord(0, 1, 1, 5, 2, 3, 4, 5),
+            KpmRecord(1000, 1, 2, 5, 4, 5, 6, 7),
         ]
         with pytest.raises(ScalerError, match="PrbUsedUl"):
             fit_scaler(records)
@@ -101,7 +97,7 @@ class TestScaler:
         rng = np.random.default_rng(7)
         base = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
         all_records = [
-            KpmRecord.from_features(t * 1000, 1, base + rng.standard_normal(6))
+            KpmRecord(t * 1000, 1, *(base + rng.standard_normal(6)))
             for t in range(400)
         ]
         train, held_out = all_records[:320], all_records[320:]

@@ -14,7 +14,6 @@ from ricguard.signatures import (
     Signature,
     SignatureSet,
     load_rulebook,
-    save_rulebook,
     scan_naive,
     synthetic_rulebook,
 )
@@ -287,9 +286,12 @@ class TestValidation:
 
 class TestRulebookFile:
     def test_round_trip(self, tmp_path):
+        """A rulebook written in the file format, one ``id,hex,codes,label``
+        line per rule under a version comment, loads as the same rulebook."""
         book = synthetic_rulebook(count=10, seed=4, action_codes="DBR")
         path = tmp_path / "rules.txt"
-        save_rulebook(book, path)
+        path.write_text(f"# version: {book.version}\n" + "".join(
+            f"{s.sig_id},{s.pattern.hex()},DBR,{s.label}\n" for s in book.signatures))
         loaded = load_rulebook(path)
         assert loaded.version == book.version
         assert loaded.signatures == book.signatures
