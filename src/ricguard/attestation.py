@@ -6,6 +6,12 @@ bytes). The engine recomputes the digest over its trusted reference image
 and flags any mismatch as an integrity violation. Nonces are single-use and
 expire, so replayed responses are rejected regardless of digest content.
 
+The engine knows the nonce as soon as it issues the challenge, so it
+computes its expected digest (loading the reference first on a cold round)
+on a worker thread while the attester digests the live image. ``hashlib``
+releases the interpreter lock over large buffers, so the two digests run
+side by side and a round takes about as long as the longer of them.
+
 The nonce prefixes the image in the digest input, which rules out
 precomputing the image's hash state ahead of the challenge.
 
@@ -20,6 +26,7 @@ import hashlib
 import secrets
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -31,6 +38,12 @@ CHALLENGE_TTL_NS = 1_000_000_000  # one simulated second
 NONCE_HISTORY = 32
 #: Operator default between attestation rounds (seconds, simulated).
 DEFAULT_ATTESTATION_PERIOD_S = 5
+
+
+#: The one verifier worker of the process, shared by every engine: the
+#: harness builds a fresh engine per run, and per-engine pools would pile up
+#: idle threads. Its thread starts at the first submit, not at import.
+_VERIFIER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ricguard-verifier")
 
 
 class RegistryError(KeyError):
@@ -86,6 +99,14 @@ def seeded_digest(nonce: bytes, image_bytes: bytes | bytearray) -> bytes:
     return digest.digest()
 
 
+def _expected_digest(nonce: bytes, reference: bytes | None, path: str) -> tuple[bytes, bytes]:
+    """Verifier side, run on the worker: the reference image (read from
+    ``path`` when not yet cached) and its digest under ``nonce``."""
+    if reference is None:
+        reference = Path(path).read_bytes()
+    return reference, seeded_digest(nonce, reference)
+
+
 def attest(image: XappImage, challenge: AttestationChallenge,
            clock: Callable[[], int] = time.monotonic_ns) -> AttestationResponse:
     """Attester side: digest the live image under the challenge nonce."""
@@ -131,10 +152,12 @@ class RoundResult:
 class AttestationEngine:
     """Platform-side registry, challenge issuance, and verification.
 
-    The engine serialises rounds per xApp; distinct xApps are independent.
-    ``clock`` provides monotonic time for challenge freshness (the harness
-    passes the simulated clock); ``rng`` must expose ``randbytes`` and
-    defaults to the system CSPRNG.
+    Each xApp has at most one outstanding challenge; issuing a new one
+    supersedes the last. Every engine hands its expected-digest work to one
+    process-wide worker, which serialises the verifier digests of all
+    engines. ``clock`` provides monotonic time for challenge freshness (the
+    harness passes the simulated clock); ``rng`` must expose ``randbytes``
+    and defaults to the system CSPRNG.
     """
 
     def __init__(self, clock: Callable[[], int] = time.monotonic_ns, rng=None) -> None:
@@ -143,28 +166,36 @@ class AttestationEngine:
         self._paths: dict[str, str] = {}
         #: trusted deployment-time image bytes, loaded on first use
         self._references: dict[str, bytes] = {}
-        self._outstanding: dict[str, AttestationChallenge] = {}
+        #: per xApp, the live challenge and its pending (reference, digest)
+        self._outstanding: dict[
+            str, tuple[AttestationChallenge, Future[tuple[bytes, bytes]]]] = {}
         self._recent_nonces: dict[str, deque[bytes]] = {}
 
     def register(self, xapp_id: str, reference_path: str | Path) -> None:
         """Bind an xApp id to its on-disk reference image (loaded lazily, so
-        the first round pays the cold-start read)."""
+        the first round pays the cold-start read).
+
+        Re-registering drops the cached reference and the outstanding
+        challenge, whose pending digest reads the superseded image.
+        """
         self._paths[xapp_id] = str(reference_path)
+        self._references.pop(xapp_id, None)
+        self._drop_outstanding(xapp_id)
 
     def reference_loaded(self, xapp_id: str) -> bool:
         return xapp_id in self._references
 
-    def _load_reference(self, xapp_id: str) -> bytes:
-        ref = self._references.get(xapp_id)
-        if ref is None:
-            path = self._paths.get(xapp_id)
-            if path is None:
-                raise RegistryError(f"no reference image registered for {xapp_id!r}")
-            ref = self._references[xapp_id] = Path(path).read_bytes()
-        return ref
+    def _drop_outstanding(self, xapp_id: str) -> None:
+        pending = self._outstanding.pop(xapp_id, None)
+        if pending is not None:
+            pending[1].cancel()
 
     def issue_challenge(self, xapp_id: str) -> AttestationChallenge:
-        if xapp_id not in self._paths:
+        """Issue a fresh challenge and start the expected digest on the
+        verifier worker; a failure to read the reference surfaces in
+        ``verify``."""
+        path = self._paths.get(xapp_id)
+        if path is None:
             raise RegistryError(f"no reference image registered for {xapp_id!r}")
         recent = self._recent_nonces.setdefault(xapp_id, deque(maxlen=NONCE_HISTORY))
         nonce = self._randbytes(NONCE_BYTES)
@@ -172,39 +203,45 @@ class AttestationEngine:
             nonce = self._randbytes(NONCE_BYTES)
         recent.append(nonce)
         challenge = AttestationChallenge(xapp_id=xapp_id, nonce=nonce, issued_at=self._clock())
-        self._outstanding[xapp_id] = challenge
+        self._drop_outstanding(xapp_id)
+        expected = _VERIFIER.submit(_expected_digest, nonce, self._references.get(xapp_id), path)
+        self._outstanding[xapp_id] = (challenge, expected)
         return challenge
 
     def verify(self, challenge: AttestationChallenge, response: AttestationResponse) -> str:
         """Check a response against the outstanding challenge.
 
         Responses bound to consumed, expired, or never-issued nonces, and
-        responses naming another xApp, are replay violations; a live nonce
-        with a digest mismatch is an integrity violation. Either way the
-        challenge is consumed. Freshness is measured from the engine's own
-        record of the issue time, never from the caller's copy of the
-        challenge.
+        responses naming another xApp, are replay violations, returned
+        without waiting on the expected digest; a live nonce with a digest
+        mismatch is an integrity violation. Either way the challenge is
+        consumed. Freshness is measured from the engine's own record of the
+        issue time, never from the caller's copy of the challenge.
         """
         if challenge.xapp_id not in self._paths:
             raise RegistryError(f"no reference image registered for {challenge.xapp_id!r}")
-        outstanding = self._outstanding.get(challenge.xapp_id)
-        if outstanding is None or outstanding.nonce != challenge.nonce:
+        pending = self._outstanding.get(challenge.xapp_id)
+        if pending is None or pending[0].nonce != challenge.nonce:
             return VerificationResult.REPLAY
         del self._outstanding[challenge.xapp_id]
-        if response.xapp_id != challenge.xapp_id:
+        outstanding, expected = pending
+        if (response.xapp_id != challenge.xapp_id
+                or self._clock() - outstanding.issued_at > CHALLENGE_TTL_NS):
+            expected.cancel()
             return VerificationResult.REPLAY
-        if self._clock() - outstanding.issued_at > CHALLENGE_TTL_NS:
-            return VerificationResult.REPLAY
-        expected = seeded_digest(challenge.nonce, self._load_reference(challenge.xapp_id))
-        if expected == response.digest:
+        reference, digest = expected.result()
+        self._references[challenge.xapp_id] = reference
+        if digest == response.digest:
             return VerificationResult.VALID
         return VerificationResult.DIGEST_MISMATCH
 
     def run_round(self, image: XappImage) -> RoundResult:
         """One full attestation round: challenge, response, verification.
 
-        Wall-clock latency spans the whole exchange; the first round for an
-        xApp additionally pays the reference-image load from storage.
+        Wall-clock latency spans the whole exchange. The verifier's digest
+        runs while the attester's does, so a round takes about the longer of
+        the two; the first round for an xApp also pays the reference-image
+        load from storage, on the verifier's side of that overlap.
         """
         cold = not self.reference_loaded(image.xapp_id)
         started = wall_ns()

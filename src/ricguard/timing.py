@@ -44,7 +44,9 @@ class CostModel:
 
     def attestation_round_ns(self, image_bytes: int, *, cold_start: bool) -> int:
         # Two digests per round: the attester hashes the live image, the
-        # engine hashes the trusted reference.
+        # engine hashes the trusted reference. Charged one after the other,
+        # though on the wall clock the engine's digest overlaps the
+        # attester's: the table is fixed, so attestation.csv stays the same.
         ns = 2 * image_bytes * self.ns_per_hashed_byte
         if cold_start:
             ns += self.reference_load_flat_ns

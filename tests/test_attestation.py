@@ -1,12 +1,14 @@
 import hashlib
 import math
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ricguard import attestation
 from ricguard.attestation import (
     AttestationChallenge,
     AttestationEngine,
@@ -268,6 +270,111 @@ class TestRounds:
         for row, cold in ((cold_row, True), (warm_row, False)):
             expected_ns = DEFAULT_COST_MODEL.attestation_round_ns(512 * 1024, cold_start=cold)
             assert float(row.split(",")[2]) == pytest.approx(expected_ns / 1e6, abs=1e-6)
+
+
+class TestRegistration:
+    def test_reregistering_verifies_against_the_new_reference(self, tmp_path):
+        first, second = b"image A" * 64, b"image B" * 64
+        engine, _ = engine_with(tmp_path, content=first, xapp_id="x")
+        assert engine.run_round(image("x", first)).outcome == VerificationResult.VALID
+        path = tmp_path / "x-new.bin"
+        path.write_bytes(second)
+        engine.register("x", path)
+        assert not engine.reference_loaded("x")
+        assert engine.run_round(image("x", second)).outcome == VerificationResult.VALID
+        assert engine.run_round(image("x", first)).outcome == VerificationResult.DIGEST_MISMATCH
+
+    def test_reregistering_drops_the_outstanding_challenge(self, tmp_path):
+        first, second = b"image A" * 64, b"image B" * 64
+        engine, _ = engine_with(tmp_path, content=first, xapp_id="x")
+        ch = engine.issue_challenge("x")
+        path = tmp_path / "x-new.bin"
+        path.write_bytes(second)
+        engine.register("x", path)
+        assert engine.verify(ch, attest(image("x", first), ch)) == VerificationResult.REPLAY
+
+
+class TestOverlap:
+    """The engine digests its reference while the attester digests the
+    live image, on one worker thread shared by every engine."""
+
+    def test_the_two_digests_run_at_once(self, tmp_path, monkeypatch):
+        # each digest waits for the other to start: run one after the
+        # other, the first wait times out and breaks the barrier
+        barrier = threading.Barrier(2, timeout=5)
+        real = attestation.seeded_digest
+
+        def meeting_digest(nonce, image_bytes):
+            barrier.wait()
+            return real(nonce, image_bytes)
+
+        monkeypatch.setattr(attestation, "seeded_digest", meeting_digest)
+        engine, content = engine_with(tmp_path)
+        assert engine.run_round(image(content=content)).outcome == VerificationResult.VALID
+
+    def test_engines_share_one_worker_thread(self, tmp_path):
+        content = b"trusted image bytes" * 16
+        path = tmp_path / "ref.bin"
+        path.write_bytes(content)
+        before = threading.active_count()
+        for _ in range(50):
+            engine = AttestationEngine(clock=SimClock().now_ns)
+            engine.register("xapp-a", path)
+            assert engine.run_round(image(content=content)).outcome == VerificationResult.VALID
+        assert threading.active_count() <= before + 1
+
+
+class TestWhereOutcomesSurface:
+    def test_missing_reference_raises_from_verify_not_issue(self, tmp_path):
+        engine = AttestationEngine(clock=SimClock().now_ns)
+        engine.register("xapp-a", tmp_path / "absent.bin")
+        ch = engine.issue_challenge("xapp-a")
+        response = attest(image(), ch)
+        with pytest.raises(FileNotFoundError):
+            engine.verify(ch, response)
+        with pytest.raises(FileNotFoundError):
+            engine.run_round(image())
+        assert not engine.reference_loaded("xapp-a")
+
+    def test_replay_verdicts_do_not_wait_on_the_digest(self, tmp_path, monkeypatch):
+        # the verifier's digest is held until released, so a verdict that
+        # waited on it would fail with the worker's timed-out wait
+        release = threading.Event()
+        real = attestation.seeded_digest
+
+        def held_digest(nonce, image_bytes):
+            if threading.current_thread() is not threading.main_thread():
+                assert release.wait(timeout=5)
+            return real(nonce, image_bytes)
+
+        monkeypatch.setattr(attestation, "seeded_digest", held_digest)
+        clock = SimClock()
+        engine, content = engine_with(tmp_path, clock=clock.now_ns)
+        honest = image(content=content)
+        try:
+            ch = engine.issue_challenge("xapp-a")
+            response = attest(honest, ch)
+            verdicts = [engine.verify(ch, replace(response, xapp_id="xapp-b")),
+                        engine.verify(ch, response)]
+            ch = engine.issue_challenge("xapp-a")
+            clock.advance_ns(2_000_000_000)
+            verdicts.append(engine.verify(ch, attest(honest, ch)))
+            forged = challenge(nonce=b"\x42" * 32)
+            verdicts.append(engine.verify(forged, attest(honest, forged)))
+            assert not release.is_set()
+        finally:
+            release.set()
+        assert verdicts == [VerificationResult.REPLAY] * 4
+        assert engine.run_round(honest).outcome == VerificationResult.VALID
+
+    def test_a_second_challenge_supersedes_the_first(self, tmp_path):
+        engine, content = engine_with(tmp_path)
+        img = image(content=content)
+        first = engine.issue_challenge("xapp-a")
+        second = engine.issue_challenge("xapp-a")
+        assert list(engine._outstanding) == ["xapp-a"]
+        assert engine.verify(second, attest(img, second)) == VerificationResult.VALID
+        assert engine.verify(first, attest(img, first)) == VerificationResult.REPLAY
 
 
 @settings(max_examples=60, deadline=None)
