@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .e2 import E2MessageKind
@@ -152,7 +153,12 @@ def cmd_inspect_bench(args) -> None:
 
 def cmd_detect_bench(args) -> None:
     config = _scenario(args, detector_preset)
-    require_poisoning(config)  # before the bundle's training run
+    require_poisoning(config)  # before the bundle's training run, as is every AF
+    for af in args.af:
+        try:
+            replace(config, amplification_factor=af)
+        except ValueError as exc:
+            raise ConfigError(f"--af {af}: {exc}") from None
     result = run_detector_experiment(
         config, af_grid=args.af, runs=args.runs, bundle=_trained_bundle(args),
         cost_model=_cost_model(args), out_dir=args.out,

@@ -77,10 +77,11 @@ class CalibrationError(ValueError):
 
 
 class AnomalyVerdict(NamedTuple):
-    """A scored record; it is anomalous unless ``score <= threshold``."""
+    """A UE's score against the threshold; it is anomalous unless ``score <=
+    threshold``. The scored record, with its timestamp, is the
+    :class:`ScoredRecord` that holds the verdict."""
 
     ue_id: int
-    timestamp: int
     score: float
     threshold: float
 
@@ -290,14 +291,14 @@ class StreamingDetector:
         return scored, scores, keep
 
     def observe_tick(self, records: Sequence[KpmRecord]) -> list[ScoredRecord]:
-        """:meth:`score_tick`, with each record packed with its verdict."""
+        """:meth:`score_tick`, with each record packed with its verdict,
+        ``(ue_id, score, threshold)``."""
         scored, scores, _ = self.score_tick(records)
         threshold = self.bundle.threshold
         # both named tuples only pack their fields; tuple.__new__ packs them
         # without a Python-level constructor call per record
         new = tuple.__new__
-        return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, rec.timestamp,
-                                                              score, threshold))
+        return [new(ScoredRecord, (rec, new(AnomalyVerdict, (rec.ue_id, score, threshold))
                                    if is_scored else None))
                 for rec, is_scored, score in zip(records, scored.tolist(), scores.tolist())]
 

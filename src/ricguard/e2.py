@@ -183,8 +183,7 @@ def encode_kpm_payloads(timestamp: int, ue_ids: np.ndarray, values: np.ndarray,
             raise EncodeError(f"record count {count} exceeds the {MAX_KPM_RECORDS} "
                               f"records one frame can carry")
     if not 0 <= timestamp <= _MAX_TIMESTAMP_MS:
-        raise EncodeError(f"record 0 (ue={ue_ids[0]}): timestamp {timestamp} outside "
-                          f"the unsigned 64-bit range")
+        raise EncodeError(f"timestamp {timestamp} outside the unsigned 64-bit range")
     outside = (ue_ids < 0) | (ue_ids > _MAX_UE_ID)
     if outside.any():
         i = int(np.argmax(outside))
@@ -225,7 +224,3 @@ def decode_kpm_payload(payload: bytes) -> tuple[KpmRecord, ...]:
     except ValueError as exc:
         raise FeatureValueError(str(exc)) from None
 
-
-def calibrated_indication_payload(ue_count: int, rng: np.random.Generator) -> bytes:
-    """Benchmark-mode payload: seeded bytes of exactly the calibrated size."""
-    return rng.bytes(calibrated_indication_size(ue_count))

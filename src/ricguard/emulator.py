@@ -16,7 +16,10 @@ ground-truth labels:
 * KPM poisoning: targeted UEs' reports are resampled i.i.d. from
   N(af*mu, af*cov) during seeded attack windows (the underlying benign
   process keeps evolving — a man-in-the-middle rewrites reports in
-  transit). The windows are held as one boolean tick x target matrix.
+  transit). Each target's windows cover :data:`POISON_TIME_FRACTION` of
+  the ticks from :data:`MIN_POISON_START` on, and are held as one boolean
+  tick x target matrix. The AF is bounded so that a poisoned draw stays
+  finite.
 * Signature injection: messages from malicious nodes carry one uniformly
   chosen rulebook pattern spliced at a uniform payload offset.
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +41,6 @@ from .e2 import (
     MAX_PAYLOAD_BYTES,
     E2Message,
     E2MessageKind,
-    calibrated_indication_payload,
     calibrated_indication_size,
     encode_frame,
     encode_kpm_payloads,
@@ -57,6 +60,9 @@ BASELINE_JITTER = 0.1  # per-UE uniform jitter around the slice baseline
 #: First tick eligible for poisoning: every poisoned record must arrive
 #: after the detector's per-UE warm-up so it receives a verdict.
 MIN_POISON_START = SEQUENCE_LENGTH + 2
+#: Share of the ticks from MIN_POISON_START on that each target's attack
+#: windows cover.
+POISON_TIME_FRACTION = 0.25
 #: A target's attack windows last 8 to 24 ticks; at most this many are drawn.
 _MAX_WINDOWS = 100
 #: Attack windows drawn per ``integers`` call while the poison plan is built.
@@ -108,7 +114,6 @@ class ScenarioConfig:
     malicious_message_fraction: float = 0.0
     amplification_factor: float = 1.0
     poison_target_fraction: float = 0.0
-    poison_time_fraction: float = 0.25
     loops: int = 100
     rng_seed: int = 1
     size_calibrated: bool = False
@@ -117,12 +122,17 @@ class ScenarioConfig:
         if self.node_count < 1 or self.cells_per_node < 1 or self.loops < 1:
             raise ValueError("node_count, cells_per_node, and loops must be positive")
         for name in ("malicious_node_fraction", "malicious_message_fraction",
-                     "poison_target_fraction", "poison_time_fraction"):
+                     "poison_target_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if not 1.0 <= self.amplification_factor < np.inf:  # also rejects NaN
-            raise ValueError("amplification_factor must be finite and >= 1")
+        # a poisoned draw, af * mu plus noise, stays finite while af times the
+        # largest jittered baseline mean stays under half the float range
+        largest_mean = (1.0 + BASELINE_JITTER) * max(EMBB_BASELINE.max(), URLLC_BASELINE.max())
+        max_af = np.finfo(float).max / (2.0 * largest_mean)
+        if not 1.0 <= self.amplification_factor <= max_af:  # also rejects NaN
+            raise ValueError(f"amplification_factor must lie in [1, {max_af:.4g}], where a "
+                             f"poisoned draw stays finite")
         if self.malicious_node_fraction > 0 and self.malicious_message_fraction >= 1.0:
             # full injection would poison every setup request and no malicious
             # node could ever establish its connection
@@ -134,12 +144,18 @@ class ScenarioConfig:
         if self.total_ues is None:
             if self.ues_per_cell < 1:
                 raise ValueError("ues_per_cell must be positive")
-            # each cell's indication must fit in one frame
-            if self.indication_bytes(self.ues_per_cell) > MAX_PAYLOAD_BYTES:
-                raise ValueError(f"ues_per_cell {self.ues_per_cell} overflows the "
-                                 f"{MAX_PAYLOAD_BYTES}-byte indication payload cap")
-        if self.total_ues is not None and self.total_ues < 1:
-            raise ValueError("total_ues must be positive when set")
+            setting, fullest = "ues_per_cell", self.ues_per_cell
+        else:
+            if self.total_ues < 1:
+                raise ValueError("total_ues must be positive when set")
+            # any placement puts at least the even share of the UEs in some cell
+            setting = "total_ues"
+            fullest = -(-self.total_ues // (self.node_count * self.cells_per_node))
+        # each cell's indication must fit in one frame
+        if self.indication_bytes(fullest) > MAX_PAYLOAD_BYTES:
+            raise ConfigError(f"{setting} {getattr(self, setting)} overflows the "
+                              f"{MAX_PAYLOAD_BYTES}-byte indication payload cap: some cell "
+                              f"holds {fullest} UEs")
 
     def indication_bytes(self, ue_count: int) -> int:
         """Payload bytes of the indication of a cell of ``ue_count`` UEs."""
@@ -149,13 +165,15 @@ class ScenarioConfig:
 
 
 class GroundTruthLabel(NamedTuple):
+    """Whether a UE's record of one tick was poisoned; a poisoned record
+    was drawn with the scenario's amplification factor."""
+
     ue_id: int
     timestamp: int
     poisoned: bool
-    af_used: float
 
 
-#: Build a label from one (ue_id, timestamp, poisoned, af_used) tuple, and a
+#: Build a label from one (ue_id, timestamp, poisoned) tuple, and a
 #: record from one tuple of its eight fields, in C and without validation.
 _label_of = partial(tuple.__new__, GroundTruthLabel)
 _record_of = partial(tuple.__new__, KpmRecord)
@@ -198,22 +216,21 @@ def _poison_rows(values: np.ndarray, rows: np.ndarray, af: float, mu: np.ndarray
 
 
 def _records_and_labels(
-    timestamps: Sequence[int],
+    timestamp: int,
     ue_ids: Sequence[int],
     values: np.ndarray,
     poisoned: np.ndarray,
-    af: float,
 ) -> tuple[list[KpmRecord], list[GroundTruthLabel]]:
-    """Row i's record and label. The feature matrix is checked once, as the
-    record constructor checks one record; the tuples are then packed in C."""
+    """Row i's record and label, all stamped ``timestamp``. The feature
+    matrix is checked once, as the record constructor checks one record;
+    the tuples are then packed in C."""
     valid = ((values >= 0.0) & (values < np.inf)).all(axis=1)  # NaN fails both sides
     if not valid.all():
         i = int(np.argmin(valid))
         raise ValueError(f"negative or non-finite KPM feature in record "
-                         f"(ue={ue_ids[i]}, t={timestamps[i]})")
-    records = list(map(_record_of, zip(timestamps, ue_ids, *values.T.tolist())))
-    labels = list(map(_label_of, zip(ue_ids, timestamps, poisoned.tolist(),
-                                     np.where(poisoned, af, 1.0).tolist())))
+                         f"(ue={ue_ids[i]}, t={timestamp})")
+    records = list(map(_record_of, zip(repeat(timestamp), ue_ids, *values.T.tolist())))
+    labels = list(map(_label_of, zip(ue_ids, repeat(timestamp), poisoned.tolist())))
     return records, labels
 
 
@@ -362,7 +379,7 @@ class RanEmulator:
             return _PoisonPlan(np.zeros(0, dtype=np.intp), np.zeros((cfg.loops, 0), dtype=bool))
         targets = self._rng.choice(ue_count, size=target_count, replace=False)
         span = cfg.loops - MIN_POISON_START
-        budget = int(cfg.poison_time_fraction * max(span, 0))
+        budget = int(POISON_TIME_FRACTION * max(span, 0))
         order = np.argsort(targets)
         column = np.empty_like(order)
         column[order] = np.arange(target_count)
@@ -388,8 +405,7 @@ class RanEmulator:
         """All UEs' records for tick ``t``, in UE order, and their labels;
         must be called in tick order."""
         values, poisoned = self._tick(t)
-        return _records_and_labels([t * TICK_MS] * len(values), range(len(values)), values,
-                                   poisoned, self.config.amplification_factor)
+        return _records_and_labels(t * TICK_MS, range(len(values)), values, poisoned)
 
     def _tick(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Tick ``t``'s (UEs, 6) feature matrix, poisoned rows redrawn, and
@@ -420,8 +436,7 @@ class RanEmulator:
         msg = E2Message(kind=kind, source_node_id=node_id, payload=payload)
         injected = None
         if (
-            self.rulebook is not None
-            and node_id in self.malicious_nodes
+            node_id in self.malicious_nodes
             and self._rng.random() < self.config.malicious_message_fraction
         ):
             msg, injected = inject_signature(msg, self.rulebook, self._rng)
@@ -451,8 +466,7 @@ class RanEmulator:
         order = self._cell_order
         values = values[order]
         timestamp = t * TICK_MS
-        records, labels = _records_and_labels([timestamp] * len(values), order.tolist(), values,
-                                              poisoned[order], cfg.amplification_factor)
+        records, labels = _records_and_labels(timestamp, order.tolist(), values, poisoned[order])
         if cfg.size_calibrated:
             payloads = None
         else:
@@ -462,7 +476,7 @@ class RanEmulator:
         for k, (node_id, size) in enumerate(self._reporting):
             end = start + size
             if payloads is None:
-                payload = calibrated_indication_payload(size, self._rng)
+                payload = self._rng.bytes(calibrated_indication_size(size))
             else:
                 payload = payloads[k]
             out.append(self._emit(E2MessageKind.INDICATION, node_id, payload,

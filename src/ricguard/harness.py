@@ -486,8 +486,8 @@ def run_detector_experiment(
                 scored.extend(tick_scored)
             if run == 0 and out_dir is not None:
                 write_csv(Path(out_dir) / f"ground_truth_af{af}.csv", GROUND_TRUTH_CSV_HEADER,
-                          (f"{lab.ue_id},{lab.timestamp},{int(lab.poisoned)},{lab.af_used}"
-                           for lab in all_labels))
+                          (f"{lab.ue_id},{lab.timestamp},{int(lab.poisoned)},"
+                           f"{float(af) if lab.poisoned else 1.0}" for lab in all_labels))
             pooled += evaluate(scored, labels)
         if pooled.adr_pct is None:
             raise ConfigError(f"AF {af}: scenario produced no scored poisoned records")
@@ -658,12 +658,14 @@ class ConsumerDecision:
 def consumer_xapp_loop(store: TelemetryStore, t: int,
                        availability_ms: float) -> ConsumerDecision:
     """Stub consumer control loop: read the tick's verified records and run
-    a fixed-cost pass standing in for the out-of-scope classifier."""
+    a fixed-cost pass standing in for the out-of-scope classifier. The pass
+    is a maximum, a reduction that cannot overflow: a record's features are
+    only known to be finite."""
     records = store.records_at(t * TICK_MS)
     started = wall_ns()
     if records:
         matrix = records_to_matrix(records)
-        float(matrix.mean())  # fixed-cost decision stub
+        float(matrix.max())  # fixed-cost decision stub
     return ConsumerDecision(records_seen=len(records),
                             busy_ms=(wall_ns() - started) / 1e6,
                             availability_ms=availability_ms)
@@ -824,17 +826,32 @@ class RicPipeline:
 
 @dataclass
 class UseCaseResult:
+    """The use case's reports; each series is read off them per (run, loop),
+    run-major, and the times are the guarded arm's."""
+
     total_ues: int
-    shift_ms: list[float]  # per (run, loop), run-major
-    inspector_ms: list[float]
-    detector_ms: list[float]
-    loop_wall_ms: list[float]
-    real_wall_ms: list[float]
     #: (guarded, baseline) reports per (run, loop), run-major
     reports: list[tuple[TickReport, TickReport]]
     #: (guarded, baseline) pipelines per run, in their end state
     arms: list[tuple[RicPipeline, RicPipeline]]
     csv_rows: list[str]
+
+    @property
+    def shift_ms(self) -> list[float]:
+        """The data-availability shift: guarded less baseline availability."""
+        return [g.decision.availability_ms - b.decision.availability_ms for g, b in self.reports]
+
+    @property
+    def inspector_ms(self) -> list[float]:
+        return [g.inspector_ms for g, _ in self.reports]
+
+    @property
+    def detector_ms(self) -> list[float]:
+        return [g.detector_ms for g, _ in self.reports]
+
+    @property
+    def real_wall_ms(self) -> list[float]:
+        return [g.real_wall_ms for g, _ in self.reports]
 
     @property
     def avg_shift_ms(self) -> float:
@@ -875,32 +892,14 @@ def run_use_case(
                 reports.append((guarded.process_tick(t, frames),
                                 baseline.process_tick(t, frames)))
         arms.append((guarded, baseline))
-    shift_ms = [g.decision.availability_ms - b.decision.availability_ms for g, b in reports]
-    inspector_ms = [g.inspector_ms for g, _ in reports]
-    detector_ms = [g.detector_ms for g, _ in reports]
-    loop_wall_ms = [g.loop_wall_ms for g, _ in reports]
-    real_wall_ms = [g.real_wall_ms for g, _ in reports]
-    csv_rows = [
-        f"{i // config.loops},{i % config.loops},{ins:.6f},{det:.6f},{shift:.6f},{wall:.6f}"
-        for i, (ins, det, shift, wall) in enumerate(
-            zip(inspector_ms, detector_ms, shift_ms, loop_wall_ms))
-    ]
-
-    ue_label = emulator.ue_count
-    result = UseCaseResult(
-        total_ues=ue_label,
-        shift_ms=shift_ms,
-        inspector_ms=inspector_ms,
-        detector_ms=detector_ms,
-        loop_wall_ms=loop_wall_ms,
-        real_wall_ms=real_wall_ms,
-        reports=reports,
-        arms=arms,
-        csv_rows=csv_rows,
-    )
+    result = UseCaseResult(total_ues=emulator.ue_count, reports=reports, arms=arms, csv_rows=[
+        f"{i // config.loops},{i % config.loops},{g.inspector_ms:.6f},{g.detector_ms:.6f},"
+        f"{g.decision.availability_ms - b.decision.availability_ms:.6f},{g.loop_wall_ms:.6f}"
+        for i, (g, b) in enumerate(reports)])
     if out_dir is not None:
-        write_csv(Path(out_dir) / f"use_case_{ue_label}ues.csv",
-                  USE_CASE_CSV_HEADER, csv_rows)
+        write_csv(Path(out_dir) / f"use_case_{result.total_ues}ues.csv",
+                  USE_CASE_CSV_HEADER, result.csv_rows)
+    real_wall_ms = result.real_wall_ms
     worst = max(real_wall_ms)
     if worst >= LOOP_BUDGET_MS:
         at = real_wall_ms.index(worst)

@@ -6,7 +6,8 @@ applied to runtime state (blocklists, revocation marks, the incident log).
 Resolution is pure; each application acts once, so every reported
 detection event gets its own incident row.
 
-Policy file format (stdlib configparser syntax)::
+Policy file format (stdlib configparser syntax), read by
+:func:`load_policy`; ricguard reads policies and writes none::
 
     [inspector]
     17 = DBR          # per-signature overrides; unmapped ids fall back to DR
@@ -147,27 +148,6 @@ def load_policy(path) -> MitigationPolicy:
         for key, value in parser.items("attestation"):
             policy.xapp_tier_actions[XappTier(key.lower())] = parse_action_codes(value)
     return policy
-
-
-def save_policy(policy: MitigationPolicy, path) -> None:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser["inspector"] = {
-        str(sig_id): format_action_codes(actions)
-        for sig_id, actions in sorted(policy.signature_actions.items())
-    }
-    parser["kpm"] = {
-        mag.value: format_action_codes(policy.magnitude_actions[mag])
-        for mag in Magnitude
-        if mag in policy.magnitude_actions
-    }
-    parser["attestation"] = {
-        tier.value: format_action_codes(policy.xapp_tier_actions[tier])
-        for tier in XappTier
-        if tier in policy.xapp_tier_actions
-    }
-    with open(path, "w") as fh:
-        parser.write(fh)
 
 
 def resolve_inspector_event(match, policy: MitigationPolicy) -> frozenset[MitigationAction]:

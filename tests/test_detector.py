@@ -122,15 +122,15 @@ class TestMagnitude:
             classify_magnitude(0.5, 1.0)
 
     def test_verdict_invariants(self):
-        verdict = AnomalyVerdict(ue_id=1, timestamp=1000, score=0.5, threshold=1.0)
+        verdict = AnomalyVerdict(ue_id=1, score=0.5, threshold=1.0)
         assert not verdict.is_anomalous and verdict.magnitude is None
-        verdict = AnomalyVerdict(ue_id=1, timestamp=1000, score=3.0, threshold=1.0)
+        verdict = AnomalyVerdict(ue_id=1, score=3.0, threshold=1.0)
         assert verdict.is_anomalous and verdict.magnitude is Magnitude.MODERATE
         # the threshold itself is benign: anomalous means strictly above it
-        assert not AnomalyVerdict(ue_id=1, timestamp=0, score=1.0, threshold=1.0).is_anomalous
+        assert not AnomalyVerdict(ue_id=1, score=1.0, threshold=1.0).is_anomalous
 
     def test_nan_score_fails_closed(self):
-        verdict = AnomalyVerdict(ue_id=1, timestamp=1000, score=math.nan, threshold=1.0)
+        verdict = AnomalyVerdict(ue_id=1, score=math.nan, threshold=1.0)
         assert verdict.is_anomalous
         assert verdict.magnitude is Magnitude.SIGNIFICANT
 
@@ -492,7 +492,7 @@ class TestEvaluate:
         items, labels = [], {}
         for i, (flagged, poisoned) in enumerate(zip(flags, poisons)):
             record = KpmRecord(i * 1000, 1, *np.full(6, 1.0))
-            verdict = AnomalyVerdict(1, i * 1000, 2.0 if flagged else 0.5, 1.0)
+            verdict = AnomalyVerdict(1, 2.0 if flagged else 0.5, 1.0)
             items.append(ScoredRecord(record=record, verdict=verdict))
             labels[(1, i * 1000)] = poisoned
         return items, labels

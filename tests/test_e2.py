@@ -258,14 +258,15 @@ class TestKpmPayload:
 
 class TestKpmFieldRanges:
     """A UE id or timestamp that its unsigned wire field cannot hold is a
-    codec error of the packer naming the record; the values at the bounds
-    pack and decode unchanged."""
+    codec error of the packer, naming the record of a UE id (the timestamp
+    is one for all the records); the values at the bounds pack and decode
+    unchanged."""
 
     @pytest.mark.parametrize("ue,ts,match", [
         (2**32, 1000, "record 1 .*ue_id 4294967296 outside the unsigned 32-bit range"),
         (-1, 1000, "record 1 .*ue_id -1 outside the unsigned 32-bit range"),
-        (4, -1000, "record 0 .*timestamp -1000 outside the unsigned 64-bit range"),
-        (4, 2**64, "record 0 .*timestamp 18446744073709551616 outside the unsigned 64-bit"),
+        (4, -1000, "^timestamp -1000 outside the unsigned 64-bit range"),
+        (4, 2**64, "^timestamp 18446744073709551616 outside the unsigned 64-bit"),
     ], ids=["ue-2**32", "ue--1", "ts--1000", "ts-2**64"])
     def test_out_of_range_record_is_encode_error(self, ue, ts, match):
         records = (_record(ts=ts, ue=3), _record(ts=ts, ue=ue))
@@ -278,10 +279,12 @@ class TestKpmFieldRanges:
         with pytest.raises(EncodeError, match=f"record 2 .*ue_id {ue} outside"):
             encode_kpm_payloads(1000, ue_ids, np.ones((3, 6)), [1, 2])
 
-    @pytest.mark.parametrize("ts", [-1000, 2**64])
-    def test_array_packer_rejects_timestamps_it_cannot_hold(self, ts):
+    @pytest.mark.parametrize("ts, rows", [(-1000, 3), (2**64, 3), (-1000, 0)],
+                             ids=["-1000", str(2**64), "-1000-no-rows"])
+    def test_array_packer_rejects_timestamps_it_cannot_hold(self, ts, rows):
+        counts = [rows] if rows else []
         with pytest.raises(EncodeError, match=f"timestamp {ts} outside"):
-            encode_kpm_payloads(ts, np.arange(3), np.ones((3, 6)), [3])
+            encode_kpm_payloads(ts, np.arange(rows), np.ones((rows, 6)), counts)
 
     def test_field_bounds_round_trip(self):
         records = (_record(ts=0, ue=0), _record(ts=0, ue=0xFFFFFFFF))

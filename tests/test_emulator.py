@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +17,7 @@ from ricguard.emulator import (
     AR_COEFFICIENT,
     EMBB_BASELINE,
     MIN_POISON_START,
+    POISON_TIME_FRACTION,
     ConfigError,
     GroundTruthLabel,
     RanEmulator,
@@ -51,6 +53,28 @@ class TestConfigValidation:
         for af in (0.9, float("nan"), float("inf")):  # NaN compares false both ways
             with pytest.raises(ValueError):
                 ScenarioConfig(amplification_factor=af)
+
+    def test_af_whose_poisoned_draw_overflows_rejected(self):
+        with pytest.raises(ValueError, match="amplification_factor"):
+            ScenarioConfig(amplification_factor=1e308)
+        # the largest AFs accepted keep every poisoned record finite
+        emulator = RanEmulator(single_ue_config(loops=40, poison_target_fraction=1.0,
+                                                amplification_factor=1.6e303))
+        labels = []
+        for t in range(40):
+            records, tick_labels = emulator.generate_tick(t)
+            labels += tick_labels
+            assert all(math.isfinite(value) for value in records[0].features())
+        assert any(lab.poisoned for lab in labels)
+
+    def test_total_ues_beyond_frame_capacity_refused(self):
+        """Some cell holds at least the even share of the UEs: a share over
+        one frame is refused by the config, before any per-UE array."""
+        ScenarioConfig(node_count=1, cells_per_node=2, total_ues=2 * MAX_KPM_RECORDS)
+        with pytest.raises(ConfigError, match=f"holds {MAX_KPM_RECORDS + 1} UEs"):
+            ScenarioConfig(node_count=1, cells_per_node=2, total_ues=2 * MAX_KPM_RECORDS + 1)
+        with pytest.raises(ConfigError, match="total_ues 3000000 overflows"):
+            use_case_preset(seed=1, total_ues=3_000_000)
 
     def test_negative_seed_rejected(self):
         ScenarioConfig(rng_seed=0)
@@ -218,7 +242,6 @@ class TestPoisoning:
         emulator = RanEmulator(single_ue_config(loops=60, poison_target_fraction=1.0))
         labels = [lab for t in range(60) for lab in emulator.generate_tick(t)[1]]
         assert any(lab.poisoned for lab in labels)
-        assert all(lab.af_used == 1.0 for lab in labels)
         n = 2000
         values = self.redraw(n, 1.0, np.random.default_rng(0))
         se = np.sqrt(np.diag(default_covariance(EMBB_BASELINE))) / np.sqrt(n)
@@ -244,26 +267,25 @@ class TestPoisoning:
         """The targeted rows' draws come from one batched draw and one
         stacked matmul; they equal one draw and one ``factor @ z`` per
         targeted row, in row order, bit for bit."""
-        mu = EMBB_BASELINE * np.array([[1.0], [1.05], [0.95]])
+        mu = EMBB_BASELINE * np.array([[1.0], [1.05], [0.95], [1.02], [0.98], [1.08]])
         factor = psd_factor(default_covariance(mu))
-        ue_ids = [2, 0, 1] * 4
-        timestamps = [t * 1000 for t in range(4) for _ in range(3)]
+        ue_ids = [2, 0, 1, 5, 4, 3]
+        ts = 3000
         values = mu[ue_ids]
-        poisoned = np.isin(ue_ids, [0, 2])
+        poisoned = np.isin(ue_ids, [0, 2, 4])
         expected_records, expected_labels = [], []
         rng = np.random.default_rng(6)
-        for ts, ue, row in zip(timestamps, ue_ids, values):
-            if ue in {0, 2}:
+        for ue, row in zip(ue_ids, values):
+            if ue in {0, 2, 4}:
                 draw = 1.5 * mu[ue] + np.sqrt(1.5) * (factor[ue] @ rng.standard_normal(6))
                 expected_records.append(KpmRecord(ts, ue, *np.clip(draw, 0.0, None)))
-                expected_labels.append(GroundTruthLabel(ue, ts, True, 1.5))
             else:
                 expected_records.append(KpmRecord(ts, ue, *row))
-                expected_labels.append(GroundTruthLabel(ue, ts, False, 1.0))
+            expected_labels.append(GroundTruthLabel(ue, ts, ue in {0, 2, 4}))
         rows = np.flatnonzero(poisoned)
         hit = [ue_ids[i] for i in rows]
         _poison_rows(values, rows, 1.5, mu[hit], factor[hit], np.random.default_rng(6))
-        got_records, got_labels = _records_and_labels(timestamps, ue_ids, values, poisoned, 1.5)
+        got_records, got_labels = _records_and_labels(ts, ue_ids, values, poisoned)
         assert got_records == expected_records
         assert got_labels == expected_labels
         assert all(type(lab) is GroundTruthLabel for lab in got_labels)
@@ -316,7 +338,7 @@ def sequential_poison_plan(config, ue_count, rng):
     if target_count == 0:
         return {}
     targets = [int(u) for u in rng.choice(ue_count, size=target_count, replace=False)]
-    budget = int(config.poison_time_fraction * max(config.loops - MIN_POISON_START, 0))
+    budget = int(POISON_TIME_FRACTION * max(config.loops - MIN_POISON_START, 0))
     ticks_by_ue = {}
     for ue in targets:
         covered = set()
@@ -345,10 +367,9 @@ class TestPoisonPlan:
         *(ScenarioConfig(node_count=1, cells_per_node=2, total_ues=20,
                          poison_target_fraction=0.5, loops=loops, rng_seed=6)
           for loops in (12, 13, 14, 15)),
-        # a budget of 2988 ticks is beyond 100 windows of at most 24 ticks
+        # a budget of 2497 ticks is beyond 100 windows of at most 24 ticks
         ScenarioConfig(node_count=1, cells_per_node=1, total_ues=30,
-                       poison_target_fraction=1.0, poison_time_fraction=1.0,
-                       loops=3000, rng_seed=7),
+                       poison_target_fraction=1.0, loops=10_000, rng_seed=7),
     ], ids=["random-50", "random-200", "random-2000", "random-7", "all-targeted",
             "loops-12", "loops-13", "loops-14", "loops-15", "window-cap"])
     def test_plan_equals_sequential_builder(self, config):

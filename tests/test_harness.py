@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -140,7 +141,6 @@ class TestScenarioConfigFile:
         "malicious_message_fraction": ("0.25", 0.25),
         "amplification_factor": ("1.4", 1.4),
         "poison_target_fraction": ("0.3", 0.3),
-        "poison_time_fraction": ("0.5", 0.5),
         "loops": ("60", 60),
         "rng_seed": ("9", 9),
         "size_calibrated": ("true", True),
@@ -170,9 +170,11 @@ class TestScenarioConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
-        path.write_text("bogus_field = 3\n")
-        with pytest.raises(ConfigError):
-            load_scenario_config(path)
+        # the poison time fraction is a constant, no longer a field
+        for line in ("bogus_field = 3\n", "poison_time_fraction = 0.5\n"):
+            path.write_text(line)
+            with pytest.raises(ConfigError):
+                load_scenario_config(path)
 
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -653,7 +655,7 @@ class TestGuardedPass:
 _RECORD = st.tuples(st.integers(0, 7),
                     st.one_of(st.just(0), st.integers(-2, 2).map(lambda k: k * 1000),
                               st.integers(-999, 999)),
-                    st.lists(st.floats(0.0, 1e6), min_size=6, max_size=6),
+                    st.lists(st.floats(0.0, sys.float_info.max), min_size=6, max_size=6),
                     st.one_of(st.none(), st.tuples(st.integers(0, 5), st.sampled_from(
                         [-1.0, math.nan, math.inf, -math.inf]))))
 #: Change a frame: replace one byte, or cut it at a position.
@@ -730,6 +732,16 @@ class TestHostileTicks:
             after = baseline.off_tick + baseline.replays + len(baseline.store)
             assert after - before == _decodable_records(frames)
 
+    def test_features_at_the_float_limit_reach_the_consumer(self, quick_bundle, rulebook):
+        """Finite features at the float limit pass warm-up unscored in the
+        guarded arm and are stored by the baseline; both consumer passes read
+        them without overflow."""
+        spec = (0, [(ue, 0, [sys.float_info.max] * 6, None) for ue in range(2)], None)
+        frames = [_hostile_frame(spec, 0)]
+        for pipeline in (RicPipeline(rulebook=rulebook, bundle=quick_bundle), RicPipeline()):
+            report = pipeline.process_tick(0, frames)
+            assert report.stored == report.decision.records_seen == 2
+
 
 class TestCli:
     def test_exit_code_zero_on_success(self, tmp_path, capsys):
@@ -758,12 +770,15 @@ class TestCli:
         "rng_seed = -1\n",
         # two cells of 18,000 UEs: a 1,080,002-byte indication, over the cap
         "node_count = 2\ncells_per_node = 1\nues_per_cell = 18000\nloops = 2\n",
-        # random placement puts 18,156 of the 36,000 UEs in one cell
+        # two cells cannot hold 36,000 UEs: some cell holds at least 18,000
         "node_count = 2\ncells_per_node = 1\ntotal_ues = 36000\nloops = 2\n",
+        # an even spread of 34,900 UEs fits, but the seeded placement puts
+        # 17,597 of them in one cell
+        "node_count = 2\ncells_per_node = 1\ntotal_ues = 34900\nloops = 2\n",
         # a full cell leaves 14 bytes, too few for a malicious node's 8-32 B pattern
         "node_count = 2\ncells_per_node = 1\nues_per_cell = 17476\nloops = 2\nrng_seed = 4\n",
     ], ids=["negative-seed", "indication-over-cap", "placed-cell-over-cap",
-            "no-room-to-inject"])
+            "seeded-placement-over-cap", "no-room-to-inject"])
     def test_scenario_the_emulator_cannot_run_exits_three(self, tmp_path, lines):
         config = tmp_path / "scenario.cfg"
         config.write_text("malicious_node_fraction = 0.5\nmalicious_message_fraction = 0.5\n"
@@ -909,6 +924,17 @@ class TestCli:
         args = cli.build_parser().parse_args(["run-all", "--seed", "4"])
         assert cli._trained_bundle(args) is cli._trained_bundle(args)
         assert trained == [detector_preset(seed=4)]
+
+    def test_af_whose_poisoned_draw_overflows_exits_three_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        import ricguard.cli as cli
+
+        trained = []
+        monkeypatch.setattr(cli, "train_detector_bundle",
+                            lambda config: trained.append(config) or object())
+        code = cli_main(["detect-bench", "--af", "1.2,1e308", "--out", str(tmp_path)])
+        assert code == 3 and trained == []
+        assert "configuration error: --af 1e+308: amplification_factor" in capsys.readouterr().err
 
     def test_exit_codes_for_failures(self, tmp_path, monkeypatch):
         import ricguard.cli as cli

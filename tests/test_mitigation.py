@@ -22,7 +22,6 @@ from ricguard.mitigation import (
     resolve_attestation_event,
     resolve_inspector_event,
     resolve_kpm_event,
-    save_policy,
 )
 from ricguard.signatures import MatchResult
 
@@ -123,9 +122,9 @@ class TestKpmResolution:
     def test_detector_verdicts(self):
         # a NaN score fails closed: it resolves as a significant deviation
         policy = MitigationPolicy.default()
-        nan = AnomalyVerdict(ue_id=1, timestamp=0, score=math.nan, threshold=1.0)
+        nan = AnomalyVerdict(ue_id=1, score=math.nan, threshold=1.0)
         assert resolve_kpm_event(nan, 1, policy) == {X, B, R}
-        benign = AnomalyVerdict(ue_id=1, timestamp=0, score=1.0, threshold=1.0)
+        benign = AnomalyVerdict(ue_id=1, score=1.0, threshold=1.0)
         with pytest.raises(ValueError):
             resolve_kpm_event(benign, 1, policy)
 
@@ -248,7 +247,7 @@ class TestKpmOnePass:
                           [ue_id for _, ue_id, _ in records],
                           [node_id for _, _, node_id in records], 5000)
         for score, ue_id, node_id in records:
-            verdict = AnomalyVerdict(ue_id, 5000, score, threshold)
+            verdict = AnomalyVerdict(ue_id, score, threshold)
             apply_actions(per_record, DetectionEvent(
                 detector="kpm", evidence=f"magnitude:{verdict.magnitude.value}",
                 timestamp_ms=5000, node_id=node_id, ue_id=ue_id),
@@ -294,14 +293,24 @@ class TestIncidentLog:
 
 class TestPolicyFile:
     def test_round_trip(self, tmp_path):
-        policy = MitigationPolicy.default()
-        policy.signature_actions = {7: frozenset({D, B, R}), 8: frozenset({D})}
         path = tmp_path / "policy.ini"
-        save_policy(policy, path)
+        path.write_text(
+            "[inspector]\n7 = DBR\n8 = D\n"
+            "[kpm]\nsmall = XR\nmoderate = XBR\nsignificant = X,B,R\n"
+            "[attestation]\nhigh_impact = K\nstandard = VR\nread_only = \n"
+        )
         loaded = load_policy(path)
-        assert loaded.signature_actions == policy.signature_actions
-        assert loaded.magnitude_actions == policy.magnitude_actions
-        assert loaded.xapp_tier_actions == policy.xapp_tier_actions
+        assert loaded.signature_actions == {7: {D, B, R}, 8: {D}}
+        assert loaded.magnitude_actions == {
+            Magnitude.SMALL: {X, R},
+            Magnitude.MODERATE: {X, B, R},
+            Magnitude.SIGNIFICANT: {X, B, R},
+        }
+        assert loaded.xapp_tier_actions == {
+            XappTier.HIGH_IMPACT: {K},
+            XappTier.STANDARD: {V, R},
+            XappTier.READ_ONLY: frozenset(),
+        }
 
     def test_partial_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "policy.ini"
