@@ -2,8 +2,11 @@
 
 Subcommands: inspect-bench, detect-bench, attest-bench, use-case, run-all.
 Each subcommand accepts only the flags its experiment reads; run-all takes
-them all. Exit codes: 0 all assertions passed, 1 detection failure, 2 near-RT
-budget violation, 3 configuration or usage error.
+them all. A command checks its scenarios and inputs, then returns the run of
+its experiment, so every command of an invocation is checked before the
+detector trains or the first experiment runs. Exit codes: 0 all assertions
+passed, 1 detection failure, 2 near-RT budget violation, 3 configuration or
+usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,75 +137,88 @@ def _trained_bundle(args):
     return args.trained_bundle
 
 
-def cmd_inspect_bench(args) -> None:
+def cmd_inspect_bench(args) -> Callable[[], None]:
     config = _scenario(args, inspector_preset, ues_per_cell=args.ues_per_cell)
-    result = run_inspector_experiment(
-        config, _rulebook(args), runs=args.runs, cost_model=_cost_model(args), out_dir=args.out,
-    )
-    print(f"detection rate: {result.detection_rate_pct:.2f}% "
-          f"({result.detected_injected}/{result.injected_total} injected), "
-          f"false positives: {result.false_positives}/{result.benign_total}")
-    print(f"{'message type':<34}{'avg (ms)':>12}{'max (ms)':>12}{'count':>8}")
-    for kind in E2MessageKind:
-        summary = result.summary(kind)
-        if summary is None:
-            continue
-        note = "  (once per connection)" if kind is E2MessageKind.SETUP_REQUEST else ""
-        print(f"{_KIND_LABELS[kind]:<34}{summary.average_ms:>12.4f}"
-              f"{summary.maximum_ms:>12.4f}{summary.count:>8}{note}")
+    rulebook = _rulebook(args)
+
+    def run() -> None:
+        result = run_inspector_experiment(
+            config, rulebook, runs=args.runs, cost_model=_cost_model(args), out_dir=args.out,
+        )
+        print(f"detection rate: {result.detection_rate_pct:.2f}% "
+              f"({result.detected_injected}/{result.injected_total} injected), "
+              f"false positives: {result.false_positives}/{result.benign_total}")
+        print(f"{'message type':<34}{'avg (ms)':>12}{'max (ms)':>12}{'count':>8}")
+        for kind in E2MessageKind:
+            summary = result.summary(kind)
+            if summary is None:
+                continue
+            note = "  (once per connection)" if kind is E2MessageKind.SETUP_REQUEST else ""
+            print(f"{_KIND_LABELS[kind]:<34}{summary.average_ms:>12.4f}"
+                  f"{summary.maximum_ms:>12.4f}{summary.count:>8}{note}")
+    return run
 
 
-def cmd_detect_bench(args) -> None:
+def cmd_detect_bench(args) -> Callable[[], None]:
     config = _scenario(args, detector_preset)
-    require_poisoning(config)  # before the bundle's training run, as is every AF
+    require_poisoning(config)
     for af in args.af:
         try:
             replace(config, amplification_factor=af)
         except ValueError as exc:
             raise ConfigError(f"--af {af}: {exc}") from None
-    result = run_detector_experiment(
-        config, af_grid=args.af, runs=args.runs, bundle=_trained_bundle(args),
-        cost_model=_cost_model(args), out_dir=args.out,
-    )
-    print(f"{'AF':<6}{'ADR (%)':>10}{'FPR (%)':>10}{'latency (ms)':>14}")
-    for af in args.af:
-        metrics = result.per_af[af]
-        print(f"{af:<6}{metrics.adr_pct:>10.2f}{metrics.fpr_pct:>10.2f}"
-              f"{metrics.mean_latency_ms:>14.4f}")
+
+    def run() -> None:
+        result = run_detector_experiment(
+            config, af_grid=args.af, runs=args.runs, bundle=_trained_bundle(args),
+            cost_model=_cost_model(args), out_dir=args.out,
+        )
+        print(f"{'AF':<6}{'ADR (%)':>10}{'FPR (%)':>10}{'latency (ms)':>14}")
+        for af in args.af:
+            metrics = result.per_af[af]
+            print(f"{af:<6}{metrics.adr_pct:>10.2f}{metrics.fpr_pct:>10.2f}"
+                  f"{metrics.mean_latency_ms:>14.4f}")
+    return run
 
 
-def cmd_attest_bench(args) -> None:
-    result = run_attestation_experiment(
-        runs=args.runs, seed=args.seed, cost_model=_cost_model(args), out_dir=args.out,
-    )
-    for size in sorted(result.latencies_ms):
-        print(f"{size} MB image: round 1 {result.round1_mean(size):.3f} ms, "
-              f"steady {result.steady_mean(size):.3f} ms "
-              f"({result.steady_per_mb(size):.4f} ms/MB)")
-    print(f"injections detected: {result.injections_detected}/{result.injection_trials}, "
-          f"clean-image violations: {result.clean_violations}")
+def cmd_attest_bench(args) -> Callable[[], None]:
+    def run() -> None:
+        result = run_attestation_experiment(
+            runs=args.runs, seed=args.seed, cost_model=_cost_model(args), out_dir=args.out,
+        )
+        for size in sorted(result.latencies_ms):
+            print(f"{size} MB image: round 1 {result.round1_mean(size):.3f} ms, "
+                  f"steady {result.steady_mean(size):.3f} ms "
+                  f"({result.steady_per_mb(size):.4f} ms/MB)")
+        print(f"injections detected: {result.injections_detected}/{result.injection_trials}, "
+              f"clean-image violations: {result.clean_violations}")
+    return run
 
 
-def cmd_use_case(args) -> None:
+def cmd_use_case(args) -> Callable[[], None]:
     rulebook = _rulebook(args)
-    bundle = _trained_bundle(args)
+    # --config is one scenario; without it, each UE load is one
+    configs = [_scenario(args, use_case_preset, total_ues=total_ues)
+               for total_ues in args.ues_total or ((50, 500) if args.config is None else (None,))]
     labels = {
         "inspector_ms": "E2 message inspection",
         "detector_ms": "KPM poisoning detection",
         "shift_ms": "data availability time shift",
     }
-    # --config is one scenario; without it, each UE load is one
-    for total_ues in args.ues_total or ((50, 500) if args.config is None else (None,)):
-        config = _scenario(args, use_case_preset, total_ues=total_ues)
-        result = run_use_case(
-            config, bundle, rulebook, runs=args.runs,
-            cost_model=_cost_model(args), out_dir=args.out,
-        )
-        print(f"{result.total_ues} UEs ({args.runs} runs x {config.loops} loops, "
-              f"worst loop {max(result.real_wall_ms):.2f} ms wall):")
-        print(f"  {'measured time (ms)':<30}{'min':>9}{'max':>9}{'avg':>9}")
-        for key, (low, high, avg) in result.summary_table().items():
-            print(f"  {labels[key]:<30}{low:>9.2f}{high:>9.2f}{avg:>9.2f}")
+
+    def run() -> None:
+        bundle = _trained_bundle(args)
+        for config in configs:
+            result = run_use_case(
+                config, bundle, rulebook, runs=args.runs,
+                cost_model=_cost_model(args), out_dir=args.out,
+            )
+            print(f"{result.total_ues} UEs ({args.runs} runs x {config.loops} loops, "
+                  f"worst loop {max(result.real_wall_ms):.2f} ms wall):")
+            print(f"  {'measured time (ms)':<30}{'min':>9}{'max':>9}{'avg':>9}")
+            for key, (low, high, avg) in result.summary_table().items():
+                print(f"  {labels[key]:<30}{low:>9.2f}{high:>9.2f}{avg:>9.2f}")
+    return run
 
 
 def main(argv=None) -> int:
@@ -217,9 +234,10 @@ def main(argv=None) -> int:
         "run-all": (cmd_inspect_bench, cmd_detect_bench, cmd_attest_bench, cmd_use_case),
     }
     try:
+        runs = [command(args) for command in commands[args.command]]
         args.out.mkdir(parents=True, exist_ok=True)
-        for command in commands[args.command]:
-            command(args)
+        for run in runs:
+            run()
     except DetectionFailure as exc:
         print(f"detection failure: {exc}", file=sys.stderr)
         return 1

@@ -9,19 +9,23 @@ anomaly score.
 Weight layout: the four gate blocks (input, forget, cell, output) are
 stacked row-wise in ``w_x``/``w_h``/``b``, in that order. Training is
 full-batch Adam (Kingma & Ba, arXiv:1412.6980) and fully deterministic for
-a fixed seed. Both passes run the batch in blocks of :func:`_block_rows`
-rows, small enough that a block's scratch stays in cache, and share one
-forward pass: the block's state is transposed, one (features, rows) buffer
-``[x_t; 1; 2h]``, so each step is one matmul with the stacked
-``[w_x | b | w_h]`` weights of :func:`_stacked_weights`. Inference
-(:func:`predict`) keeps nothing of a block. Training
-(:func:`loss_and_grads`) keeps a block's steps only until it has
-backpropagated through them, with one matmul per backward step and one
-weight-gradient product per block, before it moves to the next block.
+a fixed seed. Both passes run the batch in blocks of rows small enough that
+a block's scratch stays in cache, and share one forward pass: the block's
+state is transposed, one (features, rows) buffer ``[x_t; 1; 2h]``, so each
+step is one matmul with the stacked ``[w_x | b | w_h]`` weights of
+:func:`_stacked_weights`. Inference (:func:`predict`) runs blocks of
+:func:`_block_rows` rows on the calling thread and keeps nothing of a
+block. Training (:func:`loss_and_grads`) runs blocks of half that on two
+threads, the caller and one worker, each over its half of the batch
+(synchronous data parallelism, Dean et al., NIPS 2012). It keeps a
+block's steps only until it has backpropagated through them, with one
+matmul per backward step and one weight-gradient product per block, before
+it moves to the next block.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +33,18 @@ import numpy as np
 from .kpm import FEATURE_COUNT, SEQUENCE_LENGTH
 
 #: Sets the rows per block of both LSTM passes: 256 float64 or 512 float32
-#: rows at H=32, in inverse proportion to H and the item size (see
-#: :func:`_block_rows`). At H=32 the scratch of an inference block, about
-#: 0.5 MB, stays in cache; a training block keeps its ten steps, about 5 MB.
+#: rows at H=32 for inference, in inverse proportion to H and the item size
+#: (see :func:`_block_rows`), and half that for each of training's two
+#: threads. At H=32 the scratch of an inference block, about 0.5 MB, stays
+#: in cache; a 128-row training block keeps its ten steps, about 2.5 MB, so
+#: the two threads' scratch is about 5 MB together.
 INFERENCE_BLOCK_BYTES = 640 << 10
+
+#: The one training worker of the process: :func:`loss_and_grads` runs the
+#: second half of a batch's blocks on it. It is not the attestation
+#: verifier's worker, so a round's digest never queues behind a training
+#: share. Its thread starts at the first submit, not at import.
+_TRAINER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ricguard-trainer")
 
 
 class TrainingError(RuntimeError):
@@ -223,10 +235,10 @@ def _gate_blocks(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(model: SequenceModel) -> int:
-    """Rows per block of both :func:`predict` and :func:`loss_and_grads`:
-    :data:`INFERENCE_BLOCK_BYTES` over 10·H items of the model's dtype, 256
-    float64 or 512 float32 rows at H=32, and at least one. Training keeps
-    the T steps of a block of that many rows."""
+    """Rows per block of :func:`predict`: :data:`INFERENCE_BLOCK_BYTES` over
+    10·H items of the model's dtype, 256 float64 or 512 float32 rows at
+    H=32, and at least one. Each of :func:`loss_and_grads`'s two threads
+    keeps the T steps of a block of half that many rows (at least one)."""
     itemsize = model.w_x.dtype.itemsize
     return max(1, INFERENCE_BLOCK_BYTES // (10 * model.hidden_size * itemsize))
 
@@ -235,16 +247,28 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
                    targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Mean-squared next-step error and analytic gradients (BPTT).
 
-    The training pass: one sweep over blocks of at most :func:`_block_rows`
-    rows. A block runs :func:`predict`'s forward pass, with the same stacked
-    weights, matmuls and element-wise arithmetic, so its predictions and the
-    loss are bit for bit those of :func:`predict`. It keeps its T steps in
-    time-major scratch sized to one block: the states ``[x_t; 1; 2h]`` as
-    (T, F+1+H, rows), the gates as (T, 4H, rows), c and tanh(c) as
-    (T, H, rows). It then backpropagates through the same steps at once, and
-    adds its weight gradients to the totals. A prediction's gradient depends
-    on the batch only through the element count, so no block waits for
-    another; the loss is taken once over all predictions.
+    The training pass: one sweep over blocks of at most half
+    :func:`_block_rows` rows, run on two threads. The block list is cut in
+    two contiguous halves at a block boundary; the calling thread runs the
+    first half (the larger one, for an odd count) and the :data:`_TRAINER`
+    worker the second, each with its own scratch and its own running sums,
+    in block order (:func:`_train_share`). The batch gradient is a sum over
+    windows, so the halves are independent: the caller adds the worker's
+    sums after its own. A batch of one block never leaves the caller. The
+    split depends only on the row count, so the result is deterministic.
+    The caller waits for the worker in a ``finally``, so a failure in
+    either share surfaces here and no thread writes the predictions after
+    the call returns. The loss is taken once over all predictions, which
+    are bit for bit those of :func:`predict`.
+
+    Each share's block runs :func:`predict`'s forward pass, with the same
+    stacked weights, matmuls and element-wise arithmetic. It keeps its T
+    steps in time-major scratch sized to one block: the states
+    ``[x_t; 1; 2h]`` as (T, F+1+H, rows), the gates as (T, 4H, rows), c and
+    tanh(c) as (T, H, rows). It then backpropagates through the same steps
+    at once, and adds its weight gradients to its share's sums. A
+    prediction's gradient depends on the batch only through the element
+    count, so no block waits for another.
 
     Each backward step writes dz in place over the gates: the three sigmoid
     gates, which hold 2·sigma, take their derivative factor s·(2 - s) on one
@@ -255,31 +279,80 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
     tanh(c) comes from the forward pass. A block's weight gradients are one
     batched ``gates @ states^T`` product summed over its steps, which yields
     ``[dW_x | db | dW_h]`` stacked in predict's gate order (Appleyard et al.,
-    arXiv:1604.01946). Scratch is allocated once per call.
+    arXiv:1604.01946). The calling thread allocates both shares' scratch
+    once per call.
     """
     _check_batch(inputs, targets)
     n, t_len, f = inputs.shape
     h_size = model.hidden_size
+    dz_scale = np.repeat([8.0, 8.0, 4.0, 4.0], h_size)[:, None]  # the same in either gate order
+    block = max(1, _block_rows(model) // 2)
+    split = min(n, (-(-n // block) + 1) // 2 * block)  # the caller's ceil(blocks / 2)
+    w_rec = np.ascontiguousarray((_gate_blocks(model.w_h) / dz_scale).T)
+    predictions = np.empty((n, f))
+    pass_args = (model, _stacked_weights(model), w_rec, inputs, targets, predictions, block)
+    worker = (_TRAINER.submit(_train_share, *pass_args, split, n,
+                              _share_scratch(model, t_len, min(n - split, block)))
+              if split < n else None)
+    try:
+        sums = _train_share(*pass_args, 0, split, _share_scratch(model, t_len, min(split, block)))
+    finally:
+        if worker is not None:
+            wait((worker,))
+    if worker is not None:
+        sums = tuple(mine + theirs for mine, theirs in zip(sums, worker.result()))
+    stacked_grad, w_out_grad, b_out_grad = sums
+    stacked_grad = _gate_blocks(stacked_grad) / dz_scale
+    stacked_grad[:, f + 1 :] *= 0.5  # the states hold 2h
+    grads = {
+        "w_x": np.ascontiguousarray(stacked_grad[:, :f]),
+        "w_h": np.ascontiguousarray(stacked_grad[:, f + 1 :]),
+        "b": stacked_grad[:, f].copy(),
+        "w_out": 0.5 * w_out_grad,
+        "b_out": b_out_grad,
+    }
+    diff = predictions - targets
+    loss = float(np.sum(diff * diff) / predictions.size)
+    return loss, grads
+
+
+def _share_scratch(model: SequenceModel, t_len: int, rows: int) -> list[np.ndarray]:
+    """Scratch for one share's blocks of up to ``rows`` rows: flat buffers,
+    of which a block of m rows takes a contiguous prefix, and the (T, 4H,
+    F+1+H) weight-gradient products. :func:`loss_and_grads` allocates both
+    shares' scratch on the calling thread, so the worker's does not open a
+    malloc arena of its own (which read about 3 MB more ``rss_peak_mb`` on
+    the ``loop-dense`` benchmark)."""
+    h_size = model.hidden_size
+    width = FEATURE_COUNT + 1 + h_size
+    return [np.empty(t_len * width * rows), np.empty(t_len * 4 * h_size * rows),
+            np.empty(t_len * h_size * rows), np.empty(t_len * h_size * rows),
+            np.empty(3 * h_size * rows), *(np.empty(h_size * rows) for _ in range(4)),
+            np.empty((t_len, 4 * h_size, width))]
+
+
+def _train_share(model: SequenceModel, weights: np.ndarray, w_rec: np.ndarray,
+                 inputs: np.ndarray, targets: np.ndarray, predictions: np.ndarray,
+                 block: int, begin: int, end: int, scratch: list[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One thread's share of :func:`loss_and_grads`: the blocks of ``block``
+    rows from row ``begin`` to ``end``, in order, in the buffers of
+    :func:`_share_scratch`. Writes their rows of ``predictions`` and returns
+    the share's sums of the stacked ``[dW_x | db | dW_h]`` (predict's gate
+    order, dz scalings not yet undone), ``w_out`` (for 2h) and ``b_out``
+    gradients."""
+    _, t_len, f = inputs.shape
+    h_size = model.hidden_size
     width = f + 1 + h_size
-    weights = _stacked_weights(model)
     w_step0 = weights[:, : f + 1]
     w_out = 0.5 * model.w_out
-    dz_scale = np.repeat([8.0, 8.0, 4.0, 4.0], h_size)[:, None]  # the same in either gate order
-    w_rec = np.ascontiguousarray((_gate_blocks(model.w_h) / dz_scale).T)
-    block = _block_rows(model)
-    rows = min(n, block)
-    # flat scratch; a block of m rows takes a contiguous prefix of each
-    states_buf, gates_buf = np.empty(t_len * width * rows), np.empty(t_len * 4 * h_size * rows)
-    cs_buf, tanh_cs_buf = np.empty(t_len * h_size * rows), np.empty(t_len * h_size * rows)
-    u_buf = np.empty(3 * h_size * rows)
-    h_buf, dh_buf, dc_buf, term_buf = (np.empty(h_size * rows) for _ in range(4))
-    products = np.empty((t_len, 4 * h_size, width))
-    predictions = np.empty((n, f))
     denom = predictions.size
+    (states_buf, gates_buf, cs_buf, tanh_cs_buf, u_buf, h_buf, dh_buf, dc_buf, term_buf,
+     products) = scratch
     stacked_grad = np.zeros((4 * h_size, width))
     w_out_grad, b_out_grad = np.zeros_like(model.w_out), np.zeros_like(model.b_out)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(begin, end, block):
+        stop = min(start + block, end)
         m = stop - start
         states = states_buf[: t_len * width * m].reshape(t_len, width, m)
         gates = gates_buf[: t_len * 4 * h_size * m].reshape(t_len, 4 * h_size, m)
@@ -338,18 +411,7 @@ def loss_and_grads(model: SequenceModel, inputs: np.ndarray,
             if t:
                 np.matmul(w_rec, z, out=dh)
         stacked_grad += np.matmul(gates, states.transpose(0, 2, 1), out=products).sum(axis=0)
-    stacked_grad = _gate_blocks(stacked_grad) / dz_scale
-    stacked_grad[:, f + 1 :] *= 0.5  # the states hold 2h
-    grads = {
-        "w_x": np.ascontiguousarray(stacked_grad[:, :f]),
-        "w_h": np.ascontiguousarray(stacked_grad[:, f + 1 :]),
-        "b": stacked_grad[:, f].copy(),
-        "w_out": 0.5 * w_out_grad,
-        "b_out": b_out_grad,
-    }
-    diff = predictions - targets
-    loss = float(np.sum(diff * diff) / denom)
-    return loss, grads
+    return stacked_grad, w_out_grad, b_out_grad
 
 
 @dataclass(frozen=True)

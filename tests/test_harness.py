@@ -860,6 +860,19 @@ class TestCli:
         assert cli_main(["detect-bench", "--config", str(config), "--runs", "1",
                          "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command", ["use-case", "run-all"])
+    def test_refused_ue_load_exits_three_before_anything_runs(self, tmp_path, monkeypatch,
+                                                              command):
+        """3,000,000 UEs overflow a frame per cell; the config refuses them
+        before the detector trains or run-all's first experiment writes."""
+        import ricguard.cli as cli
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: pytest.fail("trained"))
+        out = tmp_path / "out"
+        assert cli_main([command, "--ues-total", "50,3000000", "--runs", "1",
+                         "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_run_all_on_malicious_poisoned_config_exits_zero(self, tmp_path, monkeypatch,
                                                              quick_bundle):
         """One scenario file with malicious nodes and poisoning targets
