@@ -10,6 +10,8 @@ numbers reproduce bit-for-bit.
 Takes a minute or two (it trains a small detector first).
 """
 
+from collections import Counter
+
 from ricguard.harness import (
     run_use_case,
     train_detector_bundle,
@@ -34,15 +36,19 @@ for total_ues in (50, 500):
     result = run_use_case(config, bundle, rulebook, runs=3,
                           cost_model=DEFAULT_COST_MODEL)
     composed = [i + d for i, d in zip(result.inspector_ms, result.detector_ms)]
-    safeguarded, baseline = result.arms[0]
+    # run 0's totals: the sums of its tick reports' counts
+    safeguarded, baseline = Counter(), Counter()
+    for guarded_report, baseline_report in result.reports[:config.loops]:
+        safeguarded.update(guarded_report.counts)
+        baseline.update(baseline_report.counts)
     print(f"{total_ues} UEs over {len(result.shift_ms)} loops:")
     print(f"  data-availability shift  min {min(result.shift_ms):7.3f}  "
           f"max {max(result.shift_ms):7.3f}  avg {result.avg_shift_ms:7.3f} ms")
     print(f"  inspector + detector avg {sum(composed) / len(composed):7.3f} ms "
           f"(the shift is their sum less the store time of the records the detector dropped)")
-    print(f"  store: baseline kept {len(baseline.store)} records, "
-          f"safeguarded kept {len(safeguarded.store)} "
-          f"({safeguarded.flagged} poisoned records dropped)")
-    print(f"  incidents logged: {len(safeguarded.mitigation.log)}")
+    print(f"  store (run 0): baseline kept {baseline['stored']} records, "
+          f"safeguarded kept {safeguarded['stored']} "
+          f"({safeguarded['flagged']} poisoned records dropped)")
+    print(f"  incidents logged (run 0): {safeguarded['incidents']}")
     worst = max(result.real_wall_ms)
     print(f"  worst loop wall time: {worst:.1f} ms (budget 1000 ms)\n")

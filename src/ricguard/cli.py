@@ -244,8 +244,9 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
-    # a missing --config or --rulebook file, or an --out path that is a file
-    except (ConfigError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
+    # also an operator file that cannot be read: a missing or unreadable
+    # --config or --rulebook, a directory in their place, an --out path that is a file
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     return 0

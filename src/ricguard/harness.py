@@ -7,16 +7,15 @@ safeguards impose on a consumer xApp: each tick's frames go through a
 :class:`RicPipeline` with the safeguards and one without them.
 
 Every experiment repeats over ``runs`` seeds and reports min/max/avg. The
-safeguards time themselves by wall clock, which is hardware-dependent; the
-detector's time is taken once per tick around the call, warm-up ticks
-included: :meth:`~ricguard.detector.StreamingDetector.observe_tick` in the
-detector experiment, its array call
-:meth:`~ricguard.detector.StreamingDetector.score_tick` in the pipeline.
-Pass the fixed cost table, :data:`~ricguard.timing.DEFAULT_COST_MODEL`, and
-the runners here charge it for the work done instead (the textbook byte
-comparisons of each scan, scored records, attested bytes, decoded and stored
-data), for deterministic (byte-identical) CSV output. The near-RT loop
-budget is always checked against real wall time.
+safeguards and :class:`RicPipeline` time themselves by wall clock, which is
+hardware-dependent; the detector's time is taken once per tick around its
+call, warm-up ticks included (``observe_tick`` in the detector experiment,
+the array call ``score_tick`` in the pipeline). Pass the fixed cost table,
+:data:`~ricguard.timing.DEFAULT_COST_MODEL`, to a runner, and only the runner
+charges it for the work done (the textbook byte comparisons of each scan,
+scored records, attested bytes, decoded and stored data, as a tick report
+counts them), for deterministic (byte-identical) CSV output. The near-RT
+loop budget is always checked against real wall time.
 
 CSV schemas (exact headers)::
 
@@ -33,6 +32,7 @@ import gc
 import random
 import tempfile
 from contextlib import ExitStack, contextmanager
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
@@ -52,7 +52,6 @@ from .detector import (
     MIN_CALIBRATION_WINDOWS,
     DetectorBundle,
     DetectorMetrics,
-    ScoredRecord,
     StreamingDetector,
     calibrate_threshold,
     classify_magnitude,
@@ -185,7 +184,10 @@ def experiment_policy(rulebook: SignatureSet | None = None) -> MitigationPolicy:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc})") from None
     overrides: dict[str, object] = {}
     fields_by_name = ScenarioConfig.__dataclass_fields__
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -272,22 +274,11 @@ class TelemetryStore:
 
 
 # ---------------------------------------------------------------------------
-# safeguard stages, charged to the cost model in deterministic mode
+# safeguard stages
 
 
 def _hit_ids(match: MatchResult | None) -> str:
     return ";".join(str(sig_id) for sig_id, _ in match.hits) if match is not None else ""
-
-
-def _inspect(inspector: IngressInspector, msg: E2Message, loop: int,
-             cost_model: CostModel | None) -> InspectionOutcome:
-    """Inspect one message; the cost model, when given, charges its scan for
-    the textbook search's byte comparisons."""
-    outcome = inspector.inspect(msg, loop=loop)
-    if cost_model is not None and outcome.match is not None:
-        comparisons = canonical_comparisons(msg.payload, inspector.matcher.signatures)
-        outcome = outcome._replace(inspect_latency_ns=cost_model.scan_ns(comparisons))
-    return outcome
 
 
 def _attestation_round(engine: AttestationEngine, image: XappImage,
@@ -350,7 +341,10 @@ def run_inspector_experiment(
         for t in range(config.loops):
             for emitted in emulator.step(t):
                 msg = decode_frame(emitted.frame)
-                outcome = _inspect(inspector, msg, t, cost_model)
+                outcome = inspector.inspect(msg, loop=t)
+                if cost_model is not None:
+                    outcome = outcome._replace(inspect_latency_ns=cost_model.scan_ns(
+                        canonical_comparisons(msg.payload, rulebook)))
                 outcomes.append(outcome)
                 diverted = outcome.verdict is Verdict.MALICIOUS
                 if emitted.injected is not None:
@@ -472,23 +466,20 @@ def run_detector_experiment(
                                malicious_message_fraction=0.0)
             emulator = RanEmulator(scenario, run_seed=config.rng_seed + 100 + run)
             detector = StreamingDetector(bundle)
-            labels: dict[tuple[int, int], bool] = {}
-            all_labels: list[GroundTruthLabel] = []
-            scored: list[ScoredRecord] = []
+            all_labels: list[GroundTruthLabel] = []  # run 0's, for its ground-truth CSV
             for t in range(scenario.loops):
                 records, tick_labels = emulator.generate_tick(t)
-                for lab in tick_labels:
-                    labels[(lab.ue_id, lab.timestamp)] = lab.poisoned
-                all_labels.extend(tick_labels)
+                if run == 0:
+                    all_labels.extend(tick_labels)
                 started = wall_ns()
-                tick_scored = detector.observe_tick(records)
+                scored = detector.observe_tick(records)
                 detect_ns += wall_ns() - started
-                scored.extend(tick_scored)
+                pooled += evaluate(scored, {(lab.ue_id, lab.timestamp): lab.poisoned
+                                            for lab in tick_labels})
             if run == 0 and out_dir is not None:
                 write_csv(Path(out_dir) / f"ground_truth_af{af}.csv", GROUND_TRUTH_CSV_HEADER,
                           (f"{lab.ue_id},{lab.timestamp},{int(lab.poisoned)},"
                            f"{float(af) if lab.poisoned else 1.0}" for lab in all_labels))
-            pooled += evaluate(scored, labels)
         if pooled.adr_pct is None:
             raise ConfigError(f"AF {af}: scenario produced no scored poisoned records")
         # the cost model charges each scored record alike, so its mean is that charge
@@ -673,13 +664,25 @@ def consumer_xapp_loop(store: TelemetryStore, t: int,
 
 @dataclass
 class TickReport:
-    """What one pipeline did in one tick; the decision holds its data availability."""
+    """What one pipeline did in one tick, by wall clock; a runner's cost
+    model replaces every time but ``real_wall_ms``. The decision holds the
+    data availability.
+
+    ``counts`` holds the tick's counts by reason, 0 where none occurred:
+    frames dropped as ``codec_errors`` (so are KPM payloads that fail to
+    decode), ``diverted`` (a signature matched) or ``blocked`` (unscanned:
+    their node is on the blocklist); KPM records dropped as ``off_tick`` (not
+    stamped with the tick's time) or ``replays`` (their UE already reported
+    in the tick); records ``scored``, ``flagged`` (mitigated, not stored) and
+    ``stored``; the ``incidents`` the tick logged. ``verdicts`` holds the
+    inspector's verdict on each frame in frame order, None where no inspector
+    saw it (it failed to decode, or the pipeline has none)."""
 
     inspector_ms: float
     detector_ms: float
-    stored: int  # records that reached the store this tick
+    counts: Counter[str]
+    verdicts: list[Verdict | None]
     decision: ConsumerDecision
-    #: the loop time: wall clock, or the cost model's charge in deterministic mode
     loop_wall_ms: float
     real_wall_ms: float
 
@@ -693,35 +696,21 @@ class RicPipeline:
     KPM record is fresh only when it is stamped ``t * TICK_MS`` and its UE
     has not yet reported in tick ``t``. Frames that fail to decode or that
     inspection stops, KPM payloads that fail to decode, and stale KPM
-    records are dropped and counted; no per-record state outlives the tick.
-    A size-calibrated indication carries stand-in bytes, not a KPM report,
-    so it counts as a codec error. Incidents are stamped with the tick's
-    time, ``t * TICK_MS``. The detector's time is its array call,
-    :meth:`~ricguard.detector.StreamingDetector.score_tick`, alone; after
-    it, the tick's flagged records are mitigated in one
+    records are dropped, and the tick's report counts them; no per-record
+    state outlives the tick. A size-calibrated indication carries stand-in
+    bytes, not a KPM report, so it counts as a codec error. Incidents are
+    stamped with the tick's time. Times are wall clock; the detector's is
+    its array call, :meth:`~ricguard.detector.StreamingDetector.score_tick`,
+    alone. After it, the tick's flagged records are mitigated in one
     :func:`~ricguard.mitigation.apply_kpm_actions` call and the kept ones
-    are stored. The cost model, when given, replaces wall times.
+    are stored.
     """
 
-    def __init__(self, cost_model: CostModel | None = None, *,
-                 rulebook: SignatureSet | None = None,
+    def __init__(self, *, rulebook: SignatureSet | None = None,
                  bundle: DetectorBundle | None = None) -> None:
-        self.cost_model = cost_model
         self.policy = experiment_policy(rulebook)
         self.store = TelemetryStore()
         self.mitigation = MitigationState()
-        #: frames and KPM payloads dropped because they failed to decode
-        self.codec_errors = 0
-        #: KPM records dropped because they are not stamped with the tick's time
-        self.off_tick = 0
-        #: KPM records dropped as replays: their UE already reported in the tick
-        self.replays = 0
-        #: KPM records the detector flagged; they are mitigated, not stored
-        self.flagged = 0
-        #: frames the inspector diverted: a signature matched
-        self.diverted = 0
-        #: frames dropped unscanned because their node is on the blocklist
-        self.blocked = 0
         # one inspector for every E2 connection, on the pipeline's blocklist
         self.inspector = (None if rulebook is None else
                           IngressInspector(NaiveMatcher(rulebook), self.mitigation.blocklist))
@@ -730,19 +719,22 @@ class RicPipeline:
     def process_tick(self, t: int, frames: Sequence[bytes]) -> TickReport:
         started, tick_ms = wall_ns(), t * TICK_MS
         inspect_ns = detect_ns = 0
+        counts: Counter[str] = Counter()
+        verdicts: list[Verdict | None] = [None] * len(frames)
+        logged = len(self.mitigation.log)
         records: list[KpmRecord] = []
         sources: list[int] = []  # the sending node of each record
         seen: set[int] = set()  # the UEs that reported in the tick
-        for frame in frames:
+        for i, frame in enumerate(frames):
             try:
                 msg = decode_frame(frame)
             except E2CodecError:
-                self.codec_errors += 1
+                counts["codec_errors"] += 1
                 continue
             if self.inspector is not None:
-                outcome = _inspect(self.inspector, msg, t, self.cost_model)
+                outcome = self.inspector.inspect(msg, loop=t)
                 inspect_ns += outcome.inspect_latency_ns
-                verdict = outcome.verdict
+                verdicts[i] = verdict = outcome.verdict
                 if verdict is Verdict.MALICIOUS:
                     event = DetectionEvent(
                         detector="inspector", evidence="sig:" + _hit_ids(outcome.match),
@@ -750,28 +742,26 @@ class RicPipeline:
                     )
                     apply_actions(self.mitigation, event,
                                   resolve_inspector_event(outcome.match, self.policy))
-                    self.diverted += 1
+                    counts["diverted"] += 1
                     continue  # never reaches dispatch
                 if verdict is Verdict.BLOCKED:
-                    self.blocked += 1
+                    counts["blocked"] += 1
                     continue
-            decoded = self._kpm_records(msg, tick_ms, seen)
+            decoded = _fresh_kpm_records(msg, tick_ms, seen, counts)
             records.extend(decoded)
             sources.extend([msg.source_node_id] * len(decoded))
 
         kept: Iterable[KpmRecord] = records
-        stored = len(records)
         if self.detector is not None:
             detect_started = wall_ns()
             scored, scores, keep = self.detector.score_tick(records)
-            detect_ns = (wall_ns() - detect_started if self.cost_model is None else
-                         self.cost_model.scoring_ns(int(np.count_nonzero(scored))))
+            detect_ns = wall_ns() - detect_started
+            counts["scored"] = int(np.count_nonzero(scored))
             keep_list = keep.tolist()
             if not all(keep_list):
                 flagged = np.flatnonzero(~keep)
                 indices, threshold = flagged.tolist(), self.detector.bundle.threshold
-                self.flagged += len(indices)
-                stored -= len(indices)
+                counts["flagged"] = len(indices)
                 apply_kpm_actions(self.mitigation, self.policy,
                                   [classify_magnitude(score, threshold)
                                    for score in scores[flagged].tolist()],
@@ -780,60 +770,67 @@ class RicPipeline:
                 kept = compress(records, keep_list)
         for record in kept:
             self.store.append(record)
-        return self._report(t, frames, started, inspect_ns, detect_ns, stored)
+        counts["stored"] = len(records) - counts["flagged"]
+        counts["incidents"] = len(self.mitigation.log) - logged
+        decision = consumer_xapp_loop(self.store, t, (wall_ns() - started) / 1e6)
+        wall_ms = (wall_ns() - started) / 1e6
+        return TickReport(inspect_ns / 1e6, detect_ns / 1e6, counts, verdicts, decision,
+                          loop_wall_ms=wall_ms, real_wall_ms=wall_ms)
 
-    def _kpm_records(self, msg: E2Message, tick_ms: int, seen: set[int]) -> Sequence[KpmRecord]:
-        """The message's fresh KPM records: stamped ``tick_ms``, of a UE not in
-        ``seen``, which holds the UEs of the tick's records so far and gains
-        the ones returned."""
-        if msg.kind is not E2MessageKind.INDICATION:
-            return ()
-        try:
-            decoded = decode_kpm_payload(msg.payload)
-        except E2CodecError:
-            self.codec_errors += 1
-            return ()
-        fresh = []
-        for record in decoded:
-            if record.timestamp != tick_ms:
-                self.off_tick += 1
-            elif record.ue_id in seen:
-                self.replays += 1
-            else:
-                seen.add(record.ue_id)
-                fresh.append(record)
-        return fresh
 
-    def _report(self, t: int, frames: Sequence[bytes], started_ns: int, inspect_ns: int,
-                detect_ns: int, stored: int) -> TickReport:
-        """Time the data availability, run the consumer, report the tick."""
-        cost = self.cost_model
-        if cost is None:
-            availability_ms = (wall_ns() - started_ns) / 1e6
+def _fresh_kpm_records(msg: E2Message, tick_ms: int, seen: set[int],
+                       counts: Counter[str]) -> Sequence[KpmRecord]:
+    """The message's fresh KPM records: stamped ``tick_ms``, of a UE not in
+    ``seen``, which holds the UEs of the tick's records so far and gains the
+    ones returned. ``counts`` gains the tick's drops by reason."""
+    if msg.kind is not E2MessageKind.INDICATION:
+        return ()
+    try:
+        decoded = decode_kpm_payload(msg.payload)
+    except E2CodecError:
+        counts["codec_errors"] += 1
+        return ()
+    fresh = []
+    for record in decoded:
+        if record.timestamp != tick_ms:
+            counts["off_tick"] += 1
+        elif record.ue_id in seen:
+            counts["replays"] += 1
         else:
-            decode_ns = sum(cost.decode_ns(len(frame)) for frame in frames)
-            availability_ms = (decode_ns + inspect_ns + detect_ns + cost.store_ns(stored)) / 1e6
-        decision = consumer_xapp_loop(self.store, t, availability_ms)
-        if cost is not None:
-            decision = replace(decision, busy_ms=cost.consumer_pass_ns / 1e6)
-        real_wall_ms = (wall_ns() - started_ns) / 1e6
-        return TickReport(
-            inspector_ms=inspect_ns / 1e6, detector_ms=detect_ns / 1e6, stored=stored,
-            decision=decision, real_wall_ms=real_wall_ms,
-            loop_wall_ms=real_wall_ms if cost is None else availability_ms + decision.busy_ms,
-        )
+            seen.add(record.ue_id)
+            fresh.append(record)
+    return fresh
+
+
+def _charge_tick(report: TickReport, frames: Sequence[bytes], rulebook: SignatureSet,
+                 cost_model: CostModel) -> TickReport:
+    """The report with its times replaced by the cost model's charge: the
+    availability is its frames' decodes, its scans' textbook comparisons,
+    its scored and stored records; the loop time adds one consumer pass."""
+    inspect_ns = sum(cost_model.scan_ns(canonical_comparisons(decode_frame(frame).payload,
+                                                              rulebook))
+                     for frame, verdict in zip(frames, report.verdicts)
+                     if verdict is Verdict.BENIGN or verdict is Verdict.MALICIOUS)
+    detect_ns = cost_model.scoring_ns(report.counts["scored"])
+    decode_ns = sum(cost_model.decode_ns(len(frame)) for frame in frames)
+    availability_ms = (decode_ns + inspect_ns + detect_ns
+                       + cost_model.store_ns(report.counts["stored"])) / 1e6
+    busy_ms = cost_model.consumer_pass_ns / 1e6
+    return replace(report, inspector_ms=inspect_ns / 1e6, detector_ms=detect_ns / 1e6,
+                   decision=replace(report.decision, availability_ms=availability_ms,
+                                    busy_ms=busy_ms),
+                   loop_wall_ms=availability_ms + busy_ms)
 
 
 @dataclass
 class UseCaseResult:
     """The use case's reports; each series is read off them per (run, loop),
-    run-major, and the times are the guarded arm's."""
+    run-major, and the times are the guarded arm's. An arm's totals over a
+    run are the sums of its reports' counts."""
 
     total_ues: int
     #: (guarded, baseline) reports per (run, loop), run-major
     reports: list[tuple[TickReport, TickReport]]
-    #: (guarded, baseline) pipelines per run, in their end state
-    arms: list[tuple[RicPipeline, RicPipeline]]
     csv_rows: list[str]
 
     @property
@@ -879,20 +876,21 @@ def run_use_case(
 ) -> UseCaseResult:
     """Each tick, one emulator's frames go through the guarded pipeline and
     then the baseline pipeline, measuring the data-availability shift the
-    safeguards impose on the consumer xApp."""
+    safeguards impose on the consumer xApp; a cost model charges each report."""
     _require_runs(runs)
-    reports, arms = [], []
+    reports: list[tuple[TickReport, TickReport]] = []
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)
-        guarded = RicPipeline(cost_model, rulebook=rulebook, bundle=bundle)
-        baseline = RicPipeline(cost_model)
+        guarded, baseline = RicPipeline(rulebook=rulebook, bundle=bundle), RicPipeline()
         with _gc_paused():
             for t in range(config.loops):
                 frames = [em.frame for em in emulator.step(t)]
-                reports.append((guarded.process_tick(t, frames),
-                                baseline.process_tick(t, frames)))
-        arms.append((guarded, baseline))
-    result = UseCaseResult(total_ues=emulator.ue_count, reports=reports, arms=arms, csv_rows=[
+                pair = guarded.process_tick(t, frames), baseline.process_tick(t, frames)
+                if cost_model is not None:
+                    pair = tuple(_charge_tick(report, frames, rulebook, cost_model)
+                                 for report in pair)
+                reports.append(pair)
+    result = UseCaseResult(total_ues=emulator.ue_count, reports=reports, csv_rows=[
         f"{i // config.loops},{i % config.loops},{g.inspector_ms:.6f},{g.detector_ms:.6f},"
         f"{g.decision.availability_ms - b.decision.availability_ms:.6f},{g.loop_wall_ms:.6f}"
         for i, (g, b) in enumerate(reports)])

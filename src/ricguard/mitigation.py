@@ -23,7 +23,9 @@ Policy file format (stdlib configparser syntax), read by
     read_only = R
 
 Action codes: D drop message, X drop data, B block node, R report,
-V revoke privileges, K block xApp.
+V revoke privileges, K block xApp. A line binding a set that its event
+cannot carry is refused: inspector and KPM events name a node and no xApp,
+attestation events an xApp and no node.
 """
 
 from __future__ import annotations
@@ -126,8 +128,24 @@ class MitigationPolicy:
             self.signature_actions[sig.sig_id] = frozenset(sig.actions)
 
 
+def _checked_actions(section: str, key: str, codes: str) -> frozenset[MitigationAction]:
+    """The action set of one policy line, refused with ValueError unless its
+    event can carry it: an inspector or KPM event names a node and no xApp,
+    an attestation event names an xApp and gains Report, as
+    :func:`resolve_attestation_event` adds it."""
+    actions = parse_action_codes(codes)
+    xapp = section == "attestation"
+    try:
+        _check_actions(actions | {MitigationAction.REPORT} if xapp else actions,
+                       node_id=None if xapp else 0, xapp_id="" if xapp else None)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
+    return actions
+
+
 def load_policy(path) -> MitigationPolicy:
-    """Load a policy file; sections/keys absent from the file keep defaults."""
+    """Load a policy file; sections/keys absent from the file keep defaults,
+    and a set its event cannot carry is refused (see :func:`_checked_actions`)."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (tier names, numeric ids)
     read = parser.read(path)
@@ -140,13 +158,14 @@ def load_policy(path) -> MitigationPolicy:
                 sig_id = int(key)
             except ValueError as exc:
                 raise ValueError(f"[inspector] keys must be signature ids, got {key!r}") from exc
-            policy.signature_actions[sig_id] = parse_action_codes(value)
+            policy.signature_actions[sig_id] = _checked_actions("inspector", key, value)
     if parser.has_section("kpm"):
         for key, value in parser.items("kpm"):
-            policy.magnitude_actions[Magnitude(key.lower())] = parse_action_codes(value)
+            policy.magnitude_actions[Magnitude(key.lower())] = _checked_actions("kpm", key, value)
     if parser.has_section("attestation"):
         for key, value in parser.items("attestation"):
-            policy.xapp_tier_actions[XappTier(key.lower())] = parse_action_codes(value)
+            policy.xapp_tier_actions[XappTier(key.lower())] = _checked_actions("attestation",
+                                                                                key, value)
     return policy
 
 

@@ -18,8 +18,10 @@ per-signature search, the work the deterministic cost model charges a scan.
 Rulebook file format: one rule per line, ``id,hex(pattern),action_codes,label``;
 ``#`` begins a comment, blank lines are ignored, and a ``# version: <name>``
 comment names the rulebook's version. Action codes as in the mitigation
-module (D drop, B block node, R report). Rulebooks are written by their
-authors; :func:`load_rulebook` reads them, and nothing here writes one.
+module (D drop, B block node, R report); a signature whose set is empty or
+holds an xApp action, which an inspector event cannot carry, is refused.
+Rulebooks are written by their authors; :func:`load_rulebook` reads them,
+and nothing here writes one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mitigation import MitigationAction, parse_action_codes
+from .mitigation import MitigationAction, _check_actions, parse_action_codes
 from .timing import wall_ns
 
 logger = logging.getLogger(__name__)
@@ -56,6 +58,10 @@ class Signature:
                 f"signature {self.sig_id}: pattern of {len(self.pattern)} bytes "
                 f"(minimum {MIN_PATTERN_LENGTH})"
             )
+        try:  # a hit is an inspector event: it names a node and no xApp
+            _check_actions(self.actions, node_id=0, xapp_id=None)
+        except ValueError as exc:
+            raise ValueError(f"signature {self.sig_id}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +44,7 @@ from ricguard.harness import (
     use_case_preset,
 )
 from ricguard.detector import StreamingDetector, load_bundle
+from ricguard.inspector import Verdict
 from ricguard.kpm import KpmRecord
 from ricguard.mitigation import Magnitude, MitigationAction, MitigationPolicy
 from ricguard.recurrent import TrainConfig
@@ -247,8 +249,8 @@ class TestInspectorExperiment:
         run_inspector_experiment(config, rulebook, runs=1)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
         guarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
-        guarded.process_tick(0, [em.frame for em in emulator.step(0)])
-        assert guarded.diverted > 0
+        report = guarded.process_tick(0, [em.frame for em in emulator.step(0)])
+        assert report.counts["diverted"] > 0
         with pytest.raises(Counted):
             run_inspector_experiment(config, rulebook, runs=1, cost_model=DEFAULT_COST_MODEL)
 
@@ -403,21 +405,22 @@ class TestUseCase:
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
         safeguarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
         baseline = RicPipeline()
+        totals = {safeguarded: Counter(), baseline: Counter()}
         for t in range(config.loops):
             frames = [em.frame for em in emulator.step(t)]
-            safeguarded.process_tick(t, frames)
-            baseline.process_tick(t, frames)
+            for pipeline, total in totals.items():
+                total.update(pipeline.process_tick(t, frames).counts)
             emitted = {(r.ue_id, r.timestamp) for r in baseline.store.records_at(t * 1000)}
             kept = {(r.ue_id, r.timestamp) for r in safeguarded.store.records_at(t * 1000)}
             assert len(emitted) == 20
             assert kept == emitted - flagged_per_tick[t]
         flagged = sum(len(keys) for keys in flagged_per_tick)
-        assert safeguarded.flagged == flagged, "scenario must contain detected attacks"
+        assert totals[safeguarded]["flagged"] == flagged, "scenario must contain detected attacks"
         assert flagged
-        assert len(baseline.store) == 20 * 40
-        assert len(safeguarded.store) == len(baseline.store) - flagged
-        for arm in (safeguarded, baseline):
-            assert arm.off_tick == arm.replays == arm.codec_errors == 0
+        assert len(baseline.store) == totals[baseline]["stored"] == 20 * 40
+        assert len(safeguarded.store) == totals[safeguarded]["stored"] == 20 * 40 - flagged
+        for total in totals.values():
+            assert total["off_tick"] == total["replays"] == total["codec_errors"] == 0
 
     def test_consumer_decisions_causal(self, quick_bundle, rulebook):
         config = use_case_preset(seed=2, total_ues=20, loops=30)
@@ -425,8 +428,8 @@ class TestUseCase:
                               cost_model=DEFAULT_COST_MODEL)
         for guarded, baseline in result.reports:
             # each decision reads exactly the records its own tick verified
-            assert guarded.decision.records_seen == guarded.stored
-            assert baseline.decision.records_seen == baseline.stored
+            assert guarded.decision.records_seen == guarded.counts["stored"]
+            assert baseline.decision.records_seen == baseline.counts["stored"]
 
     def test_csv_schema_and_determinism(self, quick_bundle, rulebook, tmp_path):
         config = use_case_preset(seed=2, total_ues=20, loops=20)
@@ -476,7 +479,7 @@ class TestUseCase:
         config = use_case_preset(seed=2, total_ues=20, loops=40)
         result = run_use_case(config, quick_bundle, rulebook, runs=1, cost_model=cost)
         assert len(scored_per_tick) == len(result.reports) == config.loops
-        dropped = [b.stored - g.stored for g, b in result.reports]
+        dropped = [b.counts["stored"] - g.counts["stored"] for g, b in result.reports]
         assert 0 in scored_per_tick and any(dropped), "warm-up and flagged ticks"
 
         def ns(ms):
@@ -534,14 +537,14 @@ class TestGuardedPass:
             return encode_frame(E2Message(E2MessageKind.INDICATION, node, payload))
 
         for t in range(10):
-            guarded.process_tick(t, [frame(t, scaler.mean)])
+            assert guarded.process_tick(t, [frame(t, scaler.mean)]).counts["stored"] == 1
         spike = frame(10, scaler.mean + 1000 * scaler.std)
         cut_kpm = encode_frame(E2Message(E2MessageKind.INDICATION, 7,
                                          spike[FRAME_HEADER_SIZE:-5]))
-        guarded.process_tick(10, [spike, spike[:-5], cut_kpm])
+        report = guarded.process_tick(10, [spike, spike[:-5], cut_kpm])
 
-        assert guarded.codec_errors == 2
-        assert guarded.flagged == 1 and guarded.off_tick == guarded.replays == 0
+        assert report.counts == Counter(codec_errors=2, scored=1, flagged=1, incidents=1)
+        assert report.verdicts == [Verdict.BENIGN, None, Verdict.BENIGN]
         assert guarded.store.records_at(10_000) == []
         (incident,) = guarded.mitigation.log.reports
         assert (incident.detector, incident.subject) == ("kpm", "ue:999999")
@@ -556,14 +559,14 @@ class TestGuardedPass:
         the baseline counts each one as a codec error and stores nothing."""
         config = inspector_preset(seed=3, loops=4)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
-        baseline, indications = RicPipeline(), 0
+        baseline, indications, total = RicPipeline(), 0, Counter()
         for t in range(config.loops):
             emitted = emulator.step(t)
             indications += sum(em.kind is E2MessageKind.INDICATION for em in emitted)
-            baseline.process_tick(t, [em.frame for em in emitted])
+            total.update(baseline.process_tick(t, [em.frame for em in emitted]).counts)
         assert indications == 4 * 12
-        assert baseline.codec_errors == indications
-        assert len(baseline.store) == 0 and baseline.off_tick == baseline.replays == 0
+        assert total == Counter(codec_errors=indications)
+        assert len(baseline.store) == 0
 
     @pytest.mark.parametrize("codes, rows, blocked", [("DR", 2, set()), ("DBR", 1, {2})])
     def test_each_inspector_hit_is_its_own_incident(self, codes, rows, blocked):
@@ -576,11 +579,13 @@ class TestGuardedPass:
         payload = b"\x00" * 8 + rulebook.signatures[3].pattern
         frame = encode_frame(E2Message(E2MessageKind.INDICATION, 2, payload))
         guarded = RicPipeline(rulebook=rulebook)
-        guarded.process_tick(0, [frame, frame])
+        report = guarded.process_tick(0, [frame, frame])
         log = guarded.mitigation.log.reports
         assert [(r.subject, r.evidence) for r in log] == [("node:2", "sig:3")] * rows
         assert guarded.mitigation.blocklist.blocked_nodes == blocked
-        assert (guarded.diverted, guarded.blocked) == (rows, 2 - rows)
+        assert report.counts == Counter(diverted=rows, blocked=2 - rows, incidents=rows)
+        second = Verdict.BLOCKED if blocked else Verdict.MALICIOUS
+        assert report.verdicts == [Verdict.MALICIOUS, second]
         assert len(guarded.store) == 0
 
     @staticmethod
@@ -594,8 +599,8 @@ class TestGuardedPass:
                   for ue, bad in enumerate((-1.0, math.nan, math.inf, -math.inf))]
         good = self._raw_kpm_frame(0, (1, 2, 3, 4, 5, 6), ue=10)
         for pipeline in self._pipelines(quick_bundle, rulebook):
-            pipeline.process_tick(0, [*forged, good])
-            assert pipeline.codec_errors == 4
+            report = pipeline.process_tick(0, [*forged, good])
+            assert (report.counts["codec_errors"], report.counts["stored"]) == (4, 1)
             (row,) = pipeline.store.records_at(0)
             assert row.ue_id == 10 and np.isfinite(row.features()).all()
 
@@ -608,10 +613,10 @@ class TestGuardedPass:
         scaler = quick_bundle.scaler
         first = self._raw_kpm_frame(0, scaler.mean)
         for pipeline in (guarded, baseline):
-            pipeline.process_tick(0, [first, first])
-            assert (pipeline.replays, pipeline.off_tick) == (1, 0)
-            pipeline.process_tick(1, [first, self._raw_kpm_frame(1, scaler.mean)])
-            assert (pipeline.replays, pipeline.off_tick) == (1, 1)
+            counts = pipeline.process_tick(0, [first, first]).counts
+            assert (counts["replays"], counts["off_tick"], counts["stored"]) == (1, 0, 1)
+            counts = pipeline.process_tick(1, [first, self._raw_kpm_frame(1, scaler.mean)]).counts
+            assert (counts["replays"], counts["off_tick"], counts["stored"]) == (0, 1, 1)
             assert len(pipeline.store) == 2
             (row,) = pipeline.store.records_at(1000)
             assert row.timestamp == 1000
@@ -619,10 +624,10 @@ class TestGuardedPass:
         for t in range(2, 10):
             guarded.process_tick(t, [self._raw_kpm_frame(t, scaler.mean)])
         spike = self._raw_kpm_frame(10, scaler.mean + 1000 * scaler.std)
-        guarded.process_tick(10, [spike, spike])
-        assert (guarded.flagged, guarded.replays, guarded.off_tick) == (1, 2, 1)
-        guarded.process_tick(11, [spike])
-        assert (guarded.flagged, guarded.replays, guarded.off_tick) == (1, 2, 2)
+        counts = guarded.process_tick(10, [spike, spike]).counts
+        assert (counts["flagged"], counts["replays"], counts["off_tick"]) == (1, 1, 0)
+        counts = guarded.process_tick(11, [spike]).counts
+        assert (counts["flagged"], counts["replays"], counts["off_tick"]) == (0, 0, 1)
         assert guarded.store.records_at(10_000) == guarded.store.records_at(11_000) == []
         assert len(guarded.store) == 10
 
@@ -634,6 +639,7 @@ class TestGuardedPass:
         rulebook = synthetic_rulebook(100)
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1)
         guarded = RicPipeline(rulebook=rulebook, bundle=load_bundle(BENCH_BUNDLE))
+        total = Counter()
         for t in range(16):
             frames = [em.frame for em in emulator.step(t)]
             if t == 14:
@@ -641,11 +647,11 @@ class TestGuardedPass:
                 (forged,) = encode_kpm_payloads(15_000, np.array([5]), np.array([genuine[2:]]),
                                                 [1])
                 frames.append(encode_frame(E2Message(E2MessageKind.INDICATION, 99, forged)))
-            guarded.process_tick(t, frames)
+            total.update(guarded.process_tick(t, frames).counts)
         (genuine,) = (r for r in _indication_records(frames) if r.ue_id == 5)
         (stored,) = (r for r in guarded.store.records_at(15_000) if r.ue_id == 5)
         assert stored == genuine
-        assert (guarded.off_tick, guarded.replays) == (1, 0)
+        assert (total["off_tick"], total["replays"]) == (1, 0)
 
 
 #: (ue_id, ms from the tick's timestamp, features, bad feature): UEs 0-5 are
@@ -687,17 +693,20 @@ def _hostile_frame(spec, t):
     return frame[:at] + bytes([mutation[2]]) + frame[at + 1:]
 
 
-def _decodable_records(frames) -> int:
-    """Records in the frames' decodable KPM payloads."""
-    count = 0
-    for frame in frames:
-        try:
-            msg = decode_frame(frame)
-            if msg.kind is E2MessageKind.INDICATION:
-                count += len(decode_kpm_payload(msg.payload))
-        except E2CodecError:
-            pass
-    return count
+def _frame_contents(frame):
+    """None for a frame that fails to decode; else whether it is an
+    indication, and the record count of its KPM payload (None where the
+    frame is no indication or its payload fails to decode)."""
+    try:
+        msg = decode_frame(frame)
+    except E2CodecError:
+        return None
+    if msg.kind is not E2MessageKind.INDICATION:
+        return False, None
+    try:
+        return True, len(decode_kpm_payload(msg.payload))
+    except E2CodecError:
+        return True, None
 
 
 class TestHostileTicks:
@@ -709,28 +718,53 @@ class TestHostileTicks:
     def test_store_holds_one_finite_row_per_ue_of_the_tick(self, quick_bundle, rulebook,
                                                              ticks):
         """After UEs 0-5 warm up, hostile ticks never escape ``process_tick``;
-        each tick leaves only finite rows of its own, one per UE, and the
-        baseline accounts for every decodable record as off-tick, replay or
-        stored."""
+        each tick leaves only finite rows of its own, one per UE. In both
+        arms each tick's report accounts for every frame as undecodable,
+        diverted, blocked or forwarded; for every record of a forwarded
+        indication as off-tick, a replay, flagged or stored; and for every
+        incident row the tick logged."""
         guarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
         baseline = RicPipeline()
+        stored = Counter()
         mean = tuple(quick_bundle.scaler.mean)
         warm = [[(0, [(ue, 0, mean, None) for ue in range(6)], None)]] * self.WARM_TICKS
         for t, specs in enumerate(warm + ticks):
             frames = [_hostile_frame(spec, t) for spec in specs]
-            before = baseline.off_tick + baseline.replays + len(baseline.store)
+            contents = [_frame_contents(frame) for frame in frames]
+            undecodable = [content is None for content in contents]
             for pipeline in (guarded, baseline):
-                stored = len(pipeline.store)
-                pipeline.process_tick(t, frames)
+                held, logged = len(pipeline.store), len(pipeline.mitigation.log)
+                report = pipeline.process_tick(t, frames)
+                counts, verdicts = report.counts, report.verdicts
                 rows = pipeline.store.records_at(t * 1000)
                 # every row the tick stored is stamped with the tick's time
-                assert len(pipeline.store) - stored == len(rows)
+                assert len(pipeline.store) - held == counts["stored"] == len(rows)
                 assert len({row.ue_id for row in rows}) == len(rows)
                 assert all(math.isfinite(value) for row in rows for value in row[2:])
                 # a tick that stores a row frees the one before it
                 assert not rows or pipeline.store.records_at((t - 1) * 1000) == []
-            after = baseline.off_tick + baseline.replays + len(baseline.store)
-            assert after - before == _decodable_records(frames)
+                stored[pipeline] += counts["stored"]
+
+                # each frame is undecodable, diverted, blocked or forwarded
+                assert [v is None for v in verdicts] == (
+                    undecodable if pipeline is guarded else [True] * len(frames))
+                assert verdicts.count(Verdict.MALICIOUS) == counts["diverted"]
+                assert verdicts.count(Verdict.BLOCKED) == counts["blocked"]
+                forwarded = [content for content, verdict in zip(contents, verdicts)
+                             if content is not None and verdict in (None, Verdict.BENIGN)]
+                assert (sum(undecodable) + counts["diverted"] + counts["blocked"]
+                        + len(forwarded) == len(frames))
+                # each record of a forwarded indication is off-tick, a
+                # replay, flagged or stored; its payload may fail to decode
+                payloads = [records for indication, records in forwarded if indication]
+                assert counts["codec_errors"] == sum(undecodable) + payloads.count(None)
+                assert (sum(records for records in payloads if records is not None)
+                        == counts["off_tick"] + counts["replays"] + counts["flagged"]
+                        + counts["stored"])
+                assert counts["flagged"] <= counts["scored"] <= counts["flagged"] + counts["stored"]
+                assert counts["incidents"] == len(pipeline.mitigation.log) - logged
+        for pipeline in (guarded, baseline):
+            assert stored[pipeline] == len(pipeline.store)
 
     def test_features_at_the_float_limit_reach_the_consumer(self, quick_bundle, rulebook):
         """Finite features at the float limit pass warm-up unscored in the
@@ -740,7 +774,7 @@ class TestHostileTicks:
         frames = [_hostile_frame(spec, 0)]
         for pipeline in (RicPipeline(rulebook=rulebook, bundle=quick_bundle), RicPipeline()):
             report = pipeline.process_tick(0, frames)
-            assert report.stored == report.decision.records_seen == 2
+            assert report.counts["stored"] == report.decision.records_seen == 2
 
 
 class TestCli:
@@ -765,6 +799,16 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("loops = abc\n")
         assert cli_main(["inspect-bench", "--config", str(bad), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("flag", ["--config", "--rulebook"])
+    def test_directory_in_place_of_a_file_exits_three(self, tmp_path, flag):
+        assert cli_main(["inspect-bench", flag, str(tmp_path), "--out", str(tmp_path)]) == 3
+
+    def test_config_that_is_not_text_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"loops = 5\n\xff\n")
+        assert cli_main(["inspect-bench", "--config", str(bad), "--out", str(tmp_path)]) == 3
+        assert "not a text file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", [
         "rng_seed = -1\n",
@@ -872,6 +916,23 @@ class TestCli:
         assert cli_main([command, "--ues-total", "50,3000000", "--runs", "1",
                          "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_rulebook_with_xapp_action_exits_three_before_training(self, tmp_path,
+                                                                  monkeypatch):
+        """A signature bound to K (block xApp), which an inspector event
+        cannot carry, is refused as the rulebook loads: the run neither
+        trains nor stops at the first injected frame."""
+        import ricguard.cli as cli
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: pytest.fail("trained"))
+        config = tmp_path / "scenario.cfg"
+        config.write_text("total_ues = 50\nmalicious_node_fraction = 0.34\n"
+                          "malicious_message_fraction = 0.2\nloops = 40\n")
+        rules = tmp_path / "rules.txt"
+        rules.write_text("".join(f"{s.sig_id},{s.pattern.hex()},K,{s.label}\n"
+                                 for s in synthetic_rulebook(10, seed=2).signatures))
+        assert cli_main(["use-case", "--config", str(config), "--rulebook", str(rules),
+                         "--runs", "1", "--out", str(tmp_path)]) == 3
 
     def test_run_all_on_malicious_poisoned_config_exits_zero(self, tmp_path, monkeypatch,
                                                              quick_bundle):

@@ -325,6 +325,20 @@ class TestPolicyFile:
         with pytest.raises(ValueError):
             load_policy(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[kpm]\nsignificant = XK\n", r"\[kpm\] significant: BlockXapp"),
+        ("[inspector]\n3 =\n", r"\[inspector\] 3: .*non-empty"),
+        ("[attestation]\nstandard = B\n", r"\[attestation\] standard: BlockNode"),
+    ], ids=["kpm-xapp-action", "inspector-empty", "attestation-node-action"])
+    def test_action_set_its_event_cannot_carry_is_refused(self, tmp_path, text, message):
+        """Inspector and KPM events name a node and no xApp; attestation
+        events name an xApp and no node. A set its event cannot carry is
+        refused when the policy loads, not at the first detection."""
+        path = tmp_path / "policy.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_policy(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_policy(tmp_path / "absent.ini")

@@ -283,6 +283,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             sigset(sig(1, b"AAAA"), sig(1, b"BBBB"))
 
+    @pytest.mark.parametrize("codes", ["", "K", "V", "DK"])
+    def test_action_set_an_inspector_event_cannot_carry_is_refused(self, codes):
+        """A hit names a node and no xApp: a signature with no action, or
+        with an xApp action, would stop the loop at its first hit."""
+        with pytest.raises(ValueError, match="signature 0: "):
+            synthetic_rulebook(count=3, seed=1, action_codes=codes)
+
+    @pytest.mark.parametrize("codes", ["DR", "DBR"])
+    def test_node_action_sets_build(self, codes):
+        book = synthetic_rulebook(count=3, seed=1, action_codes=codes)
+        assert {s.actions for s in book.signatures} == {parse_action_codes(codes)}
+
 
 class TestRulebookFile:
     def test_round_trip(self, tmp_path):
