@@ -33,6 +33,7 @@ clock = SimClock()
 engine = AttestationEngine(clock=clock.now_ns, rng=random.Random(1))
 engine.register("traffic-steering", reference_path)
 image = XappImage("traffic-steering", bytearray(image_bytes), len(image_bytes))
+size_mb = len(image_bytes) / (1024 * 1024)
 
 # Five clean rounds, one per five simulated seconds. Round 1 pays the
 # cold-start read of the reference image from disk.
@@ -42,7 +43,7 @@ for round_number in range(1, 6):
     outcome = engine.run_round(image)
     tag = " (cold start)" if outcome.cold_start else ""
     print(f"  round {round_number}: {outcome.outcome:<9} "
-          f"{outcome.latency_ms:7.2f} ms over {outcome.image_mb:.1f} MB{tag}")
+          f"{outcome.latency_ms:7.2f} ms over {size_mb:.1f} MB{tag}")
 
 # A replayed response is refused even though its digest was once valid.
 challenge = engine.issue_challenge("traffic-steering")
@@ -53,8 +54,9 @@ assert engine.verify(challenge, response) == VerificationResult.VALID
 print(f"\nreplaying the same response: {engine.verify(challenge, response)}")
 
 # Inject 64 bytes mid-image; the very next round raises a violation.
-record = inject_code(image, offset=2_000_000, payload=b"\x90" * 64)
-print(f"\ninjected {record.payload_length} bytes at offset {record.offset}")
+offset, payload = 2_000_000, b"\x90" * 64
+inject_code(image, offset=offset, payload=payload)
+print(f"\ninjected {len(payload)} bytes at offset {offset}")
 clock.advance_ns(5_000_000_000)
 outcome = engine.run_round(image)
 print(f"round {round_number + 1}: {outcome.outcome}")

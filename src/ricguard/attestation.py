@@ -16,8 +16,8 @@ The nonce prefixes the image in the digest input, which rules out
 precomputing the image's hash state ahead of the challenge.
 
 Images here are simulated in-memory buffers; a code-injection helper splices
-attacker bytes at arbitrary offsets (growing the image) to produce ground
-truth for detection experiments.
+attacker bytes at arbitrary offsets (growing the image), so detection
+experiments know which images were tampered with.
 """
 
 from __future__ import annotations
@@ -121,31 +121,20 @@ def attest(image: XappImage, challenge: AttestationChallenge,
     )
 
 
-@dataclass(frozen=True)
-class InjectionRecord:
-    """Ground truth for one code-injection attack."""
-
-    xapp_id: str
-    offset: int
-    payload_length: int
-
-
-def inject_code(image: XappImage, offset: int, payload: bytes) -> InjectionRecord:
+def inject_code(image: XappImage, offset: int, payload: bytes) -> None:
     """Splice attacker bytes into the live image at ``offset``, growing it."""
     if not 0 <= offset <= len(image.live_bytes):
         raise ValueError(f"offset {offset} outside image of {len(image.live_bytes)} bytes")
     image.live_bytes[offset:offset] = payload
-    return InjectionRecord(xapp_id=image.xapp_id, offset=offset, payload_length=len(payload))
 
 
 @dataclass
 class RoundResult:
-    """One round's verification outcome, its wall-clock latency, the size of
-    the attested image, and whether it paid the reference-image load."""
+    """One round's verification outcome, its wall-clock latency, and whether
+    it paid the reference-image load."""
 
     outcome: str  # VerificationResult value
     latency_ms: float
-    image_mb: float
     cold_start: bool
 
 
@@ -251,6 +240,5 @@ class AttestationEngine:
         return RoundResult(
             outcome=outcome,
             latency_ms=(wall_ns() - started) / 1e6,
-            image_mb=len(image.live_bytes) / (1024 * 1024),
             cold_start=cold,
         )

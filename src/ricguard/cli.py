@@ -26,6 +26,7 @@ from .harness import (
     detector_preset,
     inspector_preset,
     load_scenario_config,
+    require_kpm_telemetry,
     require_poisoning,
     run_attestation_experiment,
     run_detector_experiment,
@@ -200,6 +201,8 @@ def cmd_use_case(args) -> Callable[[], None]:
     # --config is one scenario; without it, each UE load is one
     configs = [_scenario(args, use_case_preset, total_ues=total_ues)
                for total_ues in args.ues_total or ((50, 500) if args.config is None else (None,))]
+    for config in configs:
+        require_kpm_telemetry(config)
     labels = {
         "inspector_ms": "E2 message inspection",
         "detector_ms": "KPM poisoning detection",

@@ -115,7 +115,7 @@ def score_window(model: SequenceModel, scaler: FeatureScaler,
     """Anomaly score for one UE's next record given its last ten records."""
     _validate_window(window, next_record)
     inputs = scaler.normalize(records_to_matrix(list(window)))[np.newaxis, :, :]
-    target = scaler.normalize(next_record.features())
+    target = scaler.normalize(next_record[2:])
     prediction = predict(model, inputs)[0]
     diff = prediction - target
     return float(np.mean(diff * diff))

@@ -57,7 +57,14 @@ from .detector import (
     classify_magnitude,
     evaluate,
 )
-from .e2 import E2CodecError, E2Message, E2MessageKind, decode_frame, decode_kpm_payload
+from .e2 import (
+    FRAME_HEADER_SIZE,
+    E2CodecError,
+    E2Message,
+    E2MessageKind,
+    decode_frame,
+    decode_kpm_payload,
+)
 from .emulator import (
     GROUND_TRUTH_CSV_HEADER,
     ConfigError,
@@ -77,6 +84,7 @@ from .mitigation import (
     Blocklist,
     DetectionEvent,
     Magnitude,
+    MitigationAction,
     MitigationPolicy,
     MitigationState,
     XappTier,
@@ -443,6 +451,14 @@ def require_poisoning(config: ScenarioConfig) -> None:
         raise ConfigError("the detector experiment needs poisoning targets")
 
 
+def require_kpm_telemetry(config: ScenarioConfig) -> None:
+    """The use case scores and stores KPM records, which the stand-in
+    indication bytes of a size-calibrated scenario do not carry."""
+    if config.size_calibrated:
+        raise ConfigError("the use case needs KPM telemetry; a size-calibrated scenario "
+                          "sends none")
+
+
 def run_detector_experiment(
     config: ScenarioConfig,
     bundle: DetectorBundle,
@@ -506,6 +522,8 @@ class AttestationExperimentResult:
     injection_trials: int
     injections_detected: int
     clean_violations: int
+    #: detected injections the default policy answers by blocking the
+    #: high-impact xApp
     xapps_blocked: int
     csv_rows: list[str]
 
@@ -581,11 +599,11 @@ def run_attestation_experiment(
                 latencies[size].append(series)
 
         # Injection trials: each mutates a fresh copy of the smaller image and
-        # must raise a violation on the immediately following round; the
-        # high-impact policy then blocks the xApp.
-        policy = MitigationPolicy.default()
+        # must raise a violation on the immediately following round, which
+        # the default policy answers by blocking the high-impact xApp.
+        blocks = MitigationAction.BLOCK_XAPP in resolve_attestation_event(
+            "xapp-trial", XappTier.HIGH_IMPACT, MitigationPolicy.default())
         detected = 0
-        blocked = 0
         trial_rng = random.Random(seed ^ 0xA77E57)
         size = sizes_mb[0]
         clock = SimClock()
@@ -602,25 +620,14 @@ def run_attestation_experiment(
             inject_code(image, offset, payload)
             clock.advance_ns(DEFAULT_ATTESTATION_PERIOD_S * 1_000_000_000)
             result = _attestation_round(engine, image, cost_model)
-            if result.outcome == VerificationResult.DIGEST_MISMATCH:
-                detected += 1
-                mitigation = MitigationState()
-                actions = resolve_attestation_event("xapp-trial", XappTier.HIGH_IMPACT, policy)
-                apply_actions(
-                    mitigation,
-                    DetectionEvent(detector="attestation", evidence="digest-mismatch",
-                                   timestamp_ms=clock.now_ms(), xapp_id="xapp-trial"),
-                    actions,
-                )
-                if "xapp-trial" in mitigation.blocklist.blocked_xapps:
-                    blocked += 1
+            detected += result.outcome == VerificationResult.DIGEST_MISMATCH
 
     result = AttestationExperimentResult(
         latencies_ms=latencies,
         injection_trials=injection_trials,
         injections_detected=detected,
         clean_violations=clean_violations,
-        xapps_blocked=blocked,
+        xapps_blocked=detected if blocks else 0,
         csv_rows=csv_rows,
     )
     if out_dir is not None:
@@ -807,7 +814,7 @@ def _charge_tick(report: TickReport, frames: Sequence[bytes], rulebook: Signatur
     """The report with its times replaced by the cost model's charge: the
     availability is its frames' decodes, its scans' textbook comparisons,
     its scored and stored records; the loop time adds one consumer pass."""
-    inspect_ns = sum(cost_model.scan_ns(canonical_comparisons(decode_frame(frame).payload,
+    inspect_ns = sum(cost_model.scan_ns(canonical_comparisons(frame[FRAME_HEADER_SIZE:],
                                                               rulebook))
                      for frame, verdict in zip(frames, report.verdicts)
                      if verdict is Verdict.BENIGN or verdict is Verdict.MALICIOUS)
@@ -878,6 +885,7 @@ def run_use_case(
     then the baseline pipeline, measuring the data-availability shift the
     safeguards impose on the consumer xApp; a cost model charges each report."""
     _require_runs(runs)
+    require_kpm_telemetry(config)
     reports: list[tuple[TickReport, TickReport]] = []
     for run in range(runs):
         emulator = RanEmulator(config, rulebook, run_seed=config.rng_seed + 1 + run)

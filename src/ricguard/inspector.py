@@ -69,7 +69,6 @@ class IngressInspector:
 class LatencySummary:
     """Average/maximum scan latency for one message kind, in milliseconds."""
 
-    kind: E2MessageKind
     average_ms: float
     maximum_ms: float
     count: int
@@ -88,7 +87,6 @@ def latency_summary(
     if not latencies:
         return None
     return LatencySummary(
-        kind=kind,
         average_ms=sum(latencies) / len(latencies) / 1e6,
         maximum_ms=max(latencies) / 1e6,
         count=len(latencies),

@@ -89,9 +89,6 @@ class KpmRecord(_KpmFields):
     def feature_values(self) -> tuple[float, ...]:
         return self[2:]
 
-    def features(self) -> np.ndarray:
-        return np.array(self[2:], dtype=np.float64)
-
 
 def records_to_matrix(records: Sequence[KpmRecord]) -> np.ndarray:
     """Stack measurement features into an (n, 6) float64 matrix."""

@@ -296,7 +296,7 @@ def reference_observe(bundle, history, records):
     ``SEQUENCE_LENGTH`` kept records from before the tick, then keep the
     records that are not anomalous, in record order."""
     seq_len = SEQUENCE_LENGTH
-    normalized = [bundle.scaler.normalize(rec.features()) for rec in records]
+    normalized = [bundle.scaler.normalize(rec[2:]) for rec in records]
     scorable = [i for i, rec in enumerate(records)
                 if len(history.get(rec.ue_id, ())) >= seq_len]
     scores = {}

@@ -64,7 +64,7 @@ class TestConfigValidation:
         for t in range(40):
             records, tick_labels = emulator.generate_tick(t)
             labels += tick_labels
-            assert all(math.isfinite(value) for value in records[0].features())
+            assert all(math.isfinite(value) for value in records[0].feature_values())
         assert any(lab.poisoned for lab in labels)
 
     def test_total_ues_beyond_frame_capacity_refused(self):
@@ -105,7 +105,7 @@ class TestBenignDynamics:
         emulator._dev[0] = 0.0
         for t in range(10):
             records, _ = emulator.generate_tick(t)
-            assert np.allclose(records[0].features(), emulator._mu[0])
+            assert np.allclose(records[0].feature_values(), emulator._mu[0])
 
     def test_sample_mean_tracks_mu(self):
         # AR(1)-adjusted standard error: sigma * sqrt((1+a)/(1-a)) / sqrt(n)
@@ -113,7 +113,7 @@ class TestBenignDynamics:
         emulator = RanEmulator(config)
         mu = emulator._mu[0]
         values = np.stack([
-            emulator.generate_tick(t)[0][0].features() for t in range(10_000)
+            emulator.generate_tick(t)[0][0].feature_values() for t in range(10_000)
         ])
         sigma = np.sqrt(np.diag(default_covariance(mu)))
         se = sigma * np.sqrt((1 + AR_COEFFICIENT) / (1 - AR_COEFFICIENT)) / 100.0

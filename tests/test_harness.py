@@ -386,6 +386,14 @@ def test_fewer_than_one_run_is_config_error(runner, runs, quick_bundle, rulebook
     assert not any(tmp_path.iterdir())
 
 
+def test_size_calibrated_use_case_is_config_error(quick_bundle, rulebook, tmp_path):
+    config = dataclasses.replace(use_case_preset(seed=1, total_ues=20, loops=5),
+                                 size_calibrated=True)
+    with pytest.raises(ConfigError, match="size-calibrated"):
+        run_use_case(config, quick_bundle, rulebook, runs=1, out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 class TestUseCase:
     def test_pipeline_purity(self, quick_bundle, rulebook, monkeypatch):
         """Per tick, the baseline stores every emitted record and the guarded
@@ -602,7 +610,7 @@ class TestGuardedPass:
             report = pipeline.process_tick(0, [*forged, good])
             assert (report.counts["codec_errors"], report.counts["stored"]) == (4, 1)
             (row,) = pipeline.store.records_at(0)
-            assert row.ue_id == 10 and np.isfinite(row.features()).all()
+            assert row.ue_id == 10 and np.isfinite(row[2:]).all()
 
     def test_replayed_records_are_dropped(self, quick_bundle, rulebook):
         """The same report twice in one tick, a past tick's report sent again,
@@ -709,6 +717,11 @@ def _frame_contents(frame):
         return True, None
 
 
+#: the nine reasons a tick report counts, as ``TickReport`` documents them
+TICK_REASONS = {"codec_errors", "diverted", "blocked", "off_tick", "replays", "scored",
+                "flagged", "stored", "incidents"}
+
+
 class TestHostileTicks:
     WARM_TICKS = 10
 
@@ -722,7 +735,8 @@ class TestHostileTicks:
         arms each tick's report accounts for every frame as undecodable,
         diverted, blocked or forwarded; for every record of a forwarded
         indication as off-tick, a replay, flagged or stored; and for every
-        incident row the tick logged."""
+        incident row the tick logged. It counts no reason but the nine
+        documented ones."""
         guarded = RicPipeline(rulebook=rulebook, bundle=quick_bundle)
         baseline = RicPipeline()
         stored = Counter()
@@ -736,6 +750,7 @@ class TestHostileTicks:
                 held, logged = len(pipeline.store), len(pipeline.mitigation.log)
                 report = pipeline.process_tick(t, frames)
                 counts, verdicts = report.counts, report.verdicts
+                assert set(counts) <= TICK_REASONS
                 rows = pipeline.store.records_at(t * 1000)
                 # every row the tick stored is stamped with the tick's time
                 assert len(pipeline.store) - held == counts["stored"] == len(rows)
@@ -914,6 +929,24 @@ class TestCli:
         monkeypatch.setattr(cli, "train_detector_bundle", lambda config: pytest.fail("trained"))
         out = tmp_path / "out"
         assert cli_main([command, "--ues-total", "50,3000000", "--runs", "1",
+                         "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["use-case", "run-all"])
+    def test_size_calibrated_use_case_exits_three_before_anything_runs(
+            self, tmp_path, monkeypatch, command):
+        """A size-calibrated scenario's indications carry no KPM records, so
+        its use case would score and store nothing; the command refuses it
+        before the detector trains or run-all's first experiment writes."""
+        import ricguard.cli as cli
+
+        monkeypatch.setattr(cli, "train_detector_bundle", lambda config: pytest.fail("trained"))
+        config = tmp_path / "scenario.cfg"
+        config.write_text("size_calibrated = true\ntotal_ues = 30\nloops = 20\n"
+                          "malicious_node_fraction = 0.5\nmalicious_message_fraction = 0.5\n"
+                          "poison_target_fraction = 0.3\n")
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(config), "--runs", "1",
                          "--out", str(out)]) == 3
         assert not out.exists()
 

@@ -117,7 +117,7 @@ class TestBuildWindows:
         inputs, targets = build_windows(records, scaler)
         assert inputs.shape == (5, 10, 6)
         assert targets.shape == (5, 6)
-        expected_target = scaler.normalize(records[10].features())
+        expected_target = scaler.normalize(records[10][2:])
         assert np.allclose(targets[0], expected_target)
 
     def test_gap_breaks_windows(self):
